@@ -15,6 +15,7 @@
 //! a tracked null-backend metric regressed to more than twice the
 //! committed baseline — the CI backend gate.
 
+use csod_bench::{BenchArgs, Metrics, REGRESSION_FACTOR};
 use csod_core::{Backend, Csod, CsodConfig, HeapBackend, NullBackend, NullHeap};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use sim_heap::{HeapConfig, SimHeap};
@@ -29,8 +30,6 @@ const CONTEXTS: usize = 64;
 const ROUND_ALLOCS: usize = 8_192;
 /// Timed rounds (the fastest is reported, Criterion-style).
 const ROUNDS: usize = 12;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 fn contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
     (0..CONTEXTS)
@@ -86,31 +85,7 @@ fn runtime_pair<B: Backend>(
     (best_alloc, best_free)
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     eprintln!("backend bench: runtime over the null backend (ceiling)...");
     let mut null = NullBackend::new();
     let mut null_heap = NullHeap::new();
@@ -121,74 +96,36 @@ fn measure() -> Results {
     let mut sim_heap = SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh heap");
     let (sa, sf) = runtime_pair(&mut machine, &mut sim_heap);
 
-    Results {
-        metrics: vec![
-            ("round_allocs", ROUND_ALLOCS as f64),
-            ("null_ns_per_alloc", na),
-            ("null_ns_per_free", nf),
-            ("sim_ns_per_alloc", sa),
-            ("sim_ns_per_free", sf),
-            // How much the simulated substrate costs on top of the pure
-            // decision path — the headroom a real backend has to play
-            // with before it, not CSOD, dominates.
-            ("sim_over_null_alloc", sa / na),
-            ("sim_over_null_free", sf / nf),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Metrics(vec![
+        ("round_allocs", ROUND_ALLOCS as f64),
+        ("null_ns_per_alloc", na),
+        ("null_ns_per_free", nf),
+        ("sim_ns_per_alloc", sa),
+        ("sim_ns_per_free", sf),
+        // How much the simulated substrate costs on top of the pure
+        // decision path — the headroom a real backend has to play
+        // with before it, not CSOD, dominates.
+        ("sim_over_null_alloc", sa / na),
+        ("sim_over_null_free", sf / nf),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = BenchArgs::from_env("BENCH_backend.json");
     let results = measure();
-    println!("\n=== backend ceiling ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>24}  {v:10.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
+    results.print("backend ceiling", 24, 10);
     let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_backend.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        for key in ["null_ns_per_alloc", "null_ns_per_free"] {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = results.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
+    if let Some(baseline) = args.baseline() {
+        failed = baseline.check(&results, &["null_ns_per_alloc", "null_ns_per_free"]);
         if !failed {
             println!("backend ceiling smoke passed");
         }
     }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_backend.json".into());
-        std::fs::write(&out, results.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("backend smoke FAILED: null-backend ceiling slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    args.finish(
+        &results,
+        failed,
+        &format!(
+            "backend smoke FAILED: null-backend ceiling slower than {REGRESSION_FACTOR}x baseline"
+        ),
+    );
 }

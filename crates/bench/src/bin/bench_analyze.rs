@@ -21,6 +21,7 @@
 //! precision gates fail (no unknown reduction, a certificate violation)
 //! or the sweep slowed to more than twice the committed baseline.
 
+use csod_bench::{BenchArgs, Metrics};
 use csod_analyze::{analyze_detailed, verify_certificates, DEFAULT_K};
 use csod_core::RiskClass;
 use std::time::Instant;
@@ -30,8 +31,6 @@ use workloads::{BuggyApp, CallSensitiveApp, Event, FuzzWorkload, SiteRegistry};
 const FUZZ_SEEDS: u64 = 32;
 /// Timed sweeps per k; the fastest is reported, Criterion-style.
 const ROUNDS: usize = 3;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 /// One corpus entry: a registry and a trace to analyze.
 struct Workload {
@@ -119,31 +118,7 @@ fn sweep(corpus: &[Workload], k: usize) -> Sweep {
     out
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     let corpus = corpus();
     eprintln!(
         "analyze bench: {} workloads, context-blind sweep (k = 0)...",
@@ -159,48 +134,38 @@ fn measure() -> Results {
             part as f64 * 100.0 / whole as f64
         }
     };
-    Results {
-        metrics: vec![
-            ("corpus_analyses", corpus.len() as f64),
-            ("k_default", DEFAULT_K as f64),
-            ("verdict_rows_k0", k0.rows as f64),
-            ("unknown_rows_k0", k0.unknown as f64),
-            ("unknown_pct_k0", pct(k0.unknown, k0.rows)),
-            ("suspicious_rows_k0", k0.suspicious as f64),
-            ("verdict_rows_k2", kd.rows as f64),
-            ("unknown_rows_k2", kd.unknown as f64),
-            ("unknown_pct_k2", pct(kd.unknown, kd.rows)),
-            ("suspicious_rows_k2", kd.suspicious as f64),
-            ("contexts_k2", kd.contexts as f64),
-            ("summary_reuses_k2", kd.summary_reuses as f64),
-            ("certificates_k2", kd.certificates as f64),
-            ("certified_accesses_k2", kd.certified_accesses as f64),
-            (
-                "certificate_violations",
-                (k0.certificate_violations + kd.certificate_violations) as f64,
-            ),
-            ("analyze_ms_k0", k0.best_ms),
-            ("analyze_ms_k2", kd.best_ms),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Metrics(vec![
+        ("corpus_analyses", corpus.len() as f64),
+        ("k_default", DEFAULT_K as f64),
+        ("verdict_rows_k0", k0.rows as f64),
+        ("unknown_rows_k0", k0.unknown as f64),
+        ("unknown_pct_k0", pct(k0.unknown, k0.rows)),
+        ("suspicious_rows_k0", k0.suspicious as f64),
+        ("verdict_rows_k2", kd.rows as f64),
+        ("unknown_rows_k2", kd.unknown as f64),
+        ("unknown_pct_k2", pct(kd.unknown, kd.rows)),
+        ("suspicious_rows_k2", kd.suspicious as f64),
+        ("contexts_k2", kd.contexts as f64),
+        ("summary_reuses_k2", kd.summary_reuses as f64),
+        ("certificates_k2", kd.certificates as f64),
+        ("certified_accesses_k2", kd.certified_accesses as f64),
+        (
+            "certificate_violations",
+            (k0.certificate_violations + kd.certificate_violations) as f64,
+        ),
+        ("analyze_ms_k0", k0.best_ms),
+        ("analyze_ms_k2", kd.best_ms),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = BenchArgs::from_env("BENCH_analyze.json");
     let results = measure();
-    println!("\n=== static analysis precision (k = 0 vs k = {DEFAULT_K}) ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>28}  {v:10.2}");
-    }
+    results.print(
+        &format!("static analysis precision (k = 0 vs k = {DEFAULT_K})"),
+        28,
+        10,
+    );
 
     let mut failed = false;
     // Deterministic gates, baseline or not: the default k must strictly
@@ -219,22 +184,9 @@ fn main() {
         failed = true;
     }
 
-    let check_pos = args.iter().position(|a| a == "--check");
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_analyze.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let base_ms = extract(&baseline, "analyze_ms_k2")
-            .unwrap_or_else(|| panic!("baseline {baseline_path} lacks analyze_ms_k2"));
-        let fresh_ms = results.get("analyze_ms_k2");
-        let verdict = if fresh_ms > base_ms * REGRESSION_FACTOR {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("check analyze_ms_k2: {fresh_ms:.2} vs baseline {base_ms:.2} ({verdict})");
-        let base_unknown = extract(&baseline, "unknown_pct_k2").unwrap_or(100.0);
+    if let Some(baseline) = args.baseline() {
+        failed |= baseline.check(&results, &["analyze_ms_k2"]);
+        let base_unknown = baseline.try_get("unknown_pct_k2").unwrap_or(100.0);
         let fresh_unknown = results.get("unknown_pct_k2");
         println!(
             "check unknown_pct_k2: {fresh_unknown:.2} vs baseline {base_unknown:.2}"
@@ -243,19 +195,9 @@ fn main() {
             println!("analyze precision gates passed");
         }
     }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_analyze.json".into());
-        std::fs::write(&out, results.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("analyze bench FAILED: a precision or perf gate tripped");
-        std::process::exit(1);
-    }
+    args.finish(
+        &results,
+        failed,
+        "analyze bench FAILED: a precision or perf gate tripped",
+    );
 }

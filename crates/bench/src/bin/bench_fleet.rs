@@ -29,6 +29,7 @@
 //! baseline, or the merge speedup fell below the floor — the CI
 //! perf-smoke gate.
 
+use csod_bench::{best_of, BenchArgs, Metrics, REGRESSION_FACTOR};
 use csod_fleet::{ingest_parallel, ingest_serial, FleetStore, IngestOptions, SamplingBudget};
 use csod_persist::{RecordKind, Wal, WalRecord};
 use csod_rng::Arc4Random;
@@ -52,10 +53,8 @@ const ROUND_PROCS: usize = 1000;
 const ROUND_ALLOCS: u64 = 120;
 /// Timed rounds per scenario (the fastest is reported, Criterion-style).
 const ROUNDS: usize = 3;
-/// Attempts per scenario; see `best_of`.
+/// Attempts per scenario (see [`best_of`]).
 const ATTEMPTS: usize = 2;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
 /// `--check` also fails if the durable merge speedup drops below this
 /// floor: group-commit + fan-out must stay worth ≥4× over naive ingest.
 const SPEEDUP_FLOOR: f64 = 4.0;
@@ -174,150 +173,69 @@ fn fleet_round() -> (f64, f64, f64, f64) {
     )
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Minimum over [`ATTEMPTS`] runs of a scenario; each scenario already
-/// keeps its fastest round, so interference has to persist across the
-/// whole bench to inflate a metric.
-fn best_of<T, F: FnMut() -> (f64, T)>(mut f: F) -> (f64, T) {
-    let mut best = f();
-    for _ in 1..ATTEMPTS {
-        let next = f();
-        if next.0 < best.0 {
-            best = next;
-        }
-    }
-    best
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     let dir = scratch("merge");
     eprintln!(
         "fleet bench: writing {MERGE_PROCS} WALs x {RECORDS_PER_PROC} records..."
     );
     let paths = write_fleet(&dir);
     eprintln!("fleet bench: durable merge, serial journal vs group-commit...");
-    let (durable_parallel, (durable_serial, records)) = best_of(|| {
+    let (durable_parallel, (durable_serial, records)) = best_of(ATTEMPTS, || {
         let (serial, parallel, records) = merge_pair(&paths, &dir, true);
         (parallel, (serial, records))
     });
     eprintln!("fleet bench: in-memory merge (CPU half only)...");
-    let (mem_parallel, mem_serial) = best_of(|| {
+    let (mem_parallel, mem_serial) = best_of(ATTEMPTS, || {
         let (serial, parallel, _) = merge_pair(&paths, &dir, false);
         (parallel, serial)
     });
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("fleet bench: {ROUND_PROCS}-process fleet round...");
-    let (round_ms, (budget_ppm, avg_overhead, detections)) = best_of(|| {
+    let (round_ms, (budget_ppm, avg_overhead, detections)) = best_of(ATTEMPTS, || {
         let (ms, ppm, overhead, det) = fleet_round();
         (ms, (ppm, overhead, det))
     });
-    Results {
-        metrics: vec![
-            ("merge_records", records as f64),
-            ("merge_serial_ms", durable_serial),
-            ("merge_parallel_ms", durable_parallel),
-            ("merge_parallel_speedup", durable_serial / durable_parallel),
-            ("merge_mem_serial_ms", mem_serial),
-            ("merge_mem_parallel_ms", mem_parallel),
-            (
-                "merge_records_per_sec",
-                records as f64 / (mem_parallel / 1e3),
-            ),
-            ("fleet_round_ms", round_ms),
-            ("fleet_round_processes", ROUND_PROCS as f64),
-            ("fleet_budget_ppm", budget_ppm),
-            ("fleet_avg_overhead", avg_overhead),
-            ("fleet_detections", detections),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Metrics(vec![
+        ("merge_records", records as f64),
+        ("merge_serial_ms", durable_serial),
+        ("merge_parallel_ms", durable_parallel),
+        ("merge_parallel_speedup", durable_serial / durable_parallel),
+        ("merge_mem_serial_ms", mem_serial),
+        ("merge_mem_parallel_ms", mem_parallel),
+        (
+            "merge_records_per_sec",
+            records as f64 / (mem_parallel / 1e3),
+        ),
+        ("fleet_round_ms", round_ms),
+        ("fleet_round_processes", ROUND_PROCS as f64),
+        ("fleet_budget_ppm", budget_ppm),
+        ("fleet_avg_overhead", avg_overhead),
+        ("fleet_detections", detections),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== fleet-scale trap aggregation ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>28}  {v:12.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    let mut best = results;
+    let args = BenchArgs::from_env("BENCH_fleet.json");
+    let mut best = measure();
+    best.print("fleet-scale trap aggregation", 28, 12);
     let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_fleet.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
+    if let Some(baseline) = args.baseline() {
         let keys = ["merge_parallel_ms", "fleet_round_ms"];
-        // Interference can only inflate a wall-clock measurement, so a
-        // single observation under the threshold proves the code has
-        // not regressed. On an apparent failure, re-measure (twice at
-        // most) and keep each metric's best observation before ruling.
-        for retry in 0..=2 {
-            let bad = |r: &Results| {
-                r.get("merge_parallel_speedup") < SPEEDUP_FLOOR
-                    || keys.iter().any(|key| {
-                        let base = extract(&baseline, key)
-                            .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-                        r.get(key) > base * REGRESSION_FACTOR
-                    })
-            };
-            if !bad(&best) || retry == 2 {
-                break;
-            }
-            eprintln!("fleet bench: over threshold, re-measuring (noisy host?)...");
-            let again = measure();
-            for (k, v) in &mut best.metrics {
+        best.remeasure_while(
+            "fleet bench",
+            |r| r.get("merge_parallel_speedup") < SPEEDUP_FLOOR || baseline.regressed(r, &keys),
+            measure,
+            |k, kept, fresh| {
                 if k.ends_with("_ms") {
-                    *v = v.min(again.get(k));
-                } else if *k == "merge_parallel_speedup" {
-                    *v = v.max(again.get(k));
+                    kept.min(fresh)
+                } else if k == "merge_parallel_speedup" {
+                    kept.max(fresh)
+                } else {
+                    kept
                 }
-            }
-        }
-        for key in keys {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = best.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
+            },
+        );
+        failed = baseline.check(&best, &keys);
         let speedup = best.get("merge_parallel_speedup");
         let verdict = if speedup < SPEEDUP_FLOOR {
             failed = true;
@@ -325,25 +243,16 @@ fn main() {
         } else {
             "ok"
         };
-        println!("check merge_parallel_speedup: {speedup:.2} vs floor {SPEEDUP_FLOOR:.2} ({verdict})");
+        println!(
+            "check merge_parallel_speedup: {speedup:.2} vs floor {SPEEDUP_FLOOR:.2} ({verdict})"
+        );
         if !failed {
             println!("perf smoke passed");
         }
     }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run. Without either flag the default path is
-    // written, preserving the baseline-refresh behaviour.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_fleet.json".into());
-        std::fs::write(&out, best.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("perf smoke FAILED: fleet merge below {SPEEDUP_FLOOR}x or slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    args.finish(
+        &best,
+        failed,
+        &format!("perf smoke FAILED: fleet merge below {SPEEDUP_FLOOR}x or slower than {REGRESSION_FACTOR}x baseline"),
+    );
 }

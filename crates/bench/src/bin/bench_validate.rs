@@ -12,6 +12,7 @@
 //! pairs, every number is finite, and — for the benchmark families this
 //! repo commits — the keys its `--check` gate reads are present.
 
+use csod_bench::parse_flat;
 use std::path::Path;
 
 /// The keys each committed baseline's `--check` gate actually reads.
@@ -38,10 +39,6 @@ const REQUIRED: &[(&str, &[&str])] = &[
         &["traced_ns_per_alloc", "untraced_ns_per_alloc"],
     ),
     (
-        "BENCH_replay.json",
-        &["exec_replay_ns_per_access", "csod_cached_ms"],
-    ),
-    (
         "BENCH_fleet.json",
         &["merge_parallel_ms", "fleet_round_ms"],
     ),
@@ -51,46 +48,6 @@ const REQUIRED: &[(&str, &[&str])] = &[
     ),
     ("BENCH_analyze.json", &["analyze_ms_k2"]),
 ];
-
-/// Parses the flat `{"key": number, ...}` shape the bench binaries
-/// write, returning the keys — or a description of what is malformed.
-fn parse_flat(json: &str) -> Result<Vec<String>, String> {
-    let body = json.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or("not a JSON object (missing braces)")?;
-    let mut keys = Vec::new();
-    for (lineno, entry) in body.split(',').enumerate() {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            return Err(format!("empty entry (trailing comma?) at field {lineno}"));
-        }
-        let (key, value) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("field {lineno}: no `:` in {entry:?}"))?;
-        let key = key
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("field {lineno}: key not quoted in {entry:?}"))?;
-        if key.is_empty() {
-            return Err(format!("field {lineno}: empty key"));
-        }
-        let number: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("field {key:?}: value {:?} is not a number", value.trim()))?;
-        if !number.is_finite() {
-            return Err(format!("field {key:?}: value {number} is not finite"));
-        }
-        keys.push(key.to_string());
-    }
-    if keys.is_empty() {
-        return Err("baseline has no metrics".into());
-    }
-    Ok(keys)
-}
 
 fn validate(path: &str) -> Result<usize, String> {
     let text =
@@ -102,7 +59,7 @@ fn validate(path: &str) -> Result<usize, String> {
         .unwrap_or(path);
     if let Some((_, required)) = REQUIRED.iter().find(|(name, _)| *name == file) {
         for need in *required {
-            if !keys.iter().any(|k| k == need) {
+            if !keys.iter().any(|(k, _)| k == need) {
                 return Err(format!("missing required field {need:?} (its --check gate reads it)"));
             }
         }

@@ -15,6 +15,7 @@
 //! regressed to more than twice the committed baseline — the CI
 //! perf-smoke gate.
 
+use csod_bench::{BenchArgs, Metrics, REGRESSION_FACTOR};
 use csod_core::{ContextJudgment, Csod, CsodConfig, DecisionCache, SamplingUnit};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use csod_rng::Arc4Random;
@@ -34,8 +35,6 @@ const ROUNDS: usize = 12;
 const THREADS: usize = 16;
 /// Sampling decisions per thread in the contended scenario.
 const CONTENDED_OPS: usize = 200_000;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 fn contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
     (0..CONTEXTS)
@@ -133,31 +132,7 @@ fn contended_ns(refresh: u32) -> f64 {
     start.elapsed().as_nanos() as f64 / (THREADS * CONTENDED_OPS) as f64
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     let cached = CsodConfig::default().fast_path.decision_cache_refresh;
     eprintln!("fastpath bench: runtime malloc/free, cached (refresh={cached})...");
     let (ca, cf) = runtime_pair(cached);
@@ -167,78 +142,40 @@ fn measure() -> Results {
     let cc = contended_ns(cached);
     eprintln!("fastpath bench: contended {THREADS}-thread sampling, uncached...");
     let uc = contended_ns(1);
-    Results {
-        metrics: vec![
-            ("threads_contended", THREADS as f64),
-            ("cached_refresh", f64::from(cached)),
-            ("uncontended_cached_ns_per_alloc", ca),
-            ("uncontended_cached_ns_per_free", cf),
-            ("uncontended_uncached_ns_per_alloc", ua),
-            ("uncontended_uncached_ns_per_free", uf),
-            ("contended_cached_ns_per_alloc", cc),
-            ("contended_uncached_ns_per_alloc", uc),
-            ("contended_speedup", uc / cc),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Metrics(vec![
+        ("threads_contended", THREADS as f64),
+        ("cached_refresh", f64::from(cached)),
+        ("uncontended_cached_ns_per_alloc", ca),
+        ("uncontended_cached_ns_per_free", cf),
+        ("uncontended_uncached_ns_per_alloc", ua),
+        ("uncontended_uncached_ns_per_free", uf),
+        ("contended_cached_ns_per_alloc", cc),
+        ("contended_uncached_ns_per_alloc", uc),
+        ("contended_speedup", uc / cc),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = BenchArgs::from_env("BENCH_fastpath.json");
     let results = measure();
-    println!("\n=== allocation fast path ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>36}  {v:10.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
+    results.print("allocation fast path", 36, 10);
     let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_fastpath.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        for key in [
-            "uncontended_cached_ns_per_alloc",
-            "uncontended_cached_ns_per_free",
-            "contended_cached_ns_per_alloc",
-        ] {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = results.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
+    if let Some(baseline) = args.baseline() {
+        failed = baseline.check(
+            &results,
+            &[
+                "uncontended_cached_ns_per_alloc",
+                "uncontended_cached_ns_per_free",
+                "contended_cached_ns_per_alloc",
+            ],
+        );
         if !failed {
             println!("perf smoke passed");
         }
     }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run. Without either flag the default path is
-    // written, preserving the original baseline-refresh behaviour.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_fastpath.json".into());
-        std::fs::write(&out, results.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("perf smoke FAILED: cached fast path slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    args.finish(
+        &results,
+        failed,
+        &format!("perf smoke FAILED: cached fast path slower than {REGRESSION_FACTOR}x baseline"),
+    );
 }

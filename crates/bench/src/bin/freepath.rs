@@ -30,6 +30,7 @@
 //! any tracked ns metric regressed to more than twice the committed
 //! baseline — the CI perf-smoke gate.
 
+use csod_bench::{best_of, BenchArgs, Metrics, REGRESSION_FACTOR};
 use csod_core::{
     Csod, CsodConfig, CtxId, ReplacementPolicy, WatchCandidate, WatchpointManager,
 };
@@ -64,8 +65,6 @@ const PARALLEL_THREADS: usize = 4;
 /// Overflowed-and-confirmed objects per durability trace; each one adds
 /// a record the exit compaction must durably write.
 const PARALLEL_OBJECTS: usize = 32;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 /// ns per *unwatched* free through the full runtime: the four slots are
 /// pinned by never-freed allocations under the naive policy, so every
@@ -297,159 +296,62 @@ fn parallel_driver_pair() -> (f64, f64) {
     (best_serial, best_parallel)
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Attempts per timed scenario. Each scenario already keeps its fastest
-/// round; repeating the whole scenario and keeping the overall minimum
-/// spreads the samples across tens of seconds, so bursty interference
-/// (this runs on shared CI hardware) has to last the whole bench to
-/// inflate a metric.
+/// Attempts per timed scenario (see [`best_of`]).
 const ATTEMPTS: usize = 3;
 
-/// Minimum over [`ATTEMPTS`] runs of a scenario.
-fn best_of<T, F: FnMut() -> (f64, T)>(mut f: F) -> (f64, T) {
-    let mut best = f();
-    for _ in 1..ATTEMPTS {
-        let next = f();
-        if next.0 < best.0 {
-            best = next;
-        }
-    }
-    best
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     eprintln!("freepath bench: unwatched frees through the filter...");
-    let (unwatched, ()) = best_of(|| (unwatched_free_ns(), ()));
+    let (unwatched, ()) = best_of(ATTEMPTS, || (unwatched_free_ns(), ()));
     eprintln!("freepath bench: watched churn, deferred teardown...");
-    let (deferred, batch_avg) = best_of(|| watched_churn(true));
+    let (deferred, batch_avg) = best_of(ATTEMPTS, || watched_churn(true));
     eprintln!("freepath bench: watched churn, synchronous teardown...");
-    let (synchronous, _) = best_of(|| watched_churn(false));
+    let (synchronous, _) = best_of(ATTEMPTS, || watched_churn(false));
     eprintln!("freepath bench: trap dispatch, {DISPATCH_THREADS} threads...");
-    let (index_ns, scan_ns) = best_of(dispatch_pair);
+    let (index_ns, scan_ns) = best_of(ATTEMPTS, dispatch_pair);
     eprintln!("freepath bench: parallel driver, {PARALLEL_TRACES} WAL traces x {PARALLEL_THREADS} threads...");
     let (serial_ms, parallel_ms) = parallel_driver_pair();
-    Results {
-        metrics: vec![
-            ("unwatched_ns_per_free", unwatched),
-            ("watched_deferred_ns_per_free", deferred),
-            ("watched_synchronous_ns_per_free", synchronous),
-            ("deferred_free_speedup", synchronous / deferred),
-            ("teardown_batch_avg", batch_avg),
-            ("dispatch_threads", DISPATCH_THREADS as f64),
-            ("trap_dispatch_fd_index_ns", index_ns),
-            ("trap_dispatch_scan_ns", scan_ns),
-            ("dispatch_speedup", scan_ns / index_ns),
-            ("parallel_trace_threads", PARALLEL_THREADS as f64),
-            ("parallel_serial_ms", serial_ms),
-            ("parallel_fanned_ms", parallel_ms),
-            ("parallel_trace_speedup", serial_ms / parallel_ms),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Metrics(vec![
+        ("unwatched_ns_per_free", unwatched),
+        ("watched_deferred_ns_per_free", deferred),
+        ("watched_synchronous_ns_per_free", synchronous),
+        ("deferred_free_speedup", synchronous / deferred),
+        ("teardown_batch_avg", batch_avg),
+        ("dispatch_threads", DISPATCH_THREADS as f64),
+        ("trap_dispatch_fd_index_ns", index_ns),
+        ("trap_dispatch_scan_ns", scan_ns),
+        ("dispatch_speedup", scan_ns / index_ns),
+        ("parallel_trace_threads", PARALLEL_THREADS as f64),
+        ("parallel_serial_ms", serial_ms),
+        ("parallel_fanned_ms", parallel_ms),
+        ("parallel_trace_speedup", serial_ms / parallel_ms),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== free path & watchpoint lifecycle ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>36}  {v:10.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    let mut best = results;
+    let args = BenchArgs::from_env("BENCH_freepath.json");
+    let mut best = measure();
+    best.print("free path & watchpoint lifecycle", 36, 10);
     let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_freepath.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
+    if let Some(baseline) = args.baseline() {
         let keys = [
             "unwatched_ns_per_free",
             "watched_deferred_ns_per_free",
             "trap_dispatch_fd_index_ns",
         ];
-        // Interference can only inflate a wall-clock measurement, so a
-        // single observation under the threshold proves the code has
-        // not regressed. On an apparent failure, re-measure (twice at
-        // most) and keep each metric's best observation before ruling.
-        for retry in 0..=2 {
-            let regressed = |r: &Results| {
-                keys.iter().any(|key| {
-                    let base = extract(&baseline, key)
-                        .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-                    r.get(key) > base * REGRESSION_FACTOR
-                })
-            };
-            if !regressed(&best) || retry == 2 {
-                break;
-            }
-            eprintln!("freepath bench: over threshold, re-measuring (noisy host?)...");
-            let again = measure();
-            for (k, v) in &mut best.metrics {
-                *v = v.min(again.get(k));
-            }
-        }
-        for key in keys {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = best.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
+        best.remeasure_while(
+            "freepath bench",
+            |r| baseline.regressed(r, &keys),
+            measure,
+            |_, kept, fresh| kept.min(fresh),
+        );
+        failed = baseline.check(&best, &keys);
         if !failed {
             println!("perf smoke passed");
         }
     }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run. Without either flag the default path is
-    // written, preserving the original baseline-refresh behaviour.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_freepath.json".into());
-        std::fs::write(&out, best.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("perf smoke FAILED: free path slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    args.finish(
+        &best,
+        failed,
+        &format!("perf smoke FAILED: free path slower than {REGRESSION_FACTOR}x baseline"),
+    );
 }

@@ -159,20 +159,6 @@ pub struct CsodStats {
     /// Trap-report lines whose durable flush happened only because a
     /// JSONL sink was dropped (crash-path flush-on-drop).
     pub reports_flushed_on_drop: u64,
-    /// Replay engine: access runs replayed from a cached trace segment
-    /// (one hull check + one batched apply each).
-    pub replay_cache_hits: u64,
-    /// Replay engine: access runs interpreted because no cached segment
-    /// matched.
-    pub replay_cache_misses: u64,
-    /// Replay engine: cached segments discarded — stale watch
-    /// generation, slot collision, or an overlapping out-of-model write.
-    pub replay_cache_invalidations: u64,
-    /// Replay engine: segments compiled from clean interpreted runs.
-    pub replay_segments_compiled: u64,
-    /// Replay engine: individual accesses applied through batched
-    /// replay instead of per-access interpretation.
-    pub replay_accesses: u64,
 }
 
 /// The CSOD runtime.
@@ -266,9 +252,6 @@ pub struct Csod {
     /// Last detection mode the tracer was told about, to turn the
     /// degradation ladder's state into enter/exit transition events.
     traced_mode: DetectionMode,
-    /// Replay engine: compiled-segment length distribution, fed by the
-    /// execution driver at run end (see [`Csod::note_replay_cache`]).
-    replay_segment_lens: Histogram,
 }
 
 impl Csod {
@@ -396,7 +379,6 @@ impl Csod {
             tracer: Tracer::new(config.trace.ring_capacity),
             thread_tracers: Vec::new(),
             pipeline,
-            replay_segment_lens: Histogram::new(),
             traced_mode: DetectionMode::Watchpoints,
             config,
             frames,
@@ -1309,28 +1291,6 @@ impl Csod {
         }
     }
 
-    /// Folds the execution driver's trace-cache accounting into the
-    /// runtime's stats and metrics: hit/miss/invalidation counters into
-    /// [`CsodStats`] and the compiled-segment length distribution into
-    /// the `csod_replay_segment_len` histogram. `len_counts[n]` is the
-    /// number of segments compiled with exactly `n` accesses.
-    ///
-    /// Called (at most once per run) by the driver before
-    /// [`Csod::finish`], so metrics snapshots and [`CsodStats`] readers
-    /// see the replay engine alongside every other counter.
-    pub fn note_replay_cache(&mut self, cache: sim_machine::TraceCacheStats, len_counts: &[u64]) {
-        self.stats.replay_cache_hits += cache.hits;
-        self.stats.replay_cache_misses += cache.misses;
-        self.stats.replay_cache_invalidations += cache.invalidations;
-        self.stats.replay_segments_compiled += cache.compiled;
-        self.stats.replay_accesses += cache.replayed_accesses;
-        for (len, &count) in len_counts.iter().enumerate() {
-            for _ in 0..count {
-                self.replay_segment_lens.record(len as u64);
-            }
-        }
-    }
-
     /// The detection tier currently in effect (watchpoints, or canary-
     /// only while the backend is considered down).
     pub fn detection_mode(&self) -> DetectionMode {
@@ -1463,17 +1423,6 @@ impl Csod {
         );
         reg.set_counter("csod_wal_reads_batched_total", s.wal_reads_batched);
         reg.set_counter("csod_reports_flushed_on_drop_total", s.reports_flushed_on_drop);
-        reg.set_counter("csod_replay_cache_hits_total", s.replay_cache_hits);
-        reg.set_counter("csod_replay_cache_misses_total", s.replay_cache_misses);
-        reg.set_counter(
-            "csod_replay_cache_invalidations_total",
-            s.replay_cache_invalidations,
-        );
-        reg.set_counter(
-            "csod_replay_segments_compiled_total",
-            s.replay_segments_compiled,
-        );
-        reg.set_counter("csod_replay_accesses_total", s.replay_accesses);
         let w = self.watchpoints.stats();
         reg.set_counter("csod_watch_installs_total", w.installs);
         reg.set_counter("csod_watch_replacements_total", w.replacements);
@@ -1513,10 +1462,6 @@ impl Csod {
         reg.set_histogram(
             "csod_slot_occupancy",
             self.watchpoints.slot_occupancy_histogram(),
-        );
-        reg.set_histogram(
-            "csod_replay_segment_len",
-            self.replay_segment_lens.snapshot(),
         );
         // Per-context sample-rate distribution, built from the sampling
         // table at snapshot time (ppm values, so one bucket ≈ one 2×

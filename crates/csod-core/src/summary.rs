@@ -105,17 +105,6 @@ pub struct RunSummary {
     /// Report lines whose durable sync happened only on sink drop —
     /// the crash-salvage path, zero on clean runs.
     pub reports_flushed_on_drop: u64,
-    /// Replay engine: access runs replayed from a cached trace segment.
-    pub replay_cache_hits: u64,
-    /// Replay engine: access runs interpreted on a cache miss.
-    pub replay_cache_misses: u64,
-    /// Replay engine: cached segments discarded (stale generation,
-    /// collision, overlapping out-of-model write).
-    pub replay_cache_invalidations: u64,
-    /// Replay engine: segments compiled from clean interpreted runs.
-    pub replay_segments_compiled: u64,
-    /// Replay engine: accesses applied through batched replay.
-    pub replay_accesses: u64,
     /// System calls the tool issued.
     pub syscalls: u64,
     /// Normalized overhead of the run so far (Figure 7 metric).
@@ -165,11 +154,6 @@ impl RunSummary {
             wal_records_skipped_corrupt: stats.wal_records_skipped_corrupt,
             wal_reads_batched: stats.wal_reads_batched,
             reports_flushed_on_drop: stats.reports_flushed_on_drop,
-            replay_cache_hits: stats.replay_cache_hits,
-            replay_cache_misses: stats.replay_cache_misses,
-            replay_cache_invalidations: stats.replay_cache_invalidations,
-            replay_segments_compiled: stats.replay_segments_compiled,
-            replay_accesses: stats.replay_accesses,
             syscalls: machine.counter().syscalls(),
             overhead: machine.counter().normalized_overhead(),
         }
@@ -187,12 +171,6 @@ impl RunSummary {
             || self.wal_records_skipped_corrupt > 0
             || self.wal_reads_batched > 0
             || self.reports_flushed_on_drop > 0
-    }
-
-    /// Whether the replay engine executed at all (the runner ran with a
-    /// trace cache armed).
-    pub fn replay_used(&self) -> bool {
-        self.replay_cache_hits > 0 || self.replay_cache_misses > 0
     }
 
     /// Whether static priors left any trace in this run.
@@ -267,17 +245,6 @@ impl fmt::Display for RunSummary {
                 self.suspicious_installs,
                 self.prior_availability_skips,
                 self.proven_safe_overflows
-            )?;
-        }
-        if self.replay_used() {
-            writeln!(
-                f,
-                "replay: {} hit(s) / {} miss(es), {} segment(s) compiled, {} invalidation(s), {} access(es) batched",
-                self.replay_cache_hits,
-                self.replay_cache_misses,
-                self.replay_segments_compiled,
-                self.replay_cache_invalidations,
-                self.replay_accesses
             )?;
         }
         write!(

@@ -121,20 +121,6 @@ impl DebugRegisterFile {
     pub fn holds(&self, fd: Fd) -> bool {
         self.slots.iter().any(|s| s.is_some_and(|(held, _)| held == fd))
     }
-
-    /// Returns `true` if `range` overlaps any armed register. The bounds
-    /// hull rejects the common case with one comparison; only ranges
-    /// inside the hull pay the (at most slot-count) exact scan. Trace
-    /// replay uses this as its per-segment precondition: a segment whose
-    /// hull overlaps no armed register cannot fire a watchpoint.
-    pub fn overlaps_armed(&self, range: &AddrRange) -> bool {
-        match self.bounds {
-            Some(bounds) if bounds.overlaps(range) => {
-                self.armed().any(|(_, watched)| watched.overlaps(range))
-            }
-            _ => false,
-        }
-    }
 }
 
 /// The smallest range covering both inputs.

@@ -62,7 +62,6 @@ mod perf;
 mod recorder;
 mod signal;
 mod thread;
-mod trace;
 
 pub use addr::{AccessKind, AddrRange, VirtAddr};
 pub use clock::{Clock, VirtDuration, VirtInstant};
@@ -77,7 +76,3 @@ pub use perf::{
 };
 pub use signal::{Signal, SignalInfo, SiteToken};
 pub use thread::{ThreadError, ThreadId, ThreadRegistry};
-pub use trace::{
-    calculate_slot, SegmentStep, TraceCache, TraceCacheStats, TraceSegment, MAX_SEGMENT_LEN,
-    TRACE_CACHE_SLOTS,
-};

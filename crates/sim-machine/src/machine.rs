@@ -10,7 +10,6 @@ use crate::perf::{Fd, FcntlCmd, IoctlCmd, PerfError, PerfEventAttr, PerfSubsyste
 use crate::recorder::{FlightRecorder, LogEvent};
 use crate::signal::{Signal, SignalInfo, SiteToken};
 use crate::thread::{ThreadError, ThreadId, ThreadRegistry};
-use crate::trace::TraceSegment;
 use std::collections::{HashMap, VecDeque};
 
 /// A deterministic simulated machine.
@@ -73,13 +72,6 @@ pub struct Machine {
     /// Signals whose delivery a fault plan postponed, with their due time.
     /// The delay is constant per plan, so pushes arrive in due order.
     delayed: VecDeque<(VirtInstant, SignalInfo)>,
-    /// Bumped on every mutation that could change what an application
-    /// access observes (watch arm/disarm, mapping changes, fault plans,
-    /// PMU and recorder toggles). Compiled trace segments record the
-    /// value and go stale when it moves — the deferred-teardown drains,
-    /// which run through `sys_teardown_batch`, bump it like any other
-    /// watch mutation.
-    watch_gen: u64,
 }
 
 /// One PMU (PEBS-style) memory-access sample, as consumed by the
@@ -147,7 +139,6 @@ impl Machine {
             recorder: None,
             faults: None,
             delayed: VecDeque::new(),
-            watch_gen: 0,
         }
     }
 
@@ -157,14 +148,12 @@ impl Machine {
     /// deliveries and heap allocations consult it. Replaces any previous
     /// plan.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.bump_watch_generation();
         self.faults = Some(plan);
     }
 
     /// Removes the fault plan, returning it (with its counters) for
     /// inspection.
     pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.bump_watch_generation();
         self.faults.take()
     }
 
@@ -244,13 +233,11 @@ impl Machine {
     ///
     /// Propagates [`MemoryError`] for invalid or overlapping mappings.
     pub fn map_region(&mut self, base: VirtAddr, len: u64, name: &str) -> Result<(), MemoryError> {
-        self.bump_watch_generation();
         self.mem.map_region(base, len, name)
     }
 
     /// Unmaps the region based at `base`.
     pub fn unmap_region(&mut self, base: VirtAddr) -> bool {
-        self.bump_watch_generation();
         self.mem.unmap_region(base)
     }
 
@@ -473,13 +460,11 @@ impl Machine {
 
     /// Enables the flight recorder, keeping the last `capacity` events.
     pub fn recorder_enable(&mut self, capacity: usize) {
-        self.bump_watch_generation();
         self.recorder = Some(FlightRecorder::new(capacity));
     }
 
     /// Disables the flight recorder, returning it for inspection.
     pub fn recorder_take(&mut self) -> Option<FlightRecorder> {
-        self.bump_watch_generation();
         self.recorder.take()
     }
 
@@ -514,7 +499,6 @@ impl Machine {
     /// Panics if `period` is zero.
     pub fn pmu_enable_with_phase(&mut self, period: u64, phase: u64) {
         assert!(period > 0, "PMU sampling period must be positive");
-        self.bump_watch_generation();
         self.pmu_period = Some(period);
         // Phase 0 = the full period before the first sample; larger
         // phases pull the first sampling point earlier.
@@ -523,7 +507,6 @@ impl Machine {
 
     /// Disables PMU access sampling.
     pub fn pmu_disable(&mut self) {
-        self.bump_watch_generation();
         self.pmu_period = None;
         self.pmu_samples.clear();
     }
@@ -601,7 +584,6 @@ impl Machine {
     /// Returns [`ThreadError`] for the main thread or unknown threads.
     pub fn exit_thread(&mut self, tid: ThreadId) -> Result<(), ThreadError> {
         self.threads.exit(tid)?;
-        self.bump_watch_generation();
         self.perf.on_thread_exit(tid);
         self.current_site.remove(&tid);
         self.record(LogEvent::ThreadExit { thread: tid });
@@ -630,7 +612,6 @@ impl Machine {
         self.record(LogEvent::Syscall {
             name: "perf_event_open",
         });
-        self.bump_watch_generation();
         self.syscall_cost(self.cost.perf_event_open);
         if !self.threads.is_alive(tid) {
             return Err(PerfError::NoSuchThread(tid));
@@ -649,7 +630,6 @@ impl Machine {
     /// Returns [`PerfError::BadFd`] for closed descriptors.
     pub fn sys_fcntl(&mut self, fd: Fd, cmd: FcntlCmd) -> Result<i64, PerfError> {
         self.record(LogEvent::Syscall { name: "fcntl" });
-        self.bump_watch_generation();
         self.syscall_cost(self.cost.syscall);
         if let Some(e) = self.faults.as_mut().and_then(FaultPlan::fail_fcntl) {
             return Err(e);
@@ -664,7 +644,6 @@ impl Machine {
     /// Returns [`PerfError::BadFd`] for closed descriptors.
     pub fn sys_ioctl(&mut self, fd: Fd, cmd: IoctlCmd) -> Result<(), PerfError> {
         self.record(LogEvent::Syscall { name: "ioctl" });
-        self.bump_watch_generation();
         self.syscall_cost(self.cost.syscall);
         if let Some(e) = self.faults.as_mut().and_then(FaultPlan::fail_ioctl) {
             return Err(e);
@@ -679,7 +658,6 @@ impl Machine {
     /// Returns [`PerfError::BadFd`] for closed descriptors.
     pub fn sys_close(&mut self, fd: Fd) -> Result<(), PerfError> {
         self.record(LogEvent::Syscall { name: "close" });
-        self.bump_watch_generation();
         self.syscall_cost(self.cost.syscall);
         if self.faults.as_mut().is_some_and(FaultPlan::fail_close) {
             // As on Linux, an EINTR from close still releases the
@@ -706,7 +684,6 @@ impl Machine {
         tid: ThreadId,
     ) -> Result<Fd, PerfError> {
         self.record(LogEvent::Syscall { name: "ptrace" });
-        self.bump_watch_generation();
         self.syscall_cost(self.cost.ptrace_attach);
         if !self.threads.is_alive(tid) {
             // The attach already cost us; the errno comes back anyway.
@@ -739,7 +716,6 @@ impl Machine {
     /// Returns [`PerfError::BadFd`] for descriptors that are not open.
     pub fn sys_ptrace_unwatch(&mut self, fd: Fd) -> Result<(), PerfError> {
         self.record(LogEvent::Syscall { name: "ptrace" });
-        self.bump_watch_generation();
         self.syscall_cost(self.cost.ptrace_attach);
         self.syscall_cost(self.cost.ptrace_poke);
         let result = self.perf.close(fd);
@@ -762,7 +738,6 @@ impl Machine {
         self.record(LogEvent::Syscall {
             name: "watch_all_threads",
         });
-        self.bump_watch_generation();
         let threads: Vec<ThreadId> = self.threads.alive().collect();
         self.syscall_cost(
             self.cost.combined_watch
@@ -803,7 +778,6 @@ impl Machine {
         self.record(LogEvent::Syscall {
             name: "unwatch_all_threads",
         });
-        self.bump_watch_generation();
         self.syscall_cost(
             self.cost.combined_watch
                 + self.cost.combined_watch_per_thread * fds.len() as u64,
@@ -826,7 +800,6 @@ impl Machine {
         self.record(LogEvent::Syscall {
             name: "teardown_batch",
         });
-        self.bump_watch_generation();
         self.syscall_cost(
             self.cost.teardown_batch + self.cost.teardown_batch_per_fd * fds.len() as u64,
         );
@@ -861,99 +834,6 @@ impl Machine {
     /// Total perf events ever opened.
     pub fn events_opened_total(&self) -> u64 {
         self.perf.opened_total()
-    }
-
-    // ----- trace replay ---------------------------------------------------------
-
-    /// The current watch generation: a counter bumped by every mutation
-    /// that could change what an application access observes — watch
-    /// installs and (batched) teardowns, mapping changes, fault-plan
-    /// installs/clears, PMU and recorder toggles, thread exits. A
-    /// [`TraceSegment`] compiled under one generation is only replayable
-    /// while the generation still matches.
-    #[inline]
-    pub fn watch_generation(&self) -> u64 {
-        self.watch_gen
-    }
-
-    fn bump_watch_generation(&mut self) {
-        self.watch_gen += 1;
-    }
-
-    /// The bounding hull over every armed range of `tid`'s debug
-    /// registers — the summary that gates
-    /// [`PerfSubsystem::check_access`], exposed for trace compilation.
-    pub fn armed_bounds(&self, tid: ThreadId) -> Option<AddrRange> {
-        self.perf.thread_bounds(tid)
-    }
-
-    /// Whether any armed debug-register range of `tid` overlaps `range`:
-    /// the bounds hull as a cheap pre-filter, then the exact (≤ slot
-    /// count) armed-range scan. This is the compile-time precondition
-    /// for caching a segment — a hull-only test would also refuse
-    /// accesses to object interiors *between* two watched canaries.
-    pub fn armed_overlaps(&self, tid: ThreadId, range: &AddrRange) -> bool {
-        self.perf.armed_overlaps(tid, range)
-    }
-
-    /// Whether the machine is in a state where access runs may be
-    /// compiled to or replayed from a trace cache at all: no fault plan
-    /// (drop/delay draws are per-trap and must happen per access), no
-    /// PMU sampling (needs per-access countdown), no flight recorder
-    /// (records per-access events), and no pending or fault-delayed
-    /// signal anywhere (a delayed signal could become due mid-run, and
-    /// interpret mode would observe it at the exact access).
-    pub fn replay_ready(&self) -> bool {
-        self.faults.is_none()
-            && self.pmu_period.is_none()
-            && self.recorder.is_none()
-            && self.pending.is_empty()
-            && self.delayed.is_empty()
-    }
-
-    /// Replays a compiled [`TraceSegment`] as one batched apply: the full
-    /// application cost and access count are charged, the coalesced store
-    /// footprint lands in one fill pass, and the thread's current site
-    /// advances to the run's last site — observationally identical to
-    /// interpreting the run access by access, because the segment was
-    /// compiled from a run that raised nothing and the preconditions
-    /// below prove it still cannot.
-    ///
-    /// Returns `false` (and applies nothing) when any precondition
-    /// fails — the caller then interprets the run and recompiles:
-    /// generation mismatch, machine not [`Machine::replay_ready`], dead
-    /// thread, an armed watch register overlapping the segment hull, or
-    /// an unmapped store span.
-    pub fn replay_segment(&mut self, seg: &TraceSegment) -> bool {
-        if seg.generation != self.watch_gen || !self.replay_ready() {
-            return false;
-        }
-        if !self.threads.is_alive(seg.thread) {
-            return false;
-        }
-        // One hull check replaces N per-access `check_access` walks.
-        // Armed-but-disabled registers refuse conservatively (they do on
-        // the interpreted path too — the hull gate is shared).
-        if self.perf.armed_overlaps(seg.thread, &seg.hull) {
-            return false;
-        }
-        // The compile-time run was fully mapped and any unmap since
-        // bumped the generation, so this cannot fire; it stays as a
-        // defensive guard against partial application on a logic bug.
-        for span in &seg.write_spans {
-            if !self.mem.is_mapped(span.start(), span.len()) {
-                return false;
-            }
-        }
-        let n = seg.steps.len() as u64;
-        self.charge(CostDomain::App, self.cost.mem_access * n);
-        self.counter.add_accesses(n);
-        self.mem
-            .fill_spans(&seg.write_spans, 0xA5)
-            .expect("spans checked mapped above");
-        let last = seg.steps.last().expect("compiled segments are non-empty");
-        self.current_site.insert(seg.thread, last.site);
-        true
     }
 
     // ----- signals ------------------------------------------------------------------
@@ -1300,106 +1180,6 @@ mod tests {
         m.raw_store_u64(VirtAddr::new(0x10_0000), 1).unwrap();
         assert!(m.resident_bytes() > 0);
         assert!(m.resident_bytes() < 1 << 20, "one chunk, not the region");
-    }
-
-    #[test]
-    fn watch_generation_tracks_every_observable_mutation() {
-        let (mut m, base) = machine_with_heap();
-        let g0 = m.watch_generation();
-        let fd = configured_watch(&mut m, base + 64, ThreadId::MAIN);
-        assert!(m.watch_generation() > g0, "open/fcntl/ioctl all bump");
-        let g1 = m.watch_generation();
-        m.sys_close(fd).unwrap();
-        assert!(m.watch_generation() > g1);
-        let g2 = m.watch_generation();
-        m.install_fault_plan(FaultPlan::new(1));
-        m.clear_fault_plan();
-        m.pmu_enable(4);
-        m.pmu_disable();
-        m.recorder_enable(8);
-        m.recorder_take();
-        assert_eq!(m.watch_generation(), g2 + 6);
-        let g3 = m.watch_generation();
-        let worker = m.spawn_thread();
-        m.exit_thread(worker).unwrap();
-        assert_eq!(m.watch_generation(), g3 + 1, "exit bumps, spawn does not");
-    }
-
-    fn segment_of(
-        m: &Machine,
-        steps: Vec<crate::trace::SegmentStep>,
-    ) -> crate::trace::TraceSegment {
-        crate::trace::TraceSegment::compile(ThreadId::MAIN, m.watch_generation(), steps)
-            .expect("non-empty")
-    }
-
-    fn rw_steps(base: VirtAddr) -> Vec<crate::trace::SegmentStep> {
-        use crate::trace::SegmentStep;
-        vec![
-            SegmentStep {
-                addr: base,
-                len: 8,
-                kind: AccessKind::Write,
-                site: SiteToken(1),
-            },
-            SegmentStep {
-                addr: base + 16,
-                len: 8,
-                kind: AccessKind::Read,
-                site: SiteToken(2),
-            },
-        ]
-    }
-
-    #[test]
-    fn replay_segment_matches_interpreted_accounting() {
-        let (mut m, base) = machine_with_heap();
-        let seg = segment_of(&m, rw_steps(base));
-        assert!(m.replay_segment(&seg));
-
-        // The reference: interpret the same two accesses.
-        let (mut r, rbase) = machine_with_heap();
-        r.set_current_site(ThreadId::MAIN, SiteToken(1));
-        r.app_write(ThreadId::MAIN, rbase, 8).unwrap();
-        r.set_current_site(ThreadId::MAIN, SiteToken(2));
-        r.app_read(ThreadId::MAIN, rbase + 16, 8).unwrap();
-
-        assert_eq!(m.counter().accesses(), r.counter().accesses());
-        assert_eq!(m.counter().app_ns(), r.counter().app_ns());
-        assert_eq!(m.now(), r.now());
-        // The store imprint landed.
-        assert_eq!(m.raw_load_u64(base).unwrap(), r.raw_load_u64(rbase).unwrap());
-        assert_ne!(m.raw_load_u64(base).unwrap(), 0);
-        assert!(!m.has_pending_signals());
-    }
-
-    #[test]
-    fn replay_refuses_stale_generation_and_armed_overlap() {
-        let (mut m, base) = machine_with_heap();
-        let seg = segment_of(&m, rw_steps(base));
-        // A watch elsewhere bumps the generation: stale.
-        configured_watch(&mut m, base + 4096, ThreadId::MAIN);
-        assert!(!m.replay_segment(&seg));
-        // Recompiled under the new generation but overlapping the armed
-        // word: refused by the hull check.
-        let overlapping = segment_of(&m, rw_steps(base + 4096));
-        assert!(!m.replay_segment(&overlapping));
-        // Disjoint from the armed word: replays fine.
-        let disjoint = segment_of(&m, rw_steps(base));
-        assert!(m.replay_segment(&disjoint));
-    }
-
-    #[test]
-    fn replay_refuses_non_ready_machines() {
-        let (mut m, base) = machine_with_heap();
-        let seg = segment_of(&m, rw_steps(base));
-        m.install_fault_plan(FaultPlan::new(1));
-        assert!(!m.replay_ready());
-        assert!(!m.replay_segment(&seg), "stale and fault-planned");
-        m.clear_fault_plan();
-        let fresh = segment_of(&m, rw_steps(base));
-        m.pmu_enable(2);
-        assert!(!m.replay_segment(&fresh), "PMU needs per-access countdown");
     }
 
     #[test]

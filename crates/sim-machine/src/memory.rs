@@ -272,26 +272,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Fills each span with `byte` — the batched apply of trace replay,
-    /// where a compiled segment's coalesced store footprint lands in one
-    /// call instead of one [`AddressSpace::fill`] per store.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Unmapped`] on the first span that is not
-    /// fully mapped; earlier spans stay applied (callers pre-check with
-    /// [`AddressSpace::is_mapped`] when partial application matters).
-    pub fn fill_spans(
-        &mut self,
-        spans: &[crate::addr::AddrRange],
-        byte: u8,
-    ) -> Result<(), MemoryError> {
-        for span in spans {
-            self.fill(span.start(), span.len(), byte)?;
-        }
-        Ok(())
-    }
-
     /// Loads a little-endian `u64` from `addr`.
     ///
     /// # Errors

@@ -335,22 +335,6 @@ impl PerfSubsystem {
         self.registers.get(tid.as_u32() as usize)?.as_ref()
     }
 
-    /// The bounding hull over every range armed on `tid`'s debug
-    /// registers, or `None` when the thread has no armed watch. This is
-    /// the same summary that gates [`PerfSubsystem::check_access`];
-    /// trace replay exposes it so whole segments can be cleared with one
-    /// comparison.
-    pub fn thread_bounds(&self, tid: ThreadId) -> Option<AddrRange> {
-        self.reg_file(tid)?.bounds()
-    }
-
-    /// Whether `range` overlaps any range armed on `tid`'s registers
-    /// (watch registers stay armed while their event is disabled, so this
-    /// is a conservative superset of "would fire").
-    pub fn armed_overlaps(&self, tid: ThreadId, range: &AddrRange) -> bool {
-        self.reg_file(tid).is_some_and(|regs| regs.overlaps_armed(range))
-    }
-
     /// Checks an access by `tid` against the thread's enabled breakpoints
     /// and returns every watchpoint that fires.
     ///

@@ -8,54 +8,9 @@ use csod_ctx::ContextKey;
 use csod_trace::TraceEventKind;
 use sampler_sim::{Sampler, SamplerConfig};
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{
-    AccessKind, AddrRange, Machine, SegmentStep, SiteToken, ThreadId, TraceCache, TraceCacheStats,
-    TraceSegment, VirtAddr, MAX_SEGMENT_LEN,
-};
+use sim_machine::{AccessKind, Machine, SiteToken, ThreadId, VirtAddr};
 use std::fmt;
 use std::sync::Arc;
-
-/// Knobs for the trace-cached replay engine of [`TraceRunner`].
-///
-/// The default is cache-on; `trace_cache: false` is the paper-faithful
-/// interpret-every-access mode (every access pays the full machine walk),
-/// kept for parity testing and for measuring what the cache buys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayParams {
-    /// Whether in-bounds access runs may be compiled to and replayed from
-    /// a [`TraceCache`]. Only the baseline and CSOD execute cached: ASan
-    /// keeps per-access shadow checks and the Sampler a per-access PMU
-    /// countdown, so neither can skip interpretation.
-    pub trace_cache: bool,
-    /// Longest buffered run compiled into one segment (clamped to
-    /// [`MAX_SEGMENT_LEN`]).
-    pub max_segment_len: usize,
-    /// Shortest run worth cache accounting; shorter runs are interpreted
-    /// without a lookup (matching a 2-access run costs more than walking
-    /// it).
-    pub min_segment_len: usize,
-}
-
-impl Default for ReplayParams {
-    fn default() -> Self {
-        ReplayParams {
-            trace_cache: true,
-            max_segment_len: MAX_SEGMENT_LEN,
-            min_segment_len: 4,
-        }
-    }
-}
-
-impl ReplayParams {
-    /// The interpret-every-access configuration.
-    #[must_use]
-    pub fn interpreted() -> Self {
-        ReplayParams {
-            trace_cache: false,
-            ..ReplayParams::default()
-        }
-    }
-}
 
 /// Which tool (if any) a run executes under.
 // A handful of `ToolSpec`s exist per comparison run, so the size gap
@@ -193,17 +148,15 @@ pub struct RunOutcome {
     pub trace_dropped: u64,
     /// CSOD: per-kind trace event counts, kinds never seen omitted.
     pub trace_counts: Vec<(TraceEventKind, u64)>,
-    /// Replay engine: runs replayed from a cached segment.
+    /// Always 0 (no trace cache); kept so the parity goldens' `Debug` digest holds.
     pub replay_cache_hits: u64,
-    /// Replay engine: runs interpreted because no cached segment matched.
+    /// Always 0 (no trace cache); kept so the parity goldens' `Debug` digest holds.
     pub replay_cache_misses: u64,
-    /// Replay engine: cached segments discarded (stale generation,
-    /// collision, or overlapping out-of-model write).
+    /// Always 0 (no trace cache); kept so the parity goldens' `Debug` digest holds.
     pub replay_cache_invalidations: u64,
-    /// Replay engine: segments compiled from clean interpreted runs.
+    /// Always 0 (no trace cache); kept so the parity goldens' `Debug` digest holds.
     pub replay_segments_compiled: u64,
-    /// Replay engine: accesses applied through batched replay instead of
-    /// per-access interpretation.
+    /// Always 0 (no trace cache); kept for the parity goldens and `perfbench`'s replay share.
     pub replay_accesses: u64,
 }
 
@@ -242,31 +195,11 @@ pub struct TraceRunner<'r> {
     /// Last freed occupant of each slot (address, size) for
     /// use-after-free events.
     ghosts: std::collections::HashMap<usize, (VirtAddr, u64)>,
-    replay: ReplayParams,
-    /// The segment cache; `None` when replay is off or the tool cannot
-    /// execute cached (ASan, Sampler).
-    cache: Option<Box<TraceCache>>,
-    /// In-bounds accesses buffered since the last flush, awaiting replay
-    /// or compilation as one run.
-    pending: Vec<SegmentStep>,
-    /// Trace-thread index the pending run belongs to.
-    pending_thread: u8,
-    /// Slot (object) the pending run belongs to. Runs break at object
-    /// switches so a segment's hull stays inside one object — a hull
-    /// spanning several objects would swallow the armed canary words
-    /// *between* them and could never pass the armed-overlap check.
-    pending_slot: usize,
 }
 
 impl<'r> TraceRunner<'r> {
-    /// Creates a runner for one execution under `tool` with the default
-    /// [`ReplayParams`] (trace cache on).
+    /// Creates a runner for one execution under `tool`.
     pub fn new(registry: &'r SiteRegistry, tool: ToolSpec) -> Self {
-        TraceRunner::with_replay(registry, tool, ReplayParams::default())
-    }
-
-    /// Creates a runner with explicit replay-engine knobs.
-    pub fn with_replay(registry: &'r SiteRegistry, tool: ToolSpec, replay: ReplayParams) -> Self {
         // Hypothetical-hardware runs (the register-count ablation) need
         // a machine with matching debug registers.
         let mut machine = match &tool {
@@ -320,19 +253,6 @@ impl<'r> TraceRunner<'r> {
                 machine.charge(sim_machine::CostDomain::Tool, init);
             }
         }
-        // Only tools whose access path is a plain machine walk can skip
-        // interpretation: ASan checks shadow per access and the Sampler
-        // decrements a PMU period per access, so caching either would
-        // change what they observe.
-        let cache = match (&tool, replay.trace_cache) {
-            (ToolState::Baseline | ToolState::Csod(_), true) => Some(Box::new(TraceCache::new())),
-            _ => None,
-        };
-        let replay = ReplayParams {
-            max_segment_len: replay.max_segment_len.clamp(1, MAX_SEGMENT_LEN),
-            min_segment_len: replay.min_segment_len.max(1),
-            ..replay
-        };
         TraceRunner {
             registry,
             machine,
@@ -342,75 +262,11 @@ impl<'r> TraceRunner<'r> {
             threads: vec![ThreadId::MAIN],
             slots: Vec::new(),
             ghosts: std::collections::HashMap::new(),
-            replay,
-            cache,
-            pending: Vec::new(),
-            pending_thread: 0,
-            pending_slot: 0,
         }
     }
 
     /// Executes one event.
-    ///
-    /// With the trace cache armed, in-bounds accesses are buffered into
-    /// runs and replayed or compiled in batches; every other event first
-    /// flushes the buffered run so program order is preserved exactly.
     pub fn step(&mut self, event: &Event) {
-        if self.cache.is_none() {
-            self.step_uncached(event);
-            return;
-        }
-        match *event {
-            Event::Access {
-                thread,
-                slot,
-                offset,
-                len,
-                kind,
-                site,
-            } => {
-                let Some((addr, size)) = self.slot(slot) else {
-                    return;
-                };
-                // Same clamp as the interpreted path below.
-                let offset = offset.min(size.saturating_sub(1));
-                let len = len.max(1).min(size - offset);
-                self.buffer_access(thread, slot, addr + offset, len, kind, site);
-            }
-            // Control markers have no machine effect, so they must not
-            // break a buffered run in half.
-            Event::Call { .. } | Event::Return { .. } => {}
-            // Out-of-model stores corrupt memory near cached footprints:
-            // drop overlapping segments (the ckb-vm overlapping-write
-            // rule), then execute interpreted.
-            Event::OverflowAccess { slot, .. } | Event::OverflowBurst { slot, .. } => {
-                self.flush_pending();
-                if let Some((addr, size)) = self.slot(slot) {
-                    let boundary = addr + size.max(1).div_ceil(8) * 8;
-                    self.cache_mut()
-                        .invalidate_overlapping(AddrRange::new(boundary, 8));
-                }
-                self.step_uncached(event);
-            }
-            Event::DanglingAccess { slot, kind, .. } => {
-                self.flush_pending();
-                if kind == AccessKind::Write {
-                    if let Some((addr, size)) = self.ghosts.get(&slot).copied() {
-                        self.cache_mut()
-                            .invalidate_overlapping(AddrRange::new(addr, size.max(1)));
-                    }
-                }
-                self.step_uncached(event);
-            }
-            _ => {
-                self.flush_pending();
-                self.step_uncached(event);
-            }
-        }
-    }
-
-    /// Executes one event through the interpreted (per-access) path.
-    fn step_uncached(&mut self, event: &Event) {
         match *event {
             Event::SpawnThread => {
                 let tid = match &mut self.tool {
@@ -643,125 +499,6 @@ impl<'r> TraceRunner<'r> {
         }
     }
 
-    fn cache_mut(&mut self) -> &mut TraceCache {
-        self.cache.as_mut().expect("caller checked the cache is armed")
-    }
-
-    /// Buffers one clamped in-bounds access into the pending run,
-    /// flushing when the run reaches its length cap, switches thread
-    /// (segments are per-thread: watchpoints are per-thread state), or
-    /// switches object (see [`TraceRunner::pending_slot`]).
-    fn buffer_access(
-        &mut self,
-        thread: u8,
-        slot: usize,
-        addr: VirtAddr,
-        len: u64,
-        kind: AccessKind,
-        site: SiteToken,
-    ) {
-        if !self.pending.is_empty() && (self.pending_thread != thread || self.pending_slot != slot)
-        {
-            self.flush_pending();
-        }
-        self.pending_thread = thread;
-        self.pending_slot = slot;
-        self.pending.push(SegmentStep {
-            addr,
-            len,
-            kind,
-            site,
-        });
-        if self.pending.len() >= self.replay.max_segment_len {
-            self.flush_pending();
-        }
-    }
-
-    /// Retires the pending run: replays it from the cache when a valid
-    /// segment matches (one hull check + one batched apply), otherwise
-    /// interprets it access by access and — if the run was provably
-    /// clean — compiles it for next time.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let steps = std::mem::take(&mut self.pending);
-        let tid = self.thread(self.pending_thread);
-        // Short runs interpret without cache accounting: the lookup and
-        // step-for-step match cost more than the walks they would save.
-        if steps.len() < self.replay.min_segment_len {
-            for step in &steps {
-                self.exec_step(tid, step);
-            }
-            return;
-        }
-        let key = steps[0].addr;
-        let cache = self.cache.as_mut().expect("flush only runs with a cache");
-        let hit = cache
-            .lookup(key)
-            .is_some_and(|seg| seg.matches(tid, &steps) && self.machine.replay_segment(seg));
-        if hit {
-            cache.note_hit(steps.len());
-            return;
-        }
-        // Whatever the slot held was stale, colliding, or blocked by an
-        // armed range — evict it (counted only if occupied) and go
-        // interpreted.
-        cache.invalidate_key(key);
-        cache.note_miss();
-        let gen0 = self.machine.watch_generation();
-        let mut clean = true;
-        for step in &steps {
-            clean &= self.exec_step(tid, step);
-        }
-        // Compile only runs that provably touched no armed watchpoint and
-        // left the machine as they found it: every access succeeded
-        // signal-free, no watch/map/fault mutation happened underneath
-        // (generation), and the machine is in a replayable state at all.
-        if clean && self.machine.watch_generation() == gen0 && self.machine.replay_ready() {
-            if let Some(seg) = TraceSegment::compile(tid, gen0, steps) {
-                if !self.machine.armed_overlaps(tid, &seg.hull) {
-                    self.cache_mut().insert(seg);
-                }
-            }
-        }
-    }
-
-    /// Interprets one buffered step. Returns whether the access was
-    /// clean — it succeeded and raised no signal — which is the compile
-    /// precondition for the run it belongs to.
-    fn exec_step(&mut self, tid: ThreadId, step: &SegmentStep) -> bool {
-        self.machine.set_current_site(tid, step.site);
-        match &mut self.tool {
-            ToolState::Baseline => self
-                .machine
-                .app_access(tid, step.addr, step.len, step.kind)
-                .is_ok(),
-            ToolState::Csod(csod) => {
-                let ok = self
-                    .machine
-                    .app_access(tid, step.addr, step.len, step.kind)
-                    .is_ok();
-                if self.machine.has_pending_signals() {
-                    csod.poll(&mut self.machine);
-                    return false;
-                }
-                ok
-            }
-            ToolState::Asan(_) | ToolState::Sampler(_) => {
-                unreachable!("the cache is never armed for asan/sampler")
-            }
-        }
-    }
-
-    /// Runs `f` against the underlying machine, flushing any buffered
-    /// run first so the mutation is ordered after it (and so a watch
-    /// generation bump lands before any later compile).
-    pub fn with_machine<R>(&mut self, f: impl FnOnce(&mut Machine) -> R) -> R {
-        self.flush_pending();
-        f(&mut self.machine)
-    }
-
     fn thread(&self, index: u8) -> ThreadId {
         self.threads
             .get(index as usize)
@@ -784,16 +521,6 @@ impl<'r> TraceRunner<'r> {
     /// Ends the execution: runs the tool's termination path and collects
     /// the outcome.
     pub fn finish(mut self) -> RunOutcome {
-        self.flush_pending();
-        let replay_stats = self
-            .cache
-            .as_ref()
-            .map_or_else(TraceCacheStats::default, |c| c.stats());
-        let replay_len_counts: Vec<u64> = self
-            .cache
-            .as_ref()
-            .map(|c| c.segment_length_counts().to_vec())
-            .unwrap_or_default();
         let mut outcome = RunOutcome {
             tool: self.tool_label.clone(),
             ..RunOutcome::default()
@@ -801,7 +528,6 @@ impl<'r> TraceRunner<'r> {
         match &mut self.tool {
             ToolState::Baseline => {}
             ToolState::Csod(csod) => {
-                csod.note_replay_cache(replay_stats, &replay_len_counts);
                 csod.finish(&mut self.machine);
                 let stats = csod.stats();
                 outcome.detected = csod.detected();
@@ -862,11 +588,6 @@ impl<'r> TraceRunner<'r> {
                 outcome.reports = sampler.reports().iter().map(ToString::to_string).collect();
             }
         }
-        outcome.replay_cache_hits = replay_stats.hits;
-        outcome.replay_cache_misses = replay_stats.misses;
-        outcome.replay_cache_invalidations = replay_stats.invalidations;
-        outcome.replay_segments_compiled = replay_stats.compiled;
-        outcome.replay_accesses = replay_stats.replayed_accesses;
         if outcome.allocations == 0 {
             outcome.allocations = self.heap.stats().allocs;
         }
@@ -986,6 +707,38 @@ mod tests {
         assert_eq!(outcome.allocations, 0);
     }
 
+    /// Two threads hammering their own long-lived buffer with runs of
+    /// in-bounds reads, then thread 1 overflowing its buffer.
+    fn server_trace() -> Vec<Event> {
+        let mut trace = vec![
+            Event::SpawnThread,
+            Event::malloc(0, 512, 0),
+            Event::malloc(1, 512, 1),
+        ];
+        for i in 0..64 {
+            let thread = (i % 2) as u8;
+            for w in 0..6 {
+                trace.push(Event::Access {
+                    thread,
+                    slot: usize::from(thread),
+                    offset: w * 64,
+                    len: 8,
+                    kind: AccessKind::Read,
+                    site: SiteToken(0),
+                });
+            }
+        }
+        trace.push(Event::OverflowAccess {
+            thread: 1,
+            slot: 1,
+            kind: AccessKind::Write,
+            site: SiteToken(0),
+        });
+        trace.push(Event::free(0));
+        trace.push(Event::free(1));
+        trace
+    }
+
     #[test]
     fn threads_round_trip() {
         let reg = registry();
@@ -1006,6 +759,26 @@ mod tests {
         ];
         let outcome = TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::default())).run(trace);
         assert!(outcome.detected);
+        // Every tool catches the overflow a worker thread plants after a
+        // long run of in-bounds traffic.
+        let tools = [
+            ToolSpec::Csod(CsodConfig::default()),
+            ToolSpec::Asan {
+                config: AsanConfig::default(),
+                instrumented: vec!["demo".into()],
+            },
+            ToolSpec::Sampler(SamplerConfig {
+                sample_period: 1,
+                ..SamplerConfig::default()
+            }),
+        ];
+        for tool in tools {
+            let label = tool.label();
+            assert!(
+                TraceRunner::new(&reg, tool).run(server_trace()).detected,
+                "{label}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use csod::core::{Csod, CsodConfig, WatchBackend};
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
 use csod::heap::{HeapConfig, HeapError, SimHeap};
-use csod::machine::{Machine, ThreadId, VirtAddr};
+use csod::machine::{FaultPlan, Machine, ThreadId, VirtAddr};
 use csod::sampler::SamplerConfig;
 use csod::workloads::{BuggyApp, ToolSpec, TraceRunner};
 use std::sync::Arc;
@@ -196,7 +196,8 @@ fn backends_compose_with_thread_spawning() {
 #[test]
 fn pmu_and_watchpoints_coexist() {
     // Sampler's PMU and CSOD's debug registers are independent hardware;
-    // enabling both on one machine must not interfere.
+    // enabling both on one machine must not interfere. Nor may a fault
+    // plan installed mid-run that injects nothing.
     let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
     let mut heap = SimHeap::new(&mut machine, HeapConfig::default()).unwrap();
@@ -208,6 +209,7 @@ fn pmu_and_watchpoints_coexist() {
         .malloc(&mut machine, &mut heap, ThreadId::MAIN, 32, key, &ctx)
         .unwrap();
     machine.app_write(ThreadId::MAIN, p, 8).unwrap();
+    machine.install_fault_plan(FaultPlan::new(7));
     machine.app_write(ThreadId::MAIN, p + 32, 8).unwrap();
     csod.poll(&mut machine);
     assert!(csod.detected());

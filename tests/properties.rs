@@ -219,12 +219,11 @@ proptest! {
         prop_assert!(csod.detected_by_watchpoint());
     }
 
-    /// The trace-cached replay engine is observationally invisible:
-    /// whatever the interleaving of allocation, free, in-bounds access,
-    /// overflow, and thread spawn, a run with the cache armed reports
-    /// exactly what the paper-faithful interpreter reports.
+    /// Whatever the interleaving of allocation, free, in-bounds access,
+    /// overflow, and thread spawn, a trace run is deterministic, and it
+    /// alarms only if the trace plants an overflow.
     #[test]
-    fn cached_replay_matches_interpreted_for_any_trace(
+    fn trace_runs_are_deterministic_and_alarm_only_on_planted_overflows(
         ops in proptest::collection::vec(
             (0u8..10, 0usize..4, 0u64..256, 1u64..16, any::<bool>()),
             1..250,
@@ -232,7 +231,7 @@ proptest! {
     ) {
         use csod::core::CsodConfig;
         use csod::machine::{AccessKind, SiteToken};
-        use csod::workloads::{Event, ReplayParams, SiteRegistry, ToolSpec, TraceRunner};
+        use csod::workloads::{Event, SiteRegistry, ToolSpec, TraceRunner};
         use std::sync::Arc;
 
         let mut spawned = false;
@@ -257,8 +256,8 @@ proptest! {
                         site: SiteToken(1),
                     },
                     5 => Event::compute(offset),
-                    // Weight the mix toward in-bounds accesses: they are
-                    // what the cache buffers, replays, and compiles.
+                    // Weight the mix toward in-bounds accesses, the bulk
+                    // of real traffic.
                     _ => Event::access(slot, offset, len, kind, SiteToken(offset % 2)),
                 }
             })
@@ -268,17 +267,11 @@ proptest! {
         reg.add_alloc_sites(4);
         reg.add_access_site("prop", "a.c:1");
         reg.add_access_site("prop", "b.c:2");
+        let planted = trace.iter().any(|e| matches!(e, Event::OverflowAccess { .. }));
         let tool = ToolSpec::Csod(CsodConfig::default());
-        let mut cached = TraceRunner::with_replay(&reg, tool.clone(), ReplayParams::default())
-            .run(trace.iter().cloned());
-        let interpreted =
-            TraceRunner::with_replay(&reg, tool, ReplayParams::interpreted())
-                .run(trace.iter().cloned());
-        cached.replay_cache_hits = 0;
-        cached.replay_cache_misses = 0;
-        cached.replay_cache_invalidations = 0;
-        cached.replay_segments_compiled = 0;
-        cached.replay_accesses = 0;
-        prop_assert_eq!(cached, interpreted);
+        let first = TraceRunner::new(&reg, tool.clone()).run(trace.iter().cloned());
+        let second = TraceRunner::new(&reg, tool).run(trace.iter().cloned());
+        prop_assert!(planted || !first.detected, "in-bounds traffic alone must never alarm");
+        prop_assert_eq!(first, second);
     }
 }

@@ -15,74 +15,25 @@
 //! a tracked null-backend metric regressed to more than twice the
 //! committed baseline — the CI backend gate.
 
-use csod_bench::{BenchArgs, Metrics, REGRESSION_FACTOR};
+use csod_bench::{alloc_free_rounds, BenchArgs, Metrics, REGRESSION_FACTOR, ROUND_ALLOCS};
 use csod_core::{Backend, Csod, CsodConfig, HeapBackend, NullBackend, NullHeap};
-use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_ctx::FrameTable;
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId};
+use sim_machine::Machine;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Contexts cycled through: enough to exercise the sampling table, few
-/// enough that each stays hot.
-const CONTEXTS: usize = 64;
-/// Live objects per timed round.
-const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds (the fastest is reported, Criterion-style).
-const ROUNDS: usize = 12;
-
-fn contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
-    (0..CONTEXTS)
-        .map(|i| {
-            let ctx = CallingContext::from_locations(
-                frames,
-                [format!("hot_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
-            );
-            (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
-        })
-        .collect()
-}
-
-/// ns/alloc and ns/free of the full runtime over any backend/heap pair.
-/// Identical driving code for both substrates — that is the point: the
-/// difference between the two results *is* the substrate.
+/// ns/alloc and ns/free of the full runtime over any backend/heap pair,
+/// polling after every round. Identical driving code for both
+/// substrates — that is the point: the difference between the two
+/// results *is* the substrate.
 fn runtime_pair<B: Backend>(
     backend: &mut B,
     heap: &mut impl HeapBackend<B>,
 ) -> (f64, f64) {
-    let frames = Arc::new(FrameTable::new());
-    let mut csod = Csod::new(CsodConfig::default(), Arc::clone(&frames));
-    let sites = contexts(&frames);
-
-    let mut best_alloc = f64::INFINITY;
-    let mut best_free = f64::INFINITY;
-    let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
-    // One untimed warm-up round settles first-sight interning and the
-    // initial flurry of watch installs.
-    for round in 0..=ROUNDS {
-        let start = Instant::now();
-        for i in 0..ROUND_ALLOCS {
-            let (key, ctx) = &sites[i % CONTEXTS];
-            let p = csod
-                .malloc(backend, heap, ThreadId::MAIN, 16, *key, ctx)
-                .expect("heap has room");
-            ptrs.push(p);
-        }
-        let alloc_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        let start = Instant::now();
-        for p in ptrs.drain(..) {
-            csod.free(backend, heap, ThreadId::MAIN, p)
-                .expect("was allocated");
-        }
-        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        csod.poll(backend);
-        if round > 0 {
-            best_alloc = best_alloc.min(alloc_ns);
-            best_free = best_free.min(free_ns);
-        }
-    }
+    let mut csod = Csod::new(CsodConfig::default(), Arc::new(FrameTable::new()));
+    let pair = alloc_free_rounds(&mut csod, backend, heap, |csod, backend| csod.poll(backend));
     csod.finish(backend);
-    (best_alloc, best_free)
+    pair
 }
 
 fn measure() -> Metrics {

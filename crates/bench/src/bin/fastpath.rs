@@ -15,77 +15,31 @@
 //! regressed to more than twice the committed baseline — the CI
 //! perf-smoke gate.
 
-use csod_bench::{BenchArgs, Metrics, REGRESSION_FACTOR};
+use csod_bench::{
+    alloc_free_rounds, hot_contexts, BenchArgs, Metrics, HOT_CONTEXTS, REGRESSION_FACTOR,
+};
 use csod_core::{ContextJudgment, Csod, CsodConfig, DecisionCache, SamplingUnit};
-use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_ctx::FrameTable;
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId, VirtInstant};
+use sim_machine::{Machine, VirtInstant};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Contexts cycled through by every scenario: enough to exercise the
-/// probe sequences, few enough that each stays hot.
-const CONTEXTS: usize = 64;
-/// Live objects per timed round of the runtime scenario.
-const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds (the fastest is reported, Criterion-style).
-const ROUNDS: usize = 12;
 /// OS threads in the contended scenario.
 const THREADS: usize = 16;
 /// Sampling decisions per thread in the contended scenario.
 const CONTENDED_OPS: usize = 200_000;
 
-fn contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
-    (0..CONTEXTS)
-        .map(|i| {
-            let ctx = CallingContext::from_locations(
-                frames,
-                [format!("hot_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
-            );
-            (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
-        })
-        .collect()
-}
-
 /// ns/alloc and ns/free through the full `Csod` runtime (malloc
 /// interposition, canary layout, sampling, watch installs).
 fn runtime_pair(refresh: u32) -> (f64, f64) {
-    let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
     let mut heap = SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh heap");
     let mut config = CsodConfig::default();
     config.fast_path.decision_cache_refresh = refresh;
-    let mut csod = Csod::new(config, Arc::clone(&frames));
-    let sites = contexts(&frames);
-
-    let mut best_alloc = f64::INFINITY;
-    let mut best_free = f64::INFINITY;
-    let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
-    // One untimed warm-up round settles first-sight interning, the
-    // initial flurry of watch installs, and burst throttling.
-    for round in 0..=ROUNDS {
-        let start = Instant::now();
-        for i in 0..ROUND_ALLOCS {
-            let (key, ctx) = &sites[i % CONTEXTS];
-            let p = csod
-                .malloc(&mut machine, &mut heap, ThreadId::MAIN, 16, *key, ctx)
-                .expect("heap has room");
-            ptrs.push(p);
-        }
-        let alloc_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        let start = Instant::now();
-        for p in ptrs.drain(..) {
-            csod.free(&mut machine, &mut heap, ThreadId::MAIN, p)
-                .expect("was allocated");
-        }
-        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        if round > 0 {
-            best_alloc = best_alloc.min(alloc_ns);
-            best_free = best_free.min(free_ns);
-        }
-    }
-    (best_alloc, best_free)
+    let mut csod = Csod::new(config, Arc::new(FrameTable::new()));
+    alloc_free_rounds(&mut csod, &mut machine, &mut heap, |_, _| {})
 }
 
 /// ns per sampling decision with 16 threads hammering one shared
@@ -93,7 +47,7 @@ fn runtime_pair(refresh: u32) -> (f64, f64) {
 fn contended_ns(refresh: u32) -> f64 {
     let frames = FrameTable::new();
     let unit = SamplingUnit::new(CsodConfig::default().sampling);
-    let sites = contexts(&frames);
+    let sites = hot_contexts(&frames);
     // Untimed warm-up drives every context past first sight and into a
     // steady probability so the timed section measures the fast path.
     {
@@ -114,7 +68,7 @@ fn contended_ns(refresh: u32) -> f64 {
                 let mut rng = Arc4Random::from_seed(7, t as u64);
                 let mut cache = DecisionCache::new(refresh);
                 for i in 0..CONTENDED_OPS {
-                    let (key, ctx) = &sites[(i + t) % CONTEXTS];
+                    let (key, ctx) = &sites[(i + t) % HOT_CONTEXTS];
                     let d = cache.on_allocation(
                         &unit,
                         *key,

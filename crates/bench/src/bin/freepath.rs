@@ -30,7 +30,9 @@
 //! any tracked ns metric regressed to more than twice the committed
 //! baseline — the CI perf-smoke gate.
 
-use csod_bench::{best_of, BenchArgs, Metrics, REGRESSION_FACTOR};
+use csod_bench::{
+    alloc_free_rounds, best_of, BenchArgs, Metrics, REGRESSION_FACTOR, ROUNDS, ROUND_ALLOCS,
+};
 use csod_core::{
     Csod, CsodConfig, CtxId, ReplacementPolicy, WatchCandidate, WatchpointManager,
 };
@@ -43,12 +45,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workloads::{run_parallel_chunked, Event, SiteRegistry, ToolSpec, TraceRunner};
 
-/// Allocation contexts cycled through by the unwatched-free scenario.
-const CONTEXTS: usize = 64;
-/// Live objects per timed round of the unwatched-free scenario.
-const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds (the fastest is reported, Criterion-style).
-const ROUNDS: usize = 12;
 /// Install/remove cycles per timed round of the watched churn.
 const CHURN_CYCLES: usize = 512;
 /// Threads alive during the trap-dispatch scenario.
@@ -88,42 +84,12 @@ fn unwatched_free_ns() -> f64 {
         csod.malloc(&mut machine, &mut heap, ThreadId::MAIN, 16, key, &ctx)
             .expect("heap has room");
     }
-    let sites: Vec<(ContextKey, CallingContext)> = (0..CONTEXTS)
-        .map(|i| {
-            let ctx = CallingContext::from_locations(
-                &frames,
-                [format!("cold_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
-            );
-            (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
-        })
-        .collect();
-
-    let mut best = f64::INFINITY;
-    let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
-    // One untimed warm-up round settles context interning and heap state.
-    for round in 0..=ROUNDS {
-        for i in 0..ROUND_ALLOCS {
-            let (key, ctx) = &sites[i % CONTEXTS];
-            let p = csod
-                .malloc(&mut machine, &mut heap, ThreadId::MAIN, 16, *key, ctx)
-                .expect("heap has room");
-            ptrs.push(p);
-        }
-        let start = Instant::now();
-        for p in ptrs.drain(..) {
-            csod.free(&mut machine, &mut heap, ThreadId::MAIN, p)
-                .expect("was allocated");
-        }
-        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        if round > 0 {
-            best = best.min(free_ns);
-        }
-    }
+    let (_, free_ns) = alloc_free_rounds(&mut csod, &mut machine, &mut heap, |_, _| {});
     assert!(
         csod.stats().frees_fast_filtered >= (ROUNDS * ROUND_ALLOCS) as u64,
         "the timed frees were supposed to take the filtered fast path"
     );
-    best
+    free_ns
 }
 
 fn churn_candidate(frames: &FrameTable, base: VirtAddr, n: u64) -> WatchCandidate {

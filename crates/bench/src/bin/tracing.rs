@@ -19,82 +19,35 @@
 //! baseline file: the invariant is a ratio between two fresh
 //! measurements of the same binary on the same host.
 
-use csod_bench::{BenchArgs, Metrics};
+use csod_bench::{alloc_free_rounds, BenchArgs, Metrics, ROUNDS};
 use csod_core::{Csod, CsodConfig};
-use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_ctx::FrameTable;
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId};
+use sim_machine::Machine;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Contexts cycled through, mirroring the fastpath bench.
-const CONTEXTS: usize = 64;
-/// Live objects per timed round.
-const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds (the fastest is reported, Criterion-style).
-const ROUNDS: usize = 12;
 /// Whole-measurement attempts; ratios keep their best attempt.
 const ATTEMPTS: usize = 3;
 /// Allowed tracing-on cost over tracing-off before `--check` fails
 /// (the issue's 10% observability budget).
 const OVERHEAD_LIMIT: f64 = 1.10;
 
-fn contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
-    (0..CONTEXTS)
-        .map(|i| {
-            let ctx = CallingContext::from_locations(
-                frames,
-                [format!("hot_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
-            );
-            (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
-        })
-        .collect()
-}
-
 /// ns/alloc and ns/free through the full runtime with event emission
 /// toggled by `trace_on`, plus the events drained per round (0 when
 /// emission is off either way).
 fn runtime_pair(trace_on: bool) -> (f64, f64, u64) {
-    let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
     let mut heap = SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh heap");
     let mut config = CsodConfig::default();
     config.trace.events = trace_on;
-    let mut csod = Csod::new(config, Arc::clone(&frames));
-    let sites = contexts(&frames);
-
-    let mut best_alloc = f64::INFINITY;
-    let mut best_free = f64::INFINITY;
+    let mut csod = Csod::new(config, Arc::new(FrameTable::new()));
     let mut drained = 0u64;
-    let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
-    // One untimed warm-up round settles first-sight interning, the
-    // initial flurry of watch installs, and burst throttling.
-    for round in 0..=ROUNDS {
-        let start = Instant::now();
-        for i in 0..ROUND_ALLOCS {
-            let (key, ctx) = &sites[i % CONTEXTS];
-            let p = csod
-                .malloc(&mut machine, &mut heap, ThreadId::MAIN, 16, *key, ctx)
-                .expect("heap has room");
-            ptrs.push(p);
-        }
-        let alloc_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        let start = Instant::now();
-        for p in ptrs.drain(..) {
-            csod.free(&mut machine, &mut heap, ThreadId::MAIN, p)
-                .expect("was allocated");
-        }
-        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        if round > 0 {
-            best_alloc = best_alloc.min(alloc_ns);
-            best_free = best_free.min(free_ns);
-        }
-        // Drain between rounds, like a metrics scraper would, so the
-        // rings never sit saturated for the whole bench.
-        let stream = csod.drain_trace();
-        drained += stream.events.len() as u64;
-    }
-    (best_alloc, best_free, drained / (ROUNDS as u64 + 1))
+    // Drain between rounds, like a metrics scraper would, so the rings
+    // never sit saturated for the whole bench.
+    let (alloc_ns, free_ns) = alloc_free_rounds(&mut csod, &mut machine, &mut heap, |csod, _| {
+        drained += csod.drain_trace().events.len() as u64;
+    });
+    (alloc_ns, free_ns, drained / (ROUNDS as u64 + 1))
 }
 
 fn measure() -> Metrics {

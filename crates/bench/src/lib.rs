@@ -9,13 +9,19 @@
 //! `bench_fleet`, `bench_analyze`) share one scaffolding: a flat
 //! [`Metrics`] set written as `BENCH_*.json`, the `--check`/`--out`
 //! flags ([`BenchArgs`]), the [`REGRESSION_FACTOR`] gate against a
-//! committed [`Baseline`], and min-of-N timing ([`best_of`]).
+//! committed [`Baseline`], and min-of-N timing ([`best_of`]). The
+//! runtime benches (`fastpath`, `freepath`, `backend`, `tracing`) also
+//! share one allocation loop, [`alloc_free_rounds`].
 
 #![warn(missing_docs)]
 #![warn(clippy::perf)]
 
+use csod_core::{Backend, Csod, HeapBackend};
+use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use sim_machine::ThreadId;
 use std::num::NonZeroUsize;
 use std::thread;
+use std::time::Instant;
 
 /// Formats a row of fixed-width columns.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
@@ -327,6 +333,74 @@ pub fn best_of<T>(attempts: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) 
         }
     }
     best
+}
+
+/// Contexts [`alloc_free_rounds`] cycles through: enough to exercise
+/// the sampling table, few enough that each stays hot.
+pub const HOT_CONTEXTS: usize = 64;
+/// Live objects per timed round of [`alloc_free_rounds`].
+pub const ROUND_ALLOCS: usize = 8_192;
+/// Timed rounds of [`alloc_free_rounds`] (the fastest is reported,
+/// Criterion-style).
+pub const ROUNDS: usize = 12;
+
+/// The [`HOT_CONTEXTS`] three-frame calling contexts, interned in
+/// `frames`, with their allocation keys.
+pub fn hot_contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
+    (0..HOT_CONTEXTS)
+        .map(|i| {
+            let ctx = CallingContext::from_locations(
+                frames,
+                [format!("hot_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
+            );
+            (
+                ContextKey::new(ctx.first_level().expect("non-empty"), 0x40),
+                ctx,
+            )
+        })
+        .collect()
+}
+
+/// ns/alloc and ns/free of the full runtime over any backend/heap pair:
+/// each round mallocs [`ROUND_ALLOCS`] 16-byte objects across the hot
+/// contexts, then frees them all. One untimed warm-up round settles
+/// first-sight interning, the initial flurry of watch installs and
+/// burst throttling; the fastest of the [`ROUNDS`] timed rounds is
+/// returned. `after_round` runs untimed after every round's frees (a
+/// poll, a trace drain).
+pub fn alloc_free_rounds<B: Backend, H: HeapBackend<B>>(
+    csod: &mut Csod,
+    backend: &mut B,
+    heap: &mut H,
+    mut after_round: impl FnMut(&mut Csod, &mut B),
+) -> (f64, f64) {
+    let sites = hot_contexts(csod.frames());
+    let mut best_alloc = f64::INFINITY;
+    let mut best_free = f64::INFINITY;
+    let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
+    for round in 0..=ROUNDS {
+        let start = Instant::now();
+        for i in 0..ROUND_ALLOCS {
+            let (key, ctx) = &sites[i % HOT_CONTEXTS];
+            let p = csod
+                .malloc(backend, heap, ThreadId::MAIN, 16, *key, ctx)
+                .expect("heap has room");
+            ptrs.push(p);
+        }
+        let alloc_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
+        let start = Instant::now();
+        for p in ptrs.drain(..) {
+            csod.free(backend, heap, ThreadId::MAIN, p)
+                .expect("was allocated");
+        }
+        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
+        after_round(csod, backend);
+        if round > 0 {
+            best_alloc = best_alloc.min(alloc_ns);
+            best_free = best_free.min(free_ns);
+        }
+    }
+    (best_alloc, best_free)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use crate::mitigation::MitigationPolicy;
 use crate::report::{DetectionMethod, OverflowReport};
 use crate::sampling::{ContextJudgment, CtxId, SamplingUnit};
 use crate::trap::{ReportPipeline, TrapReport};
-use crate::watchpoints::{InstallOutcome, WatchCandidate, WatchpointManager};
+use crate::watchpoints::{InstallOutcome, WatchCandidate, WatchpointManager, WatchpointStats};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use csod_persist::{RecordKind, Wal, WalRecord};
 use csod_rng::{Arc4Random, RngSlots, PPM_SCALE};
@@ -96,7 +96,14 @@ struct AllocationRecord {
     mitigated: bool,
 }
 
-/// Aggregate counters for the evaluation tables.
+/// Every counter of a run, declared once.
+///
+/// The runtime's own counters are plain fields. The Watchpoint
+/// Management Unit, the degradation ladder and the decision caches keep
+/// theirs, and [`Csod::stats`] nests a snapshot of each. Each counter is
+/// exported under the metric name [`CsodStats::COUNTERS`] pairs it with;
+/// [`RunSummary`](crate::RunSummary) and [`Csod::metrics_registry`] are
+/// views of this struct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CsodStats {
     /// Allocations intercepted.
@@ -109,15 +116,8 @@ pub struct CsodStats {
     pub canary_free_hits: u64,
     /// Corrupted canaries found by the termination sweep.
     pub canary_exit_hits: u64,
-    /// Watchpoint installs the backend refused.
-    pub install_failures: u64,
     /// Install retries attempted after a backend failure.
     pub install_retries: u64,
-    /// Transitions into canary-only detection (backend persistently
-    /// unavailable).
-    pub degradations: u64,
-    /// Transitions back to watchpoint detection (a probe succeeded).
-    pub recoveries: u64,
     /// Allocations from contexts the static pre-analysis proved safe.
     pub proven_safe_allocs: u64,
     /// Watchpoint installs spent on proven-safe contexts (the priors'
@@ -136,9 +136,6 @@ pub struct CsodStats {
     /// Frees that skipped the watchpoint scan and retry-cancel entirely
     /// because the watched-address filter proved the object unwatched.
     pub frees_fast_filtered: u64,
-    /// Figure-4 teardowns executed through batched drains instead of
-    /// synchronously on the free path.
-    pub teardowns_batched: u64,
     /// Traps drained after their watchpoint was logically removed —
     /// counted here, never reported (the stale-trap rule).
     pub stale_traps_suppressed: u64,
@@ -159,6 +156,60 @@ pub struct CsodStats {
     /// Trap-report lines whose durable flush happened only because a
     /// JSONL sink was dropped (crash-path flush-on-drop).
     pub reports_flushed_on_drop: u64,
+    /// Watchpoint Management Unit counters (Table IV "WT" is
+    /// `watch.installs`).
+    pub watch: WatchpointStats,
+    /// Degradation-ladder counters: install failures, retries,
+    /// quarantines, probes and mode transitions.
+    pub degradation: DegradationStats,
+    /// Decision-cache counters, summed across threads.
+    pub cache: DecisionCacheStats,
+}
+
+/// Reads one counter out of a [`CsodStats`] snapshot.
+type CounterRead = fn(&CsodStats) -> u64;
+
+impl CsodStats {
+    /// Every counter, in declaration order, with the `csod_*_total`
+    /// metric name it is exported under. A new counter needs its field,
+    /// its increment and one entry here.
+    pub const COUNTERS: &'static [(&'static str, CounterRead)] = &[
+        ("csod_allocations_total", |s| s.allocations),
+        ("csod_frees_total", |s| s.frees),
+        ("csod_traps_total", |s| s.traps),
+        ("csod_canary_free_hits_total", |s| s.canary_free_hits),
+        ("csod_canary_exit_hits_total", |s| s.canary_exit_hits),
+        ("csod_install_retries_total", |s| s.install_retries),
+        ("csod_proven_safe_allocs_total", |s| s.proven_safe_allocs),
+        ("csod_proven_safe_installs_total", |s| s.proven_safe_installs),
+        ("csod_suspicious_installs_total", |s| s.suspicious_installs),
+        ("csod_prior_availability_skips_total", |s| s.prior_availability_skips),
+        ("csod_proven_safe_overflows_total", |s| s.proven_safe_overflows),
+        ("csod_frees_fast_filtered_total", |s| s.frees_fast_filtered),
+        ("csod_stale_traps_suppressed_total", |s| s.stale_traps_suppressed),
+        ("csod_contexts_mitigated_total", |s| s.contexts_mitigated),
+        ("csod_wal_records_recovered_total", |s| s.wal_records_recovered),
+        ("csod_wal_records_skipped_corrupt_total", |s| s.wal_records_skipped_corrupt),
+        ("csod_wal_reads_batched_total", |s| s.wal_reads_batched),
+        ("csod_reports_flushed_on_drop_total", |s| s.reports_flushed_on_drop),
+        ("csod_watch_installs_total", |s| s.watch.installs),
+        ("csod_watch_replacements_total", |s| s.watch.replacements),
+        ("csod_watch_removals_on_free_total", |s| s.watch.removals_on_free),
+        ("csod_watch_rejected_total", |s| s.watch.rejected),
+        ("csod_watch_install_failures_total", |s| s.watch.install_failures),
+        ("csod_teardowns_batched_total", |s| s.watch.teardowns_batched),
+        ("csod_teardown_batches_total", |s| s.watch.teardown_batches),
+        ("csod_install_failures_total", |s| s.degradation.install_failures),
+        ("csod_degradation_retries_total", |s| s.degradation.retries),
+        ("csod_degradation_retry_successes_total", |s| s.degradation.retry_successes),
+        ("csod_quarantines_total", |s| s.degradation.quarantines),
+        ("csod_degradations_total", |s| s.degradation.degradations),
+        ("csod_recoveries_total", |s| s.degradation.recoveries),
+        ("csod_degradation_probes_total", |s| s.degradation.probes),
+        ("csod_decision_cache_hits_total", |s| s.cache.hits),
+        ("csod_decision_cache_misses_total", |s| s.cache.misses),
+        ("csod_decision_cache_invalidations_total", |s| s.cache.invalidations),
+    ];
 }
 
 /// The CSOD runtime.
@@ -213,11 +264,6 @@ pub struct Csod {
     /// between detection and reporting still leaves the next execution
     /// pinned and mitigated.
     wal: Option<Wal>,
-    /// Recovery counters from the start-up WAL scan.
-    wal_recovered: u64,
-    wal_skipped_corrupt: u64,
-    /// 1 when start-up recovery consumed a pre-read batched state.
-    wal_reads_batched: u64,
     /// Shared with the JSONL trap-report sink: lines whose durable
     /// flush happened only on sink drop (the crash path).
     flushed_on_drop: Arc<AtomicU64>,
@@ -240,6 +286,8 @@ pub struct Csod {
     /// [`CsodStats::proven_safe_overflows`] — the exact analyzer claims
     /// the execution falsified, for the soundness gate to print.
     proven_safe_overflow_signatures: Vec<String>,
+    /// The counters incremented in place; [`Csod::stats`] fills in the
+    /// ones other units own.
     stats: CsodStats,
     finished: bool,
     /// Observability: the per-thread event rings.
@@ -318,7 +366,7 @@ impl Csod {
         // start hardened). Corrupt regions are counted and skipped; a
         // hostile or torn log can lose records but never crash start-up.
         let mut mitigation = MitigationPolicy::new(config.mitigation);
-        let (wal_recovered, wal_skipped_corrupt) = match &recovered {
+        let (wal_records_recovered, wal_records_skipped_corrupt) = match &recovered {
             Some(state) => {
                 for rec in &state.records {
                     evidence.merge_signature(rec.signature.clone());
@@ -329,7 +377,6 @@ impl Csod {
             None => (0, 0),
         };
         let wal = config.persist_path.as_deref().map(Wal::open);
-        let wal_reads_batched = u64::from(batched && config.persist_path.is_some());
         let flushed_on_drop = Arc::new(AtomicU64::new(0));
         // Stream u64::MAX is reserved for run-level secrets (the canary
         // value); per-thread sampling streams use the thread id.
@@ -363,9 +410,6 @@ impl Csod {
             evidence,
             mitigation,
             wal,
-            wal_recovered,
-            wal_skipped_corrupt,
-            wal_reads_batched,
             flushed_on_drop,
             rngs: RngSlots::new(config.seed),
             caches: Vec::new(),
@@ -374,7 +418,13 @@ impl Csod {
             reports: Vec::new(),
             reported: HashSet::new(),
             proven_safe_overflow_signatures: Vec::new(),
-            stats: CsodStats::default(),
+            stats: CsodStats {
+                wal_records_recovered,
+                wal_records_skipped_corrupt,
+                // 1 when start-up recovery consumed a pre-read batched state.
+                wal_reads_batched: u64::from(batched && config.persist_path.is_some()),
+                ..CsodStats::default()
+            },
             finished: false,
             tracer: Tracer::new(config.trace.ring_capacity),
             thread_tracers: Vec::new(),
@@ -1253,6 +1303,17 @@ impl Csod {
         &self.reports
     }
 
+    /// Distinct allocation-context signatures among the reports: the
+    /// deduplicated bug count, where the same bug rediscovered through
+    /// another overflow site or thread counts once.
+    pub fn unique_report_contexts(&self) -> usize {
+        self.reports
+            .iter()
+            .map(|r| r.alloc_context.signature(&self.frames))
+            .collect::<HashSet<_>>()
+            .len()
+    }
+
     /// Whether any overflow was detected.
     pub fn detected(&self) -> bool {
         !self.reports.is_empty()
@@ -1272,21 +1333,16 @@ impl Csod {
         &self.proven_safe_overflow_signatures
     }
 
-    /// Aggregate counters. The degradation-health fields are folded in
-    /// from the [`DegradationManager`] at read time, so there is a single
-    /// source of truth for them.
+    /// Every counter of the run (see [`CsodStats`]). The nested unit
+    /// snapshots and the counters kept outside `CsodStats` are read at
+    /// call time, so each has a single source of truth.
     pub fn stats(&self) -> CsodStats {
-        let d = self.degradation.stats();
         CsodStats {
-            install_failures: d.install_failures,
-            degradations: d.degradations,
-            recoveries: d.recoveries,
-            teardowns_batched: self.watchpoints.stats().teardowns_batched,
             contexts_mitigated: self.mitigation.confirmed_contexts() as u64,
-            wal_records_recovered: self.wal_recovered,
-            wal_records_skipped_corrupt: self.wal_skipped_corrupt,
-            wal_reads_batched: self.wal_reads_batched,
             reports_flushed_on_drop: self.flushed_on_drop.load(Ordering::Relaxed),
+            watch: self.watchpoints.stats(),
+            degradation: self.degradation.stats(),
+            cache: self.decision_cache_stats(),
             ..self.stats
         }
     }
@@ -1297,22 +1353,10 @@ impl Csod {
         self.degradation.mode()
     }
 
-    /// Degradation-ladder counters (retries, quarantines, probes, mode
-    /// transitions).
-    pub fn degradation_stats(&self) -> DegradationStats {
-        self.degradation.stats()
-    }
-
     /// Number of contexts currently quarantined by the degradation
     /// manager.
     pub fn quarantined_contexts<B: Backend>(&self, machine: &B) -> usize {
         self.degradation.quarantined_contexts(machine.now())
-    }
-
-    /// Watchpoint-manager counters (Table IV's "WT" is
-    /// [`crate::WatchpointStats::installs`]).
-    pub fn watchpoint_stats(&self) -> crate::WatchpointStats {
-        self.watchpoints.stats()
     }
 
     /// Number of distinct allocation contexts observed.
@@ -1395,47 +1439,16 @@ impl Csod {
         self.tracer.drain()
     }
 
-    /// A point-in-time metrics snapshot: every runtime counter
-    /// (`CsodStats`, `WatchpointStats`, the degradation ladder, the
-    /// decision caches) as Prometheus-style counters and gauges, plus
-    /// the watch-lifetime, slot-occupancy and per-context sample-rate
-    /// histograms.
+    /// A point-in-time metrics snapshot: every [`CsodStats`] counter
+    /// under its [`CsodStats::COUNTERS`] name, the report counts, and
+    /// gauges plus the watch-lifetime, slot-occupancy and per-context
+    /// sample-rate histograms.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         let s = self.stats();
-        reg.set_counter("csod_allocations_total", s.allocations);
-        reg.set_counter("csod_frees_total", s.frees);
-        reg.set_counter("csod_frees_fast_filtered_total", s.frees_fast_filtered);
-        reg.set_counter("csod_traps_total", s.traps);
-        reg.set_counter("csod_stale_traps_suppressed_total", s.stale_traps_suppressed);
-        reg.set_counter("csod_canary_free_hits_total", s.canary_free_hits);
-        reg.set_counter("csod_canary_exit_hits_total", s.canary_exit_hits);
-        reg.set_counter("csod_install_failures_total", s.install_failures);
-        reg.set_counter("csod_install_retries_total", s.install_retries);
-        reg.set_counter("csod_degradations_total", s.degradations);
-        reg.set_counter("csod_recoveries_total", s.recoveries);
-        reg.set_counter("csod_teardowns_batched_total", s.teardowns_batched);
-        reg.set_counter("csod_contexts_mitigated_total", s.contexts_mitigated);
-        reg.set_counter("csod_wal_records_recovered_total", s.wal_records_recovered);
-        reg.set_counter(
-            "csod_wal_records_skipped_corrupt_total",
-            s.wal_records_skipped_corrupt,
-        );
-        reg.set_counter("csod_wal_reads_batched_total", s.wal_reads_batched);
-        reg.set_counter("csod_reports_flushed_on_drop_total", s.reports_flushed_on_drop);
-        let w = self.watchpoints.stats();
-        reg.set_counter("csod_watch_installs_total", w.installs);
-        reg.set_counter("csod_watch_replacements_total", w.replacements);
-        reg.set_counter("csod_watch_removals_on_free_total", w.removals_on_free);
-        reg.set_counter("csod_watch_rejected_total", w.rejected);
-        reg.set_counter("csod_teardown_batches_total", w.teardown_batches);
-        let d = self.degradation.stats();
-        reg.set_counter("csod_quarantines_total", d.quarantines);
-        reg.set_counter("csod_degradation_probes_total", d.probes);
-        let c = self.decision_cache_stats();
-        reg.set_counter("csod_decision_cache_hits_total", c.hits);
-        reg.set_counter("csod_decision_cache_misses_total", c.misses);
-        reg.set_counter("csod_decision_cache_invalidations_total", c.invalidations);
+        for (name, read) in CsodStats::COUNTERS {
+            reg.set_counter(name, read(&s));
+        }
         reg.set_counter("csod_reports_total", self.reports.len() as u64);
         reg.set_counter("csod_trap_reports_total", self.pipeline.len() as u64);
         reg.set_gauge("csod_watched_objects", self.watchpoints.watched_count() as f64);
@@ -1523,7 +1536,7 @@ mod tests {
         let mut f = fixture(CsodConfig::default());
         let p = malloc(&mut f, "a.c:1", 64);
         assert!(f.csod.is_watched(p));
-        assert_eq!(f.csod.watchpoint_stats().installs, 1);
+        assert_eq!(f.csod.stats().watch.installs, 1);
     }
 
     #[test]
@@ -1864,7 +1877,7 @@ mod tests {
         assert!(!f.csod.is_watched(p));
         f.csod.poll(&mut f.machine);
         assert_eq!(f.machine.free_registers(ThreadId::MAIN), 4);
-        assert_eq!(f.csod.stats().teardowns_batched, 1);
+        assert_eq!(f.csod.stats().watch.teardowns_batched, 1);
     }
 
     #[test]
@@ -2049,7 +2062,7 @@ mod tests {
         }
         let p = malloc(&mut f, "fifth.c:1", 16);
         assert!(!f.csod.is_watched(p));
-        assert_eq!(f.csod.watchpoint_stats().rejected, 1);
+        assert_eq!(f.csod.stats().watch.rejected, 1);
     }
 
     #[test]

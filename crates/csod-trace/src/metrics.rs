@@ -2,10 +2,13 @@
 //! snapshots with JSON and Prometheus-style text serialization.
 //!
 //! The registry is a point-in-time container, not a live aggregation
-//! pipeline: the runtime builds one on demand from its own counters
-//! (`CsodStats`, `WatchpointStats`, the degradation ladder) and the
-//! histograms it maintains, then serializes it. `BTreeMap` storage
-//! keeps both output formats deterministically ordered.
+//! pipeline: the runtime builds one on demand, then serializes it. Its
+//! counters come from one list, `CsodStats::COUNTERS` in `csod-core`,
+//! which names every run counter (the runtime's own, and the nested
+//! watchpoint, degradation-ladder and decision-cache snapshots). The
+//! runtime adds the report counts, its gauges and the histograms it
+//! maintains. `BTreeMap` storage keeps both output formats
+//! deterministically ordered.
 
 use crate::histogram::HistogramSnapshot;
 use crate::json_escape;

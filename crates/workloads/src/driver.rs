@@ -536,7 +536,7 @@ impl<'r> TraceRunner<'r> {
                     stats.canary_free_hits + stats.canary_exit_hits > 0;
                 outcome.allocations = stats.allocations;
                 outcome.distinct_contexts = csod.distinct_contexts();
-                outcome.watched_times = csod.watchpoint_stats().installs;
+                outcome.watched_times = stats.watch.installs;
                 outcome.traps = stats.traps;
                 outcome.proven_safe_allocs = stats.proven_safe_allocs;
                 outcome.proven_safe_installs = stats.proven_safe_installs;
@@ -546,7 +546,7 @@ impl<'r> TraceRunner<'r> {
                 outcome.proven_safe_overflow_signatures =
                     csod.proven_safe_overflow_signatures().to_vec();
                 outcome.frees_fast_filtered = stats.frees_fast_filtered;
-                outcome.teardowns_batched = stats.teardowns_batched;
+                outcome.teardowns_batched = stats.watch.teardowns_batched;
                 outcome.stale_traps_suppressed = stats.stale_traps_suppressed;
                 outcome.context_watch_counts = csod
                     .sampling()
@@ -559,16 +559,9 @@ impl<'r> TraceRunner<'r> {
                     .iter()
                     .map(|r| r.render(csod.frames()))
                     .collect();
-                // Deduplicate by the overflowed object's allocation
-                // context: the same bug rediscovered through another
-                // overflow site or thread counts once for the fleet.
-                let mut signatures = std::collections::BTreeSet::new();
-                for report in csod.reports() {
-                    signatures.insert(report.alloc_context.signature(csod.frames()));
-                }
-                outcome.unique_report_contexts = signatures.len();
+                outcome.unique_report_contexts = csod.unique_report_contexts();
                 outcome.duplicate_reports =
-                    (csod.reports().len() - signatures.len()) as u64;
+                    (csod.reports().len() - outcome.unique_report_contexts) as u64;
                 let trace = csod.drain_trace();
                 outcome.trace_events = trace.events.len() as u64;
                 outcome.trace_dropped = trace.dropped;

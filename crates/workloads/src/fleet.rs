@@ -236,15 +236,15 @@ pub fn run_fleet_round(cfg: &FleetRoundConfig, dir: &Path, plan: Option<&FleetPl
     let detections = results.iter().filter(|r| r.buggy && r.detected).count() as u64;
     let mitigated_at_start = results
         .iter()
-        .filter(|r| r.summary.wal_records_recovered > 0)
+        .filter(|r| r.summary.stats.wal_records_recovered > 0)
         .count() as u64;
     let clean_buggy = results
         .iter()
         .filter(|r| {
             r.buggy
-                && r.summary.canary_free_hits == 0
-                && r.summary.canary_exit_hits == 0
-                && r.summary.traps == 0
+                && r.summary.stats.canary_free_hits == 0
+                && r.summary.stats.canary_exit_hits == 0
+                && r.summary.stats.traps == 0
         })
         .count() as u64;
     let avg_overhead = if results.is_empty() {

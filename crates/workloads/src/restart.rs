@@ -132,13 +132,14 @@ impl RestartOutcome {
     /// The third execution started from recovered state and enrolled
     /// the buggy context in the mitigation policy.
     pub fn mitigated_on_third(&self) -> bool {
-        self.third.wal_records_recovered > 0 && self.third.contexts_mitigated > 0
+        self.third.stats.wal_records_recovered > 0 && self.third.stats.contexts_mitigated > 0
     }
 
     /// The third execution saw no corruption at all: every planted
     /// overwrite landed in mitigation slack.
     pub fn third_run_clean(&self) -> bool {
-        self.third.canary_free_hits == 0 && self.third.canary_exit_hits == 0 && self.third.traps == 0
+        let s = &self.third.stats;
+        s.canary_free_hits == 0 && s.canary_exit_hits == 0 && s.traps == 0
     }
 
     /// The full closed loop held for this scenario.
@@ -288,11 +289,12 @@ fn outcome_of(
         torn_tail_planted,
         first_detected: first.detected,
         second_detected: second.detected,
-        second_recovered: second.summary.wal_records_recovered,
-        skipped_corrupt: second.summary.wal_records_skipped_corrupt
-            + third.summary.wal_records_skipped_corrupt,
+        second_recovered: second.summary.stats.wal_records_recovered,
+        skipped_corrupt: second.summary.stats.wal_records_skipped_corrupt
+            + third.summary.stats.wal_records_skipped_corrupt,
         reports_salvaged_on_drop: first.salvaged_reports,
-        wal_reads_batched: second.summary.wal_reads_batched + third.summary.wal_reads_batched,
+        wal_reads_batched: second.summary.stats.wal_reads_batched
+            + third.summary.stats.wal_reads_batched,
         third: third.summary,
     }
 }
@@ -333,7 +335,7 @@ pub fn run_restart_scenario(cfg: &RestartConfig) -> RestartOutcome {
 /// executions. Each WAL is read exactly once per generation by the
 /// fan-out instead of once per process; the saved re-open/read syscalls
 /// are counted in [`RestartOutcome::wal_reads_batched`] (surfaced from
-/// `RunSummary::wal_reads_batched`). Per-scenario outcomes are
+/// `CsodStats::wal_reads_batched`). Per-scenario outcomes are
 /// unchanged: recovery consumes the identical bytes either way.
 pub fn run_restart_fleet(base: &RestartConfig, scenarios: u64, threads: usize) -> Vec<RestartOutcome> {
     let configs: Vec<RestartConfig> = (0..scenarios)
@@ -439,7 +441,7 @@ mod tests {
             assert_eq!(solo.second_detected, out.second_detected, "scenario {i}");
             assert_eq!(solo.second_recovered, out.second_recovered, "scenario {i}");
             assert_eq!(solo.skipped_corrupt, out.skipped_corrupt, "scenario {i}");
-            assert_eq!(solo.third.contexts_mitigated, out.third.contexts_mitigated);
+            assert_eq!(solo.third.stats.contexts_mitigated, out.third.stats.contexts_mitigated);
             assert_eq!(solo.wal_reads_batched, 0, "standalone path never batches");
         }
     }

@@ -49,26 +49,71 @@ const PRE_REFACTOR_GOLDENS: &[(&str, u64)] = &[
     ("Zziplib-0.13.62", 0xe591e61ed8c0c4e5),
 ];
 
+/// The same runs' digests with the three trace fields (`trace_events`,
+/// `trace_dropped`, `trace_counts`) cleared, captured with default
+/// features. They are the only fields a `trace-off` build changes, so
+/// both builds must reproduce these.
+const TRACE_NEUTRAL_GOLDENS: &[(&str, u64)] = &[
+    ("Gzip-1.2.4", 0xe22dd314d03c39d7),
+    ("Heartbleed", 0xce031b9dd0a2fdf1),
+    ("Libdwarf-20161021", 0xb5aaa4931cc0b1de),
+    ("LibHX-3.4", 0xc52f0ba5fff5c6ec),
+    ("Libtiff-4.01", 0xee3b79eace73fedb),
+    ("Memcached-1.4.25", 0xd6ec5b336050645c),
+    ("MySQL-5.5.19", 0x6033d9959802778b),
+    ("Polymorph-0.4.0", 0x9046d81d3c900a75),
+    ("Zziplib-0.13.62", 0x5e394eed0c82ef47),
+];
+
+fn golden(table: &[(&str, u64)], app: &str) -> u64 {
+    table
+        .iter()
+        .find(|(name, _)| *name == app)
+        .unwrap_or_else(|| panic!("no golden for {app} — new app needs a captured digest"))
+        .1
+}
+
+fn assert_digest(outcome: &RunOutcome, expected: u64, what: &str) {
+    let digest = fnv1a(format!("{outcome:?}").as_bytes());
+    assert_eq!(
+        digest, expected,
+        "{what}: RunOutcome diverged from pre-Backend-trait behavior \
+         (got {digest:#018x}, pinned {expected:#018x})"
+    );
+}
+
 /// Runs every buggy app on a fresh default runner and checks its
-/// `RunOutcome` digest against the pinned golden.
+/// `RunOutcome` digest against the pinned goldens: the full outcome
+/// against `PRE_REFACTOR_GOLDENS` when the tracer is compiled in, and
+/// the outcome without its trace fields against `TRACE_NEUTRAL_GOLDENS`
+/// in every build. A `trace-off` build must also report no trace
+/// activity at all.
 fn assert_parity(mode: &str, check: impl Fn(&str, &RunOutcome)) {
+    let trace_off = cfg!(feature = "trace-off");
     for app in BuggyApp::all() {
-        let expected = PRE_REFACTOR_GOLDENS
-            .iter()
-            .find(|(name, _)| *name == app.name)
-            .unwrap_or_else(|| panic!("no golden for {} — new app needs a captured digest", app.name))
-            .1;
         let registry = app.registry();
         let trace = app.trace(0xC50D);
-        let outcome = TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::default())).run(trace);
+        let mut outcome =
+            TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::default())).run(trace);
         check(app.name, &outcome);
-        let digest = fnv1a(format!("{outcome:?}").as_bytes());
-        assert_eq!(
-            digest, expected,
-            "{} ({mode} replay): RunOutcome diverged from pre-Backend-trait behavior \
-             (got {digest:#018x}, pinned {expected:#018x})",
-            app.name
-        );
+        let what = format!("{} ({mode} replay)", app.name);
+        if trace_off {
+            assert_eq!(
+                (
+                    outcome.trace_events,
+                    outcome.trace_dropped,
+                    outcome.trace_counts.len()
+                ),
+                (0, 0, 0),
+                "{what}: trace-off must record no trace events"
+            );
+        } else {
+            assert_digest(&outcome, golden(PRE_REFACTOR_GOLDENS, app.name), &what);
+        }
+        outcome.trace_events = 0;
+        outcome.trace_dropped = 0;
+        outcome.trace_counts.clear();
+        assert_digest(&outcome, golden(TRACE_NEUTRAL_GOLDENS, app.name), &what);
     }
 }
 

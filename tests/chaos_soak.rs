@@ -80,7 +80,7 @@ fn million_allocation_soak_under_fault_storm_is_leak_free() {
         out.free_registers,
         out.total_registers
     );
-    assert_eq!(out.summary.allocations, allocations);
+    assert_eq!(out.summary.stats.allocations, allocations);
     assert_eq!(out.planted, 16);
 
     // The storm actually happened: the plan injected failures and the
@@ -92,13 +92,13 @@ fn million_allocation_soak_under_fault_storm_is_leak_free() {
     if allocations >= 1_000_000 {
         assert!(out.faults.dropped_signals > 0);
     }
-    assert!(out.summary.install_failures > 0);
+    assert!(out.summary.stats.degradation.install_failures > 0);
 
     // Detection survived the storm: the planted overflows were caught
     // (canary evidence does not depend on the flaky backend).
     assert!(out.detected, "planted overflows went unnoticed");
     assert!(
-        out.summary.canary_free_hits + out.summary.canary_exit_hits > 0,
+        out.summary.stats.canary_free_hits + out.summary.stats.canary_exit_hits > 0,
         "canary fallback found nothing"
     );
 }
@@ -137,23 +137,26 @@ fn degradation_ladder_degrades_to_canary_only_then_recovers() {
     assert!(out.leak_free());
     // The ladder went down: watchpoints -> canary-only...
     assert!(
-        out.summary.degradations >= 1,
+        out.summary.stats.degradation.degradations >= 1,
         "never degraded: {} install failures",
-        out.summary.install_failures
+        out.summary.stats.degradation.install_failures
     );
     // ...and detection kept working there (planted overflows are caught
     // by canaries regardless of the backend)...
     assert!(out.detected);
     // ...then a probe succeeded after the busy window and re-armed the
     // watchpoint path.
-    assert!(out.summary.recoveries >= 1, "never recovered");
+    assert!(
+        out.summary.stats.degradation.recoveries >= 1,
+        "never recovered"
+    );
     assert!(
         !out.summary.canary_only,
         "run ended degraded despite a healthy backend"
     );
     // Re-armed means real watchpoints again: objects were installed
     // after recovery (watched_times counts successful installs only).
-    assert!(out.summary.watched_times > 0);
+    assert!(out.summary.stats.watch.installs > 0);
 
     // The transitions are also visible in the rendered summary block.
     let text = out.summary.to_string();
@@ -182,12 +185,18 @@ fn parallel_fleet_of_soaks_is_deterministic_and_leak_free() {
     assert_eq!(fleet.len(), configs.len());
     for (cfg, out) in configs.iter().zip(&fleet) {
         assert!(out.leak_free());
-        assert_eq!(out.summary.allocations, 50_000);
+        assert_eq!(out.summary.stats.allocations, 50_000);
         // The overhauled free path actually engaged: most frees are of
         // unwatched objects and skip the WMU; watched frees queue their
         // Figure-4 teardowns for batched drains.
-        assert!(out.summary.frees_fast_filtered > 0, "filter never hit");
-        assert!(out.summary.teardowns_batched > 0, "nothing batched");
+        assert!(
+            out.summary.stats.frees_fast_filtered > 0,
+            "filter never hit"
+        );
+        assert!(
+            out.summary.stats.watch.teardowns_batched > 0,
+            "nothing batched"
+        );
         let serial = run_chaos_soak(cfg);
         assert_eq!(
             serial.summary, out.summary,
@@ -225,7 +234,10 @@ fn quarantine_is_reported_when_a_context_keeps_failing() {
 
     assert!(out.leak_free());
     assert!(out.summary.canary_only, "backend never came back");
-    assert_eq!(out.summary.watched_times, 0, "no install can succeed");
+    assert_eq!(
+        out.summary.stats.watch.installs, 0,
+        "no install can succeed"
+    );
     assert!(out.summary.quarantined_contexts >= 1);
     // Canary-only mode still detects the planted overflows.
     assert!(out.detected);

@@ -46,9 +46,9 @@ proptest! {
             out.open_events,
             out.free_registers
         );
-        prop_assert_eq!(out.summary.allocations, 2_000);
+        prop_assert_eq!(out.summary.stats.allocations, 2_000);
         prop_assert_eq!(
-            out.summary.frees + out.failed_allocs,
+            out.summary.stats.frees + out.failed_allocs,
             2_000,
             "every successful allocation was freed"
         );

@@ -23,12 +23,12 @@
 //! trace formats. See DESIGN.md §16 for the full trait contract.
 
 use crate::config::WatchBackend;
-use crate::fastmap::FastMap;
 use sim_heap::{HeapConfig, HeapError, SimHeap};
 use sim_machine::{
-    CostDomain, Fd, FcntlCmd, IoctlCmd, Machine, MemoryError, PerfError, PerfEventAttr, Signal,
-    SignalInfo, ThreadError, ThreadId, VirtAddr, VirtInstant,
+    CostDomain, FcntlCmd, Fd, FxBuild, IoctlCmd, Machine, MemoryError, PerfError, PerfEventAttr,
+    Signal, SignalInfo, ThreadError, ThreadId, VirtAddr, VirtInstant,
 };
+use std::collections::HashMap;
 
 /// The per-operation tool costs a backend charges, in (virtual or wall)
 /// nanoseconds. A copy of the subset of the simulator's cost model the
@@ -377,7 +377,7 @@ pub struct NullBackend {
     next_tid: u32,
     alive: Vec<ThreadId>,
     /// Armed descriptors → watched word, for conformance introspection.
-    armed: FastMap<u64, u64>,
+    armed: HashMap<u64, u64, FxBuild>,
     /// Dense byte storage for the [`NullHeap`] range, indexed by
     /// `addr - NULL_HEAP_BASE` and grown on demand. Backing canary
     /// round-trips needs actual storage (a backend that read zeroes
@@ -387,7 +387,7 @@ pub struct NullBackend {
     dense: Vec<u8>,
     /// Word-granular sparse fallback (key = addr & !7) for addresses
     /// below the heap base — conformance tests poke arbitrary words.
-    mem: FastMap<u64, u64>,
+    mem: HashMap<u64, u64, FxBuild>,
     charged_ns: u64,
 }
 
@@ -398,9 +398,9 @@ impl NullBackend {
             next_fd: 1,
             next_tid: 1,
             alive: vec![ThreadId::MAIN],
-            armed: FastMap::new(),
+            armed: HashMap::default(),
             dense: Vec::new(),
-            mem: FastMap::new(),
+            mem: HashMap::default(),
             charged_ns: 0,
         }
     }
@@ -412,7 +412,7 @@ impl NullBackend {
 
     /// Whether descriptor `fd` is currently armed.
     pub fn is_armed(&self, fd: Fd) -> bool {
-        self.armed.contains(fd.as_raw())
+        self.armed.contains_key(&fd.as_raw())
     }
 
     /// Total nanoseconds charged to the tool domain (zero unless a
@@ -452,7 +452,7 @@ impl NullBackend {
         }
         let key = addr & !7;
         let shift = (addr & 7) * 8;
-        let word = self.mem.get(key).copied().unwrap_or(0);
+        let word = self.mem.get(&key).copied().unwrap_or(0);
         self.mem
             .insert(key, (word & !(0xFFu64 << shift)) | (u64::from(byte) << shift));
     }
@@ -461,7 +461,7 @@ impl NullBackend {
         if let Some(tail) = self.dense_at(addr) {
             return tail.first().copied().unwrap_or(0);
         }
-        let word = self.mem.get(addr & !7).copied().unwrap_or(0);
+        let word = self.mem.get(&(addr & !7)).copied().unwrap_or(0);
         // Shifting a u64 right by (addr & 7) * 8 ≤ 56 then masking to
         // one byte is lossless.
         #[allow(clippy::cast_possible_truncation)]
@@ -525,7 +525,7 @@ impl Backend for NullBackend {
     }
 
     fn disarm_watch(&mut self, _route: WatchBackend, fd: Fd) {
-        self.armed.remove(fd.as_raw());
+        self.armed.remove(&fd.as_raw());
     }
 
     fn arm_watch_all_threads(
@@ -546,7 +546,7 @@ impl Backend for NullBackend {
 
     fn disarm_batch(&mut self, _route: WatchBackend, fds: &[Fd]) {
         for fd in fds {
-            self.armed.remove(fd.as_raw());
+            self.armed.remove(&fd.as_raw());
         }
     }
 
@@ -573,7 +573,7 @@ impl Backend for NullBackend {
             return Ok(u64::from_le_bytes(bytes));
         }
         if a & 7 == 0 {
-            return Ok(self.mem.get(a).copied().unwrap_or(0));
+            return Ok(self.mem.get(&a).copied().unwrap_or(0));
         }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
@@ -629,7 +629,7 @@ impl Backend for NullBackend {
 #[derive(Debug)]
 pub struct NullHeap {
     next: u64,
-    live: FastMap<u64, u64>,
+    live: HashMap<u64, u64, FxBuild>,
 }
 
 /// First address handed out; leaves address 0 (and a guard gap) unused.
@@ -646,7 +646,7 @@ impl NullHeap {
     pub fn new() -> Self {
         NullHeap {
             next: NULL_HEAP_BASE,
-            live: FastMap::new(),
+            live: HashMap::default(),
         }
     }
 
@@ -679,7 +679,7 @@ impl HeapBackend<NullBackend> for NullHeap {
 
     fn free(&mut self, _backend: &mut NullBackend, addr: VirtAddr) -> Result<u64, HeapError> {
         self.live
-            .remove(addr.as_u64())
+            .remove(&addr.as_u64())
             .ok_or(HeapError::InvalidPointer(addr))
     }
 }

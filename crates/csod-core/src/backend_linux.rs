@@ -32,13 +32,13 @@
 
 use crate::backend::{Backend, HeapBackend, ToolCosts};
 use crate::config::WatchBackend;
-use crate::fastmap::FastMap;
 use sim_heap::HeapError;
 use sim_machine::{
-    AccessKind, Fd, MemoryError, PerfError, Signal, SignalInfo, SiteToken, ThreadError, ThreadId,
-    VirtAddr, VirtDuration, VirtInstant,
+    AccessKind, Fd, FxBuild, MemoryError, PerfError, Signal, SignalInfo, SiteToken, ThreadError,
+    ThreadId, VirtAddr, VirtDuration, VirtInstant,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -430,7 +430,7 @@ impl Backend for LinuxHwBackend {
 #[derive(Debug, Default)]
 pub struct LinuxHeap {
     /// address → (size, align) of every live block.
-    live: FastMap<u64, (u64, u64)>,
+    live: HashMap<u64, (u64, u64), FxBuild>,
 }
 
 impl LinuxHeap {
@@ -477,7 +477,7 @@ impl HeapBackend<LinuxHwBackend> for LinuxHeap {
     fn free(&mut self, _backend: &mut LinuxHwBackend, addr: VirtAddr) -> Result<u64, HeapError> {
         let (size, align) = self
             .live
-            .remove(addr.as_u64())
+            .remove(&addr.as_u64())
             .ok_or(HeapError::InvalidPointer(addr))?;
         // The layout round-trips through the same (size, align) pair the
         // allocation used, as `dealloc` demands; both fit usize because

@@ -28,11 +28,11 @@
 //! pre-cache behaviour, kept as a comparison mode for the fast-path
 //! bench and the parity tests.
 
-use crate::fastmap::FastMap;
 use crate::sampling::{AllocDecision, ContextJudgment, SamplingUnit};
 use csod_ctx::{CallingContext, ContextKey};
 use csod_rng::Arc4Random;
-use sim_machine::VirtInstant;
+use sim_machine::{FxBuild, VirtInstant};
+use std::collections::HashMap;
 
 /// A memoized sampling verdict for one context.
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +70,7 @@ pub struct DecisionCacheStats {
 /// fast path (a cache hit) acquires no lock at all.
 #[derive(Debug)]
 pub struct DecisionCache {
-    map: FastMap<ContextKey, CachedVerdict>,
+    map: HashMap<ContextKey, CachedVerdict, FxBuild>,
     /// The sampler epoch the memoized verdicts were filled at.
     epoch: u64,
     /// Decisions per context between authoritative refreshes; `1`
@@ -89,7 +89,7 @@ impl DecisionCache {
     pub fn new(refresh: u32) -> Self {
         assert!(refresh > 0, "decision-cache refresh must be at least 1");
         DecisionCache {
-            map: FastMap::new(),
+            map: HashMap::default(),
             epoch: 0,
             refresh,
             stats: DecisionCacheStats::default(),
@@ -117,7 +117,7 @@ impl DecisionCache {
         }
         let ttl = sampler.params().burst_window;
         if self.refresh > 1 {
-            if let Some(entry) = self.map.get_mut(key) {
+            if let Some(entry) = self.map.get_mut(&key) {
                 if entry.uses_left > 0 && now.saturating_duration_since(entry.filled_at) <= ttl {
                     entry.uses_left -= 1;
                     entry.pending += 1;
@@ -139,7 +139,7 @@ impl DecisionCache {
         // below must not absorb the same allocations twice.
         let pending = self
             .map
-            .get_mut(key)
+            .get_mut(&key)
             .map_or(0, |e| std::mem::take(&mut e.pending));
         let decision = sampler.on_allocation_batched(key, now, rng, ctx, judge, pending);
         self.stats.misses += 1;
@@ -167,11 +167,11 @@ impl DecisionCache {
     /// from [`DecisionCache::flush`].
     fn invalidate(&mut self, sampler: &SamplingUnit, new_epoch: u64) {
         self.stats.invalidations += 1;
-        self.map.drain(|key, entry| {
+        for (key, entry) in self.map.drain() {
             if entry.pending > 0 {
                 sampler.absorb_allocations(key, entry.pending);
             }
-        });
+        }
         self.epoch = new_epoch;
     }
 

@@ -24,7 +24,7 @@
 
 use crate::watchpoints::WatchCandidate;
 use csod_ctx::ContextKey;
-use sim_machine::{VirtDuration, VirtInstant};
+use sim_machine::{FxBuild, VirtDuration, VirtInstant};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -136,7 +136,7 @@ pub struct DegradationManager {
     backoff_until: Option<VirtInstant>,
     /// While degraded: the next time a probe install is allowed.
     next_probe: VirtInstant,
-    ctx_health: HashMap<ContextKey, CtxHealth>,
+    ctx_health: HashMap<ContextKey, CtxHealth, FxBuild>,
     /// Candidates waiting for their retry slot. Bounded: one per
     /// watchpoint slot is plenty — anything more is churn.
     retry_queue: Vec<PendingRetry>,
@@ -154,7 +154,7 @@ impl DegradationManager {
             consecutive_failures: 0,
             backoff_until: None,
             next_probe: VirtInstant::BOOT,
-            ctx_health: HashMap::new(),
+            ctx_health: HashMap::default(),
             retry_queue: Vec::new(),
             retry_capacity: retry_capacity.max(1),
             stats: DegradationStats::default(),

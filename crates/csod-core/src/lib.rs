@@ -39,7 +39,6 @@ mod config;
 mod decision_cache;
 mod degradation;
 mod evidence;
-mod fastmap;
 mod mitigation;
 mod policy;
 mod report;
@@ -58,7 +57,6 @@ pub use config::{
     RiskClass, SamplingParams, TraceParams, WatchBackend,
 };
 pub use decision_cache::{DecisionCache, DecisionCacheStats};
-pub use fastmap::{FastKey, FastMap};
 pub use degradation::{
     DegradationManager, DegradationParams, DegradationStats, DetectionMode, FailureVerdict,
 };

@@ -12,7 +12,6 @@ use crate::config::{CsodConfig, RiskClass};
 use crate::decision_cache::{DecisionCache, DecisionCacheStats};
 use crate::degradation::{DegradationManager, DegradationStats, DetectionMode};
 use crate::evidence::EvidenceStore;
-use crate::fastmap::FastMap;
 use crate::mitigation::MitigationPolicy;
 use crate::report::{DetectionMethod, OverflowReport};
 use crate::sampling::{ContextJudgment, CtxId, SamplingUnit};
@@ -27,9 +26,10 @@ use csod_trace::{
 };
 use sim_heap::HeapError;
 use sim_machine::{
-    AccessKind, MemoryError, Signal, SignalInfo, SiteToken, ThreadId, VirtAddr, VirtInstant,
+    AccessKind, FxBuild, MemoryError, Signal, SignalInfo, SiteToken, ThreadId, VirtAddr,
+    VirtInstant,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -276,9 +276,9 @@ pub struct Csod {
     /// (or immediately after a probability-changing event).
     caches: Vec<DecisionCache>,
     /// Live objects keyed by user pointer — probed on every free.
-    records: FastMap<u64, AllocationRecord>,
+    records: HashMap<u64, AllocationRecord, FxBuild>,
     /// Full calling contexts behind workload site tokens.
-    sites: FastMap<u64, CallingContext>,
+    sites: HashMap<u64, CallingContext, FxBuild>,
     reports: Vec<OverflowReport>,
     /// Dedup set: (ctx id, site token, thread, method tag).
     reported: HashSet<(u32, u64, u32, u8)>,
@@ -413,8 +413,8 @@ impl Csod {
             flushed_on_drop,
             rngs: RngSlots::new(config.seed),
             caches: Vec::new(),
-            records: FastMap::new(),
-            sites: FastMap::new(),
+            records: HashMap::default(),
+            sites: HashMap::default(),
             reports: Vec::new(),
             reported: HashSet::new(),
             proven_safe_overflow_signatures: Vec::new(),
@@ -666,7 +666,7 @@ impl Csod {
     ) -> Result<VirtAddr, CsodError> {
         let old = *self
             .records
-            .get(user.as_u64())
+            .get(&user.as_u64())
             .ok_or(CsodError::UnknownPointer(user))?;
         let new_user = self.malloc(machine, heap, tid, new_size, key, ctx)?;
         // Object sizes fit the host address space; a saturated copy
@@ -709,7 +709,11 @@ impl Csod {
         let frames = &self.frames;
         let decision = cache.on_allocation(&self.sampling, key, machine.now(), rng, ctx, |full| {
             // First sight of the context: one signature render answers
-            // both recovered-state questions.
+            // both recovered-state questions — unless both ledgers are
+            // empty, when no signature can match and none is rendered.
+            if evidence.is_empty() && mitigation.confirmed_contexts() == 0 {
+                return ContextJudgment::clear();
+            }
             let signature = full.signature(frames);
             ContextJudgment {
                 known_overflow: evidence.contains_signature(&signature),
@@ -874,7 +878,7 @@ impl Csod {
     fn retry_installs<B: Backend>(&mut self, machine: &mut B) {
         let due = self.degradation.due_retries(machine.now());
         for (candidate, attempts) in due {
-            if !self.records.contains(candidate.object_start.as_u64())
+            if !self.records.contains_key(&candidate.object_start.as_u64())
                 || self.watchpoints.is_watched(candidate.object_start)
             {
                 continue;
@@ -905,7 +909,7 @@ impl Csod {
     ) -> Result<(), CsodError> {
         let record = self
             .records
-            .remove(user.as_u64())
+            .remove(&user.as_u64())
             .ok_or(CsodError::UnknownPointer(user))?;
         self.stats.frees += 1;
 
@@ -1101,12 +1105,12 @@ impl Csod {
         // reaches any sink — a crash mid-report still leaves the next
         // execution pinned and hardened.
         self.confirm_overflowing(key, &alloc_context, RecordKind::TrapSignature);
-        let overflow_site = self.sites.get(sig.site.0).cloned();
+        let overflow_site = self.sites.get(&sig.site.0).cloned();
         // The paper's report (Section III-D2), structured: the full
         // allocation calling context plus the access coordinates the
         // Figure-6 text cannot carry.
         let now = machine.now();
-        let record = self.records.get(object_start.as_u64()).copied();
+        let record = self.records.get(&object_start.as_u64()).copied();
         let requested = record.map_or(0, |r| r.requested);
         self.pipeline.emit(TrapReport {
             method: DetectionMethod::Watchpoint,
@@ -1238,8 +1242,10 @@ impl Csod {
         if !self.config.evidence {
             return;
         }
-        let mut records: Vec<AllocationRecord> = Vec::with_capacity(self.records.len());
-        self.records.for_each(|_, r| records.push(*r));
+        // Ascending object address, so the order of `CanaryAtExit`
+        // reports never depends on the table's internal layout.
+        let mut records: Vec<AllocationRecord> = self.records.values().copied().collect();
+        records.sort_unstable_by_key(|r| r.user);
         for record in records {
             machine.charge_tool(machine.tool_costs().canary_check);
             if let Ok(CanaryStatus::Corrupted { .. }) = self.canary.check(machine, record.canary_addr)
@@ -1394,7 +1400,7 @@ impl Csod {
 
     /// The requested size of the live CSOD-managed object at `user`.
     pub fn object_size(&self, user: VirtAddr) -> Option<u64> {
-        self.records.get(user.as_u64()).map(|r| r.requested)
+        self.records.get(&user.as_u64()).map(|r| r.requested)
     }
 
     /// Aggregate decision-cache counters across all threads.
@@ -1640,6 +1646,28 @@ mod tests {
         // finish() is idempotent.
         f.csod.finish(&mut f.machine);
         assert_eq!(f.csod.reports().len(), 1);
+    }
+
+    #[test]
+    fn exit_sweep_reports_in_ascending_object_address() {
+        let mut f = fixture(CsodConfig::default());
+        let objects: Vec<VirtAddr> = (0..32)
+            .map(|i| malloc(&mut f, &format!("live.c:{i}"), 24))
+            .collect();
+        for p in [objects[29], objects[3]] {
+            f.machine.raw_store_u64(p + 24, 0x1337).unwrap();
+        }
+        f.csod.finish(&mut f.machine);
+        let swept: Vec<VirtAddr> = f
+            .csod
+            .reports()
+            .iter()
+            .filter(|r| r.method == DetectionMethod::CanaryAtExit)
+            .map(|r| r.object_start)
+            .collect();
+        let mut expected = vec![objects[29], objects[3]];
+        expected.sort();
+        assert_eq!(swept, expected);
     }
 
     #[test]

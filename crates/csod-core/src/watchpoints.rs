@@ -15,15 +15,15 @@
 
 use crate::backend::Backend;
 use crate::config::WatchBackend;
-use crate::fastmap::FastMap;
 use crate::policy::ReplacementPolicy;
 use crate::sampling::CtxId;
 use csod_ctx::ContextKey;
 use csod_rng::Arc4Random;
 use csod_trace::{Histogram, HistogramSnapshot};
 use sim_machine::{
-    Fd, PerfError, ThreadId, VirtAddr, VirtDuration, VirtInstant, NUM_WATCHPOINT_REGISTERS,
+    Fd, FxBuild, PerfError, ThreadId, VirtAddr, VirtDuration, VirtInstant, NUM_WATCHPOINT_REGISTERS,
 };
+use std::collections::HashMap;
 
 /// Compact mirror of the live watched object addresses — at most one
 /// `u64` per watchpoint slot, so four words on real hardware.
@@ -213,7 +213,7 @@ pub struct WatchpointManager {
     /// removal so stale fd-index entries can never resolve.
     generations: Vec<u64>,
     /// fd → (slot, generation) for O(1) trap dispatch.
-    fd_index: FastMap<u64, FdEntry>,
+    fd_index: HashMap<u64, FdEntry, FxBuild>,
     /// Descriptors of logically removed watchpoints awaiting their
     /// batched Figure-4 teardown.
     pending_teardown: Vec<Fd>,
@@ -270,7 +270,7 @@ impl WatchpointManager {
             fifo_cursor: 0,
             filter: WatchFilter::default(),
             generations: vec![0; slots],
-            fd_index: FastMap::new(),
+            fd_index: HashMap::default(),
             pending_teardown: Vec::new(),
             deferred_teardown: false,
             use_fd_index: false,
@@ -483,7 +483,7 @@ impl WatchpointManager {
     /// back to [`WatchpointManager::find_by_fd_scan`].
     pub fn find_by_fd(&self, fd: Fd) -> Option<&WatchedObject> {
         if self.use_fd_index {
-            let entry = self.fd_index.get(fd.as_raw())?;
+            let entry = self.fd_index.get(&fd.as_raw())?;
             let idx = entry.slot as usize;
             if self.generations.get(idx).copied() == Some(entry.generation) {
                 return self.slots[idx].as_ref();
@@ -565,7 +565,7 @@ impl WatchpointManager {
         for slot in self.slots.iter_mut().flatten() {
             slot.fds.retain(|&(t, fd)| {
                 if t == tid {
-                    fd_index.remove(fd.as_raw());
+                    fd_index.remove(&fd.as_raw());
                     false
                 } else {
                     true
@@ -658,7 +658,7 @@ impl WatchpointManager {
         self.filter.remove(watched.object_start);
         self.generations[idx] = self.generations[idx].wrapping_add(1);
         for (_tid, fd) in watched.fds {
-            self.fd_index.remove(fd.as_raw());
+            self.fd_index.remove(&fd.as_raw());
             self.pending_teardown.push(fd);
         }
     }
@@ -674,7 +674,7 @@ impl WatchpointManager {
         self.filter.remove(watched.object_start);
         self.generations[idx] = self.generations[idx].wrapping_add(1);
         for &(_tid, fd) in &watched.fds {
-            self.fd_index.remove(fd.as_raw());
+            self.fd_index.remove(&fd.as_raw());
         }
         match self.backend {
             // Figure 4: disable the event and close the descriptor on

@@ -61,7 +61,7 @@ impl CallingContext {
     }
 
     /// Iterates frames innermost first.
-    pub fn iter(&self) -> impl Iterator<Item = FrameId> + '_ {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = FrameId> + '_ {
         self.frames.iter().copied()
     }
 

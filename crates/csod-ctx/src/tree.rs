@@ -95,8 +95,7 @@ impl ContextTree {
         let mut inner = self.inner.write();
         let mut parent: Option<CtxNodeId> = None;
         // Walk outermost (main) -> innermost (allocation statement).
-        let frames: Vec<FrameId> = context.iter().collect();
-        for frame in frames.into_iter().rev() {
+        for frame in context.iter().rev() {
             let key = (parent.map(|p| p.0), frame);
             let id = match inner.children.get(&key) {
                 Some(&id) => id,

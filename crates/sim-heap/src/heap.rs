@@ -2,41 +2,11 @@
 
 use crate::size_class::{SizeClass, MIN_ALIGN, NUM_CLASSES};
 use crate::stats::HeapStats;
-use sim_machine::{CostDomain, Machine, VirtAddr};
+use sim_machine::{CostDomain, FxBuild, Machine, VirtAddr};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// One fxhash round for the live-object table. The default SipHash
-/// hasher costs more than the rest of `malloc`/`free` bookkeeping put
-/// together; addresses are already high-entropy in the low bits, so a
-/// single multiply mixes plenty.
-#[derive(Debug, Default)]
-struct AddrHasher(u64);
-
-/// The 64-bit `fxhash` multiplier (golden-ratio based).
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for AddrHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are ever hashed; tolerate other widths anyway.
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(FX_SEED);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+type AddrMap<V> = HashMap<u64, V, FxBuild>;
 
 /// Errors produced by heap operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -56,6 +56,7 @@ mod clock;
 mod cost;
 mod debug;
 mod faults;
+mod fxhash;
 mod machine;
 mod memory;
 mod perf;
@@ -68,6 +69,7 @@ pub use clock::{Clock, VirtDuration, VirtInstant};
 pub use cost::{CostDomain, CostModel, CycleCounter};
 pub use debug::{DebugRegisterFile, NUM_WATCHPOINT_REGISTERS};
 pub use faults::{FaultPlan, FaultStats};
+pub use fxhash::{AddrHasher, FxBuild};
 pub use machine::{Machine, PmuSample};
 pub use recorder::{FlightRecorder, LogEvent};
 pub use memory::{AddressSpace, MemoryError};

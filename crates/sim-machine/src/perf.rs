@@ -21,6 +21,7 @@
 
 use crate::addr::AddrRange;
 use crate::debug::DebugRegisterFile;
+use crate::fxhash::FxBuild;
 use crate::signal::Signal;
 use crate::thread::ThreadId;
 use std::collections::HashMap;
@@ -194,7 +195,7 @@ pub struct FiredWatchpoint {
 /// The kernel-side state: open events plus each thread's debug registers.
 #[derive(Debug)]
 pub struct PerfSubsystem {
-    events: HashMap<u64, PerfEvent>,
+    events: HashMap<u64, PerfEvent, FxBuild>,
     /// Register files indexed by dense thread id (ids are sequential and
     /// never reused); `None` for threads that never armed a watch or
     /// have exited. The access-check hot path indexes straight in.
@@ -227,7 +228,7 @@ impl PerfSubsystem {
     pub fn with_registers(n: usize) -> Self {
         assert!(n > 0, "at least one debug register");
         PerfSubsystem {
-            events: HashMap::new(),
+            events: HashMap::default(),
             registers: Vec::new(),
             registers_per_thread: n,
             // fd 0..2 are stdio on a real process; start above them.

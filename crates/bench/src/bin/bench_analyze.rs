@@ -29,7 +29,7 @@ use workloads::{BuggyApp, CallSensitiveApp, Event, FuzzWorkload, SiteRegistry};
 
 /// Fuzz seeds swept (each analyzed with and without an injected bug).
 const FUZZ_SEEDS: u64 = 32;
-/// Timed sweeps per k; the fastest is reported, Criterion-style.
+/// Timed sweeps per k; the fastest is reported.
 const ROUNDS: usize = 3;
 
 /// One corpus entry: a registry and a trace to analyze.

@@ -51,7 +51,7 @@ const CHUNK: usize = 32;
 const ROUND_PROCS: usize = 1000;
 /// Allocations per round-layer process.
 const ROUND_ALLOCS: u64 = 120;
-/// Timed rounds per scenario (the fastest is reported, Criterion-style).
+/// Timed rounds per scenario (the fastest is reported).
 const ROUNDS: usize = 3;
 /// Attempts per scenario (see [`best_of`]).
 const ATTEMPTS: usize = 2;

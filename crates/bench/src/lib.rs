@@ -1,9 +1,10 @@
 //! # csod-bench — experiment harnesses
 //!
 //! One binary per table and figure of the paper's evaluation (Section V),
-//! plus ablation studies and Criterion microbenchmarks. See DESIGN.md for
-//! the per-experiment index and EXPERIMENTS.md for paper-vs-measured
-//! results.
+//! plus ablation studies and the tracked micro-benchmarks below. See
+//! DESIGN.md for the per-experiment index and EXPERIMENTS.md for
+//! paper-vs-measured results. Per-layer wall-clock costs of the
+//! end-to-end workloads come from the `perfbench` package.
 //!
 //! The tracked benches (`fastpath`, `freepath`, `tracing`, `backend`,
 //! `bench_fleet`, `bench_analyze`) share one scaffolding: a flat
@@ -340,8 +341,8 @@ pub fn best_of<T>(attempts: usize, mut f: impl FnMut() -> (f64, T)) -> (f64, T) 
 pub const HOT_CONTEXTS: usize = 64;
 /// Live objects per timed round of [`alloc_free_rounds`].
 pub const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds of [`alloc_free_rounds`] (the fastest is reported,
-/// Criterion-style).
+/// Timed rounds of [`alloc_free_rounds`] (the fastest is reported, as
+/// [`best_of`] does).
 pub const ROUNDS: usize = 12;
 
 /// The [`HOT_CONTEXTS`] three-frame calling contexts, interned in

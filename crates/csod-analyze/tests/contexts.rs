@@ -9,7 +9,7 @@
 //! * spawn edges carry the spawn point's call string into the child
 //!   thread;
 //! * on the call-sensitive corpus, `k = 2` strictly reduces *unknown*
-//!   rows versus `k = 0` (the acceptance criterion the bench harness
+//!   rows versus `k = 0` (the acceptance check the bench harness
 //!   also measures).
 
 use csod_analyze::{analyze_detailed, analyze_with_k, callstring, ir, DEFAULT_K};

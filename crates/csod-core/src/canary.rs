@@ -84,7 +84,8 @@ impl ObjectLayout {
 pub struct ObjectHeader {
     /// Pointer returned by the real allocator (supports `memalign`).
     pub real_ptr: VirtAddr,
-    /// The user-requested size, locating the canary.
+    /// The laid-out size, locating the canary: the request, grown by the
+    /// mitigation slack when the object was hardened.
     pub object_size: u64,
     /// The allocation calling context (stored as a dense id standing in
     /// for the paper's pointer into the context table).
@@ -134,19 +135,37 @@ impl CanaryUnit {
         real: VirtAddr,
         ctx_id: CtxId,
     ) -> Result<(), MemoryError> {
-        let user = layout.user_ptr(real);
         if layout.evidence {
-            // The four header words are contiguous: one write, one
-            // region lookup, instead of four round trips.
-            let mut header = [0u8; 32];
-            header[..8].copy_from_slice(&real.as_u64().to_le_bytes());
-            header[8..16].copy_from_slice(&layout.requested.to_le_bytes());
-            header[16..24].copy_from_slice(&u64::from(ctx_id.as_u32()).to_le_bytes());
-            header[24..32].copy_from_slice(&OBJECT_IDENTIFIER.to_le_bytes());
-            machine.write_bytes(real, &header)?;
-            machine.store_u64(layout.canary_addr(user), self.canary_value)?;
+            self.write_header(machine, layout, real, layout.user_ptr(real), ctx_id)?;
         }
         Ok(())
+    }
+
+    /// [`imprint`](Self::imprint) with the user pointer explicit, since
+    /// `memalign` pads it past `layout.user_ptr(real)`: the header goes in
+    /// the [`HEADER_SIZE`] bytes before `user`, the canary after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`imprint`](Self::imprint).
+    #[inline]
+    pub fn write_header<B: Backend>(
+        &self,
+        machine: &mut B,
+        layout: ObjectLayout,
+        real: VirtAddr,
+        user: VirtAddr,
+        ctx_id: CtxId,
+    ) -> Result<(), MemoryError> {
+        // The four header words are contiguous: one write, one region
+        // lookup, instead of four round trips.
+        let mut header = [0u8; 32];
+        header[..8].copy_from_slice(&real.as_u64().to_le_bytes());
+        header[8..16].copy_from_slice(&layout.requested.to_le_bytes());
+        header[16..24].copy_from_slice(&u64::from(ctx_id.as_u32()).to_le_bytes());
+        header[24..32].copy_from_slice(&OBJECT_IDENTIFIER.to_le_bytes());
+        machine.write_bytes(user - HEADER_SIZE, &header)?;
+        machine.store_u64(layout.canary_addr(user), self.canary_value)
     }
 
     /// Reads back and validates the header for the object at `user`.

@@ -597,12 +597,8 @@ impl Csod {
         let canary_addr = layout.canary_addr(user);
         if self.config.evidence {
             machine.charge_tool(machine.tool_costs().canary_write);
-            // The header sits in the 32 bytes before the user pointer.
-            machine.store_u64(user - 32, real.as_u64())?;
-            machine.store_u64(user - 24, size)?;
-            machine.store_u64(user - 16, u64::from(decision.ctx_id.as_u32()))?;
-            machine.store_u64(user - 8, crate::canary::OBJECT_IDENTIFIER)?;
-            machine.store_u64(canary_addr, self.canary.canary_value())?;
+            self.canary
+                .write_header(machine, layout, real, user, decision.ctx_id)?;
         }
 
         let allocated_at = machine.now();
@@ -2048,26 +2044,69 @@ mod tests {
 
     #[test]
     fn memalign_aligns_and_is_watchable() {
+        for evidence in [true, false] {
+            let mut f = fixture(CsodConfig {
+                evidence,
+                ..CsodConfig::default()
+            });
+            let k = key(&f.frames, "aligned.c:1");
+            let c = ctx(&f.frames, "aligned.c:1");
+            let p = f
+                .csod
+                .memalign(&mut f.machine, &mut f.heap, ThreadId::MAIN, 4096, 100, k, &c)
+                .unwrap();
+            assert!(p.is_aligned(4096));
+            // Header readable via the canary unit (RealObjectPtr supports
+            // it) in evidence mode; no header without it.
+            let header = CanaryUnit::new(0).read_header(&f.machine, p);
+            if evidence {
+                assert_eq!(header.map(|h| h.object_size), Some(100));
+            } else {
+                assert_eq!(header, None);
+            }
+            // Overflow past the aligned object hits the watched boundary
+            // word either way.
+            f.machine.app_write(ThreadId::MAIN, p + 104, 8).unwrap();
+            f.csod.poll(&mut f.machine);
+            assert!(f.csod.detected_by_watchpoint(), "evidence = {evidence}");
+            // And free works (through the header in evidence mode).
+            f.csod
+                .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, p)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn hardened_memalign_header_matches_the_malloc_layout() {
         let mut f = fixture(CsodConfig::default());
-        let k = key(&f.frames, "aligned.c:1");
-        let c = ctx(&f.frames, "aligned.c:1");
-        let p = f
-            .csod
-            .memalign(&mut f.machine, &mut f.heap, ThreadId::MAIN, 4096, 100, k, &c)
-            .unwrap();
-        assert!(p.is_aligned(4096));
-        // Header readable via the canary unit (RealObjectPtr supports it).
-        let header = CanaryUnit::new(0).read_header(&f.machine, p);
-        assert!(header.is_some());
-        assert_eq!(header.unwrap().object_size, 100);
-        // Overflow past the aligned object is detected.
-        f.machine.app_write(ThreadId::MAIN, p + 104, 8).unwrap();
+        let site = SiteToken(22);
+        f.csod.register_site(site, ctx(&f.frames, "smash.c:5"));
+        let p = malloc(&mut f, "hot.c:3", 64);
+        assert!(f.csod.is_watched(p));
+        f.machine.set_current_site(ThreadId::MAIN, site);
+        f.machine.app_write(ThreadId::MAIN, p + 64, 8).unwrap();
         f.csod.poll(&mut f.machine);
-        assert!(f.csod.detected());
-        // And free works through the header.
-        f.csod
-            .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, p)
+        assert_eq!(f.csod.stats().contexts_mitigated, 1);
+        // The confirmed context's malloc header records the laid-out size.
+        let unit = CanaryUnit::new(0);
+        let q = malloc(&mut f, "hot.c:3", 100);
+        let laid_out = unit.read_header(&f.machine, q).unwrap().object_size;
+        assert_eq!(laid_out, f.csod.config().mitigation.harden(100));
+        assert!(laid_out > 100);
+        // memalign from the same context writes the same header, and the
+        // canary sits where that size says.
+        let k = key(&f.frames, "hot.c:3");
+        let c = ctx(&f.frames, "hot.c:3");
+        let a = f
+            .csod
+            .memalign(&mut f.machine, &mut f.heap, ThreadId::MAIN, 64, 100, k, &c)
             .unwrap();
+        let header = unit.read_header(&f.machine, a).unwrap();
+        assert_eq!(header.object_size, laid_out);
+        assert_eq!(
+            f.machine.raw_load_u64(a + header.object_size.div_ceil(8) * 8).unwrap(),
+            f.csod.canary.canary_value()
+        );
     }
 
     #[test]

@@ -27,9 +27,7 @@
 mod heap;
 mod size_class;
 mod stats;
-mod tcache;
 
 pub use heap::{HeapConfig, HeapError, SimHeap};
 pub use size_class::{SizeClass, MEDIUM_MAX, MIN_ALIGN, NUM_CLASSES, PAGE, SMALL_MAX};
 pub use stats::HeapStats;
-pub use tcache::{TcacheConfig, TcacheStats, ThreadCachedHeap};

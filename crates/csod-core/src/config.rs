@@ -501,15 +501,12 @@ pub struct CsodConfig {
     pub persist_path: Option<PathBuf>,
     /// Closed-loop hardening of confirmed-overflowing contexts.
     pub mitigation: MitigationParams,
-    /// Where to write the rendered bug reports at termination (the
-    /// production tool's log file). `None` keeps reports in memory only.
-    pub report_path: Option<PathBuf>,
     /// Observability: event tracer and trap-report sink wiring.
     pub trace: TraceParams,
 }
 
-/// Observability knobs: the per-thread event rings and where structured
-/// trap reports are routed. Orthogonal to the `trace-off` cargo
+/// Observability knobs: the per-thread event rings and the JSONL file
+/// overflow reports are appended to. Orthogonal to the `trace-off` cargo
 /// feature — that removes the tracer at compile time, while
 /// [`TraceParams::events`] switches it at run time (the tracing
 /// benchmark uses the latter to measure both states in one binary).
@@ -521,11 +518,9 @@ pub struct TraceParams {
     /// Per-thread ring capacity in events (rounded up to a power of
     /// two).
     pub ring_capacity: usize,
-    /// Append each structured trap report as a JSON line to this file,
-    /// in addition to the always-on in-memory record store.
+    /// Append each overflow report as a JSON line to this file, in
+    /// addition to the always-on in-memory report list.
     pub trap_report_path: Option<PathBuf>,
-    /// Also echo each structured trap report to stderr.
-    pub trap_report_stderr: bool,
 }
 
 impl Default for TraceParams {
@@ -534,7 +529,6 @@ impl Default for TraceParams {
             events: true,
             ring_capacity: csod_trace::DEFAULT_RING_CAPACITY,
             trap_report_path: None,
-            trap_report_stderr: false,
         }
     }
 }
@@ -566,7 +560,6 @@ impl Default for CsodConfig {
             evidence_path: None,
             persist_path: None,
             mitigation: MitigationParams::default(),
-            report_path: None,
             trace: TraceParams::default(),
         }
     }

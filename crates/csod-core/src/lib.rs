@@ -45,7 +45,6 @@ mod report;
 mod runtime;
 mod sampling;
 mod summary;
-mod trap;
 mod watchpoints;
 
 pub use backend::{sim_heap, Backend, HeapBackend, NullBackend, NullHeap, ToolCosts};
@@ -67,7 +66,6 @@ pub use report::{DetectionMethod, OverflowReport};
 pub use runtime::{Csod, CsodError, CsodStats};
 pub use sampling::{AllocDecision, ContextJudgment, CtxId, CtxState, SamplingUnit};
 pub use summary::RunSummary;
-pub use trap::{ReportPipeline, TrapReport};
 pub use watchpoints::{
     InstallOutcome, WatchCandidate, WatchFilter, WatchedObject, WatchpointManager, WatchpointStats,
 };

@@ -15,14 +15,12 @@ use crate::evidence::EvidenceStore;
 use crate::mitigation::MitigationPolicy;
 use crate::report::{DetectionMethod, OverflowReport};
 use crate::sampling::{ContextJudgment, CtxId, SamplingUnit};
-use crate::trap::{ReportPipeline, TrapReport};
 use crate::watchpoints::{InstallOutcome, WatchCandidate, WatchpointManager, WatchpointStats};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use csod_persist::{RecordKind, Wal, WalRecord};
 use csod_rng::{Arc4Random, RngSlots, PPM_SCALE};
 use csod_trace::{
-    Histogram, JsonlFileSink, MetricsRegistry, RecordSink, StderrSink, ThreadTracer,
-    TraceEventKind, TraceStream, Tracer,
+    Histogram, JsonlFileSink, MetricsRegistry, ThreadTracer, TraceEventKind, TraceStream, Tracer,
 };
 use sim_heap::HeapError;
 use sim_machine::{
@@ -280,8 +278,9 @@ pub struct Csod {
     /// Full calling contexts behind workload site tokens.
     sites: HashMap<u64, CallingContext, FxBuild>,
     reports: Vec<OverflowReport>,
-    /// Dedup set: (ctx id, site token, thread, method tag).
-    reported: HashSet<(u32, u64, u32, u8)>,
+    /// Dedup set: (ctx id, site token, thread, method). Canary reports
+    /// use `u64::MAX` for the site they cannot know.
+    reported: HashSet<(CtxId, u64, ThreadId, DetectionMethod)>,
     /// Signatures of the contexts behind
     /// [`CsodStats::proven_safe_overflows`] — the exact analyzer claims
     /// the execution falsified, for the soundness gate to print.
@@ -295,8 +294,9 @@ pub struct Csod {
     /// Per-thread writer handles, slot = dense thread id (the rings are
     /// strictly single-writer; the slot layout mirrors `caches`).
     thread_tracers: Vec<ThreadTracer>,
-    /// Observability: the structured trap-report pipeline.
-    pipeline: ReportPipeline,
+    /// Observability: the JSONL copy of every report
+    /// ([`crate::TraceParams::trap_report_path`]).
+    trap_log: Option<JsonlFileSink>,
     /// Last detection mode the tracer was told about, to turn the
     /// degradation ladder's state into enter/exit transition events.
     traced_mode: DetectionMode,
@@ -392,16 +392,11 @@ impl Csod {
             config.fast_path.deferred_teardown,
             config.fast_path.fd_index,
         );
-        let mut pipeline = ReportPipeline::new();
-        if let Some(path) = config.trace.trap_report_path.as_deref() {
-            pipeline.add_sink(Box::new(JsonlFileSink::with_drop_counter(
-                path,
-                Arc::clone(&flushed_on_drop),
-            )));
-        }
-        if config.trace.trap_report_stderr {
-            pipeline.add_sink(Box::new(StderrSink::new()));
-        }
+        let trap_log = config
+            .trace
+            .trap_report_path
+            .as_deref()
+            .map(|path| JsonlFileSink::with_drop_counter(path, Arc::clone(&flushed_on_drop)));
         Csod {
             sampling: SamplingUnit::with_priors(config.sampling, config.priors.clone()),
             watchpoints,
@@ -428,7 +423,7 @@ impl Csod {
             finished: false,
             tracer: Tracer::new(config.trace.ring_capacity),
             thread_tracers: Vec::new(),
-            pipeline,
+            trap_log,
             traced_mode: DetectionMode::Watchpoints,
             config,
             frames,
@@ -1069,7 +1064,6 @@ impl Csod {
         let ctx_id = watched.ctx_id;
         let key = watched.key;
         let object_start = watched.object_start;
-        let boundary = watched.canary_addr;
         self.trace_event(
             machine.now(),
             sig.thread,
@@ -1077,70 +1071,64 @@ impl Csod {
             sig.fault_addr.as_u64(),
             u64::from(ctx_id.as_u32()),
         );
-        if !self
-            .reported
-            .insert((ctx_id.as_u32(), sig.site.0, sig.thread.as_u32(), 0))
-        {
-            return; // already reported this (context, site, thread) triple
-        }
         let alloc_context = self
             .sampling
             .full_context(key)
             .unwrap_or_default();
+        // A fired watchpoint is zero-false-positive proof, exactly like
+        // canary evidence: record it, confirm the context for
+        // mitigation, and land the boost in the WAL *before* the report
+        // is written — a crash mid-report still leaves the next
+        // execution pinned and hardened.
+        self.confirm_overflowing(key, &alloc_context, RecordKind::TrapSignature);
+        let now = machine.now();
+        let record = self.records.get(&object_start.as_u64()).copied();
+        self.report(
+            key,
+            sig.site.0,
+            OverflowReport {
+                kind: sig.access,
+                method: DetectionMethod::Watchpoint,
+                thread: sig.thread,
+                object_start,
+                access_addr: sig.fault_addr,
+                requested_size: record.map_or(0, |r| r.requested),
+                object_age_ns: record.map_or(0, |r| {
+                    now.saturating_duration_since(r.allocated_at).as_nanos()
+                }),
+                overflow_site: self.sites.get(&sig.site.0).cloned(),
+                alloc_context,
+                ctx_id,
+                at: now,
+            },
+        );
+    }
+
+    /// Signal Handling Unit, report generation (Section III-D2): keeps
+    /// one report per (context, site, thread, method), counts a report
+    /// on a context the analyzer proved safe as a soundness violation,
+    /// and writes the report's JSON line before storing it. `site` is
+    /// the overflowing statement's token, `u64::MAX` on the canary
+    /// paths.
+    fn report(&mut self, key: ContextKey, site: u64, report: OverflowReport) {
+        if !self
+            .reported
+            .insert((report.ctx_id, site, report.thread, report.method))
+        {
+            return; // already reported
+        }
         if self.config.priors.class_of(key) == Some(RiskClass::ProvenSafe) {
-            // A trap from a context the analyzer proved safe is an
+            // An overflow in a context the analyzer proved safe is an
             // analyzer soundness bug — count it loudly, and keep the
             // falsified signature for the soundness gate to print.
             self.stats.proven_safe_overflows += 1;
             self.proven_safe_overflow_signatures
-                .push(alloc_context.signature(&self.frames));
+                .push(report.alloc_context.signature(&self.frames));
         }
-        // A fired watchpoint is zero-false-positive proof, exactly like
-        // canary evidence: record it, confirm the context for
-        // mitigation, and land the boost in the WAL *before* the report
-        // reaches any sink — a crash mid-report still leaves the next
-        // execution pinned and hardened.
-        self.confirm_overflowing(key, &alloc_context, RecordKind::TrapSignature);
-        let overflow_site = self.sites.get(&sig.site.0).cloned();
-        // The paper's report (Section III-D2), structured: the full
-        // allocation calling context plus the access coordinates the
-        // Figure-6 text cannot carry.
-        let now = machine.now();
-        let record = self.records.get(&object_start.as_u64()).copied();
-        let requested = record.map_or(0, |r| r.requested);
-        self.pipeline.emit(TrapReport {
-            method: DetectionMethod::Watchpoint,
-            kind: sig.access,
-            thread: sig.thread,
-            ctx_id,
-            object_start,
-            access_addr: sig.fault_addr,
-            requested_size: requested,
-            offset_past_end: sig
-                .fault_addr
-                .as_u64()
-                .saturating_sub(object_start.as_u64() + requested),
-            object_age_ns: record.map_or(0, |r| {
-                now.saturating_duration_since(r.allocated_at).as_nanos()
-            }),
-            at_ns: now.as_nanos(),
-            alloc_context: TrapReport::resolve_context(&alloc_context, &self.frames),
-            overflow_site: overflow_site
-                .as_ref()
-                .map(|c| TrapReport::resolve_context(c, &self.frames))
-                .unwrap_or_default(),
-        });
-        self.reports.push(OverflowReport {
-            kind: sig.access,
-            method: DetectionMethod::Watchpoint,
-            thread: sig.thread,
-            object_start,
-            boundary_addr: boundary,
-            overflow_site,
-            alloc_context,
-            ctx_id,
-            at: now,
-        });
+        if let Some(log) = &mut self.trap_log {
+            log.write_line(&report.to_json_line(&self.frames));
+        }
+        self.reports.push(report);
     }
 
     /// The closed loop on a confirmed detection: merges the context's
@@ -1177,61 +1165,36 @@ impl Csod {
         method: DetectionMethod,
     ) {
         // Boost the context to 100%, persist it for future runs, and —
-        // before the report can reach a sink — confirm it for
+        // before the report is written — confirm it for
         // mitigation with a WAL append.
         self.sampling.pin_certain(record.key);
-        if let Some(full) = self.sampling.full_context(record.key) {
-            self.confirm_overflowing(record.key, &full, RecordKind::CanaryEvidence);
-        }
-        let method_tag = match method {
-            DetectionMethod::Watchpoint => 0,
-            DetectionMethod::CanaryOnFree => 1,
-            DetectionMethod::CanaryAtExit => 2,
-        };
-        if !self
-            .reported
-            .insert((record.ctx_id.as_u32(), u64::MAX, tid.as_u32(), method_tag))
-        {
-            return;
-        }
-        let alloc_context = self.sampling.full_context(record.key).unwrap_or_default();
-        if self.config.priors.class_of(record.key) == Some(RiskClass::ProvenSafe) {
-            self.stats.proven_safe_overflows += 1;
-            self.proven_safe_overflow_signatures
-                .push(alloc_context.signature(&self.frames));
+        let alloc_context = self.sampling.full_context(record.key);
+        if let Some(full) = &alloc_context {
+            self.confirm_overflowing(record.key, full, RecordKind::CanaryEvidence);
         }
         let now = machine.now();
-        // Canary evidence yields the same structured record, minus the
-        // overflow site (which only a trap can know); the corrupted
-        // canary word is the best available access address.
-        self.pipeline.emit(TrapReport {
-            method,
-            kind: AccessKind::Write,
-            thread: tid,
-            ctx_id: record.ctx_id,
-            object_start: record.user,
-            access_addr: record.canary_addr,
-            requested_size: record.requested,
-            offset_past_end: record
-                .canary_addr
-                .as_u64()
-                .saturating_sub(record.user.as_u64() + record.requested),
-            object_age_ns: now.saturating_duration_since(record.allocated_at).as_nanos(),
-            at_ns: now.as_nanos(),
-            alloc_context: TrapReport::resolve_context(&alloc_context, &self.frames),
-            overflow_site: Vec::new(),
-        });
-        self.reports.push(OverflowReport {
-            kind: AccessKind::Write,
-            method,
-            thread: tid,
-            object_start: record.user,
-            boundary_addr: record.canary_addr,
-            overflow_site: None,
-            alloc_context,
-            ctx_id: record.ctx_id,
-            at: now,
-        });
+        // Canary evidence yields the same record, minus the overflow
+        // site (which only a trap can know); the corrupted canary word
+        // is the best available access address.
+        self.report(
+            record.key,
+            u64::MAX,
+            OverflowReport {
+                kind: AccessKind::Write,
+                method,
+                thread: tid,
+                object_start: record.user,
+                access_addr: record.canary_addr,
+                requested_size: record.requested,
+                object_age_ns: now
+                    .saturating_duration_since(record.allocated_at)
+                    .as_nanos(),
+                overflow_site: None,
+                alloc_context: alloc_context.unwrap_or_default(),
+                ctx_id: record.ctx_id,
+                at: now,
+            },
+        );
     }
 
     fn sweep_canaries<B: Backend>(&mut self, machine: &mut B) {
@@ -1272,16 +1235,9 @@ impl Csod {
             // Persisting evidence must never crash the host program.
             let _ = self.evidence.save(path);
         }
-        if let Some(path) = self.config.report_path.as_deref() {
-            let mut text = String::new();
-            for report in &self.reports {
-                text.push_str(&report.render(&self.frames));
-                text.push('\n');
-            }
-            // Like evidence, report logging is best-effort.
-            let _ = std::fs::write(path, text);
+        if let Some(log) = &mut self.trap_log {
+            log.flush();
         }
-        self.pipeline.flush();
         // Clean exit: compact the WAL down to one strongest record per
         // confirmed context, via tmp-file + atomic rename. The append
         // handle is dropped first; a crash anywhere in here leaves
@@ -1421,19 +1377,6 @@ impl Csod {
 
     // ----- observability ---------------------------------------------------------------
 
-    /// Every structured trap report emitted so far (paper Section
-    /// III-D2 as machine-readable records).
-    pub fn trap_reports(&self) -> &[TrapReport] {
-        self.pipeline.reports()
-    }
-
-    /// Registers an additional sink for structured trap reports; the
-    /// config-driven JSONL and stderr sinks are installed by
-    /// [`Csod::new`].
-    pub fn add_trap_sink(&mut self, sink: Box<dyn RecordSink>) {
-        self.pipeline.add_sink(sink);
-    }
-
     /// Drains the per-thread event rings into one time-ordered stream.
     /// Consuming: events are returned once. Empty when tracing is off
     /// (run-time or compile-time).
@@ -1452,7 +1395,7 @@ impl Csod {
             reg.set_counter(name, read(&s));
         }
         reg.set_counter("csod_reports_total", self.reports.len() as u64);
-        reg.set_counter("csod_trap_reports_total", self.pipeline.len() as u64);
+        reg.set_counter("csod_trap_reports_total", self.reports.len() as u64);
         reg.set_gauge("csod_watched_objects", self.watchpoints.watched_count() as f64);
         reg.set_gauge(
             "csod_distinct_contexts",
@@ -2223,29 +2166,6 @@ mod tests {
                 .unwrap_err(),
             CsodError::UnknownPointer(bogus)
         );
-    }
-
-    #[test]
-    fn reports_are_written_to_the_report_path() {
-        let dir = std::env::temp_dir().join("csod-report-path");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("reports-{}.log", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut f = fixture(CsodConfig {
-            report_path: Some(path.clone()),
-            ..CsodConfig::default()
-        });
-        let site = SiteToken(4);
-        f.csod.register_site(site, ctx(&f.frames, "smash.c:9"));
-        let p = malloc(&mut f, "buf.c:3", 32);
-        f.machine.set_current_site(ThreadId::MAIN, site);
-        f.machine.app_write(ThreadId::MAIN, p + 32, 8).unwrap();
-        f.csod.poll(&mut f.machine);
-        f.csod.finish(&mut f.machine);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("smash.c:9"));
-        assert!(text.contains("buf.c:3"));
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// A fixture whose config carries a static verdict for `site`,

@@ -133,17 +133,22 @@ mod tests {
     #[test]
     fn concurrent_interning_agrees() {
         let t = FrameTable::new();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|_| (0..100).map(|i| t.intern(&format!("f{i}"))).collect::<Vec<_>>()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..100)
+                            .map(|i| t.intern(&format!("f{i}")))
+                            .collect::<Vec<_>>()
+                    })
+                })
                 .collect();
             let results: Vec<Vec<FrameId>> =
                 handles.into_iter().map(|h| h.join().unwrap()).collect();
             for r in &results[1..] {
                 assert_eq!(r, &results[0]);
             }
-        })
-        .unwrap();
+        });
         assert_eq!(t.len(), 100);
     }
 }

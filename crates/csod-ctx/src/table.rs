@@ -356,9 +356,9 @@ mod tests {
         let frames = FrameTable::new();
         let table: ContextTable<u64> = ContextTable::with_buckets(8);
         let keys: Vec<ContextKey> = (0..16).map(|i| key(&frames, &format!("k{i}"), 0)).collect();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     for _ in 0..1000 {
                         for &k in &keys {
                             table.with_entry(k, || 0, |v| *v += 1);
@@ -366,8 +366,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for &k in &keys {
             assert_eq!(table.get_cloned(k), Some(4000));
         }
@@ -377,19 +376,18 @@ mod tests {
     fn concurrent_growth_keeps_every_entry() {
         let frames = FrameTable::new();
         let table: ContextTable<u64> = ContextTable::with_buckets(2);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let table = &table;
                 let frames = &frames;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..200u64 {
                         let k = key(frames, &format!("t{t}-i{i}"), t * 1000 + i);
                         table.with_entry(k, || t * 1000 + i, |_| ());
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(table.len(), 800);
         for t in 0..4u64 {
             for i in 0..200u64 {

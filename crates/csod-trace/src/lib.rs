@@ -14,8 +14,8 @@
 //!   cheap enough to record on runtime paths.
 //! * [`MetricsRegistry`] — named counters, gauges and histograms with
 //!   JSON and Prometheus-style text serialization.
-//! * [`RecordSink`] — pluggable line-oriented sinks ([`MemorySink`],
-//!   [`JsonlFileSink`], [`StderrSink`]) for structured trap reports.
+//! * [`JsonlFileSink`] — the crash-tolerant JSONL file that overflow
+//!   reports are appended to, one line per detection.
 //! * [`BoundedLog`] — the generic bounded ring with eviction accounting
 //!   shared with the machine's flight recorder.
 //!
@@ -38,7 +38,7 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use log::BoundedLog;
 pub use metrics::MetricsRegistry;
 pub use ring::{ThreadTracer, TraceStream, Tracer, DEFAULT_RING_CAPACITY};
-pub use sink::{JsonlFileSink, MemorySink, RecordSink, StderrSink, FLUSH_EVERY_ENV};
+pub use sink::{JsonlFileSink, FLUSH_EVERY_ENV};
 
 /// `true` when the crate was built with the `trace-off` feature — the
 /// tracer is compiled out and every [`ThreadTracer::emit`] is a no-op.

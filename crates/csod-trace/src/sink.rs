@@ -1,76 +1,19 @@
-//! Pluggable line-oriented sinks for structured records.
+//! The JSONL file sink for structured records.
 //!
-//! The trap-report pipeline renders each report to one JSON line and
-//! hands it to every configured sink. Sinks are deliberately dumb —
-//! they see opaque lines, not report types — so the set can grow
-//! (syslog, sockets) without touching the report schema.
+//! The runtime renders each overflow report to one JSON line and
+//! appends it here. The sink is deliberately dumb — it sees opaque
+//! lines, not report types — so this crate stays independent of the
+//! report schema.
 
-use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Environment knob: make the JSONL sink durably sync its file every N
 /// lines (`0`/unset/unparsable = only at flush points and on drop).
 pub const FLUSH_EVERY_ENV: &str = "CSOD_TRACE_FLUSH_EVERY";
-
-/// A destination for serialized one-line records. `Send` because the
-/// runtime that owns the pipeline crosses threads in parallel drivers.
-pub trait RecordSink: Debug + Send {
-    /// Accepts one record, already serialized without its trailing
-    /// newline. Sinks must not fail loudly — observability never takes
-    /// the process down.
-    fn write_line(&mut self, line: &str);
-
-    /// Flushes any buffering; default is a no-op.
-    fn flush(&mut self) {}
-}
-
-/// Collects records in memory behind a shared handle, so tests and
-/// drivers can read back what the pipeline emitted.
-#[derive(Debug, Default, Clone)]
-pub struct MemorySink {
-    lines: Arc<Mutex<Vec<String>>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-
-    /// A second handle onto the same storage: register one clone with
-    /// the pipeline, keep the other to inspect.
-    pub fn handle(&self) -> MemorySink {
-        self.clone()
-    }
-
-    /// Everything written so far, in order.
-    pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().expect("memory sink poisoned").clone()
-    }
-
-    /// Number of records written.
-    pub fn len(&self) -> usize {
-        self.lines.lock().expect("memory sink poisoned").len()
-    }
-
-    /// `true` when nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl RecordSink for MemorySink {
-    fn write_line(&mut self, line: &str) {
-        self.lines
-            .lock()
-            .expect("memory sink poisoned")
-            .push(line.to_owned());
-    }
-}
 
 /// Appends records to a JSONL file, one record per line. Creation and
 /// writes are best-effort: an unwritable path degrades to a no-op sink
@@ -148,29 +91,26 @@ impl JsonlFileSink {
         self.pending
     }
 
-    /// Durably syncs the file and clears the pending count.
-    fn sync(&mut self) {
+    /// Appends one record, already serialized without its trailing
+    /// newline. Never fails loudly — observability never takes the
+    /// process down.
+    pub fn write_line(&mut self, line: &str) {
+        if let Some(file) = self.file.as_mut() {
+            let _ = writeln!(file, "{line}");
+            self.pending += 1;
+            if self.flush_every.is_some_and(|every| self.pending >= every) {
+                self.flush();
+            }
+        }
+    }
+
+    /// Durably syncs the file and clears the pending count (end of run).
+    pub fn flush(&mut self) {
         if let Some(file) = self.file.as_mut() {
             let _ = file.flush();
             let _ = file.sync_all();
         }
         self.pending = 0;
-    }
-}
-
-impl RecordSink for JsonlFileSink {
-    fn write_line(&mut self, line: &str) {
-        if let Some(file) = self.file.as_mut() {
-            let _ = writeln!(file, "{line}");
-            self.pending += 1;
-            if self.flush_every.is_some_and(|every| self.pending >= every) {
-                self.sync();
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        self.sync();
     }
 }
 
@@ -181,7 +121,7 @@ impl Drop for JsonlFileSink {
         // restart harnesses can assert the drop path actually ran.
         let salvaged = self.pending;
         if salvaged > 0 {
-            self.sync();
+            self.flush();
             if let Some(counter) = &self.drop_counter {
                 counter.fetch_add(salvaged, Ordering::Relaxed);
             }
@@ -189,38 +129,9 @@ impl Drop for JsonlFileSink {
     }
 }
 
-/// Writes records to stderr, one per line.
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl StderrSink {
-    /// A stderr sink.
-    pub fn new() -> StderrSink {
-        StderrSink
-    }
-}
-
-impl RecordSink for StderrSink {
-    fn write_line(&mut self, line: &str) {
-        eprintln!("{line}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn memory_sink_shares_storage_across_handles() {
-        let sink = MemorySink::new();
-        let mut writer: Box<dyn RecordSink> = Box::new(sink.handle());
-        writer.write_line("{\"a\":1}");
-        writer.write_line("{\"b\":2}");
-        writer.flush();
-        assert_eq!(sink.lines(), vec!["{\"a\":1}", "{\"b\":2}"]);
-        assert_eq!(sink.len(), 2);
-        assert!(!sink.is_empty());
-    }
 
     #[test]
     fn jsonl_sink_appends_lines() {

@@ -156,7 +156,7 @@ impl RestartOutcome {
 fn run_once(
     cfg: &RestartConfig,
     wal_path: &Path,
-    report_path: &Path,
+    trap_log: &Path,
     kill: bool,
     recovered: Option<RecoveredState>,
 ) -> Execution {
@@ -169,7 +169,7 @@ fn run_once(
         SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh machine has a heap region");
     let mut config = cfg.csod.clone();
     config.persist_path = Some(wal_path.to_owned());
-    config.trace.trap_report_path = Some(report_path.to_owned());
+    config.trace.trap_report_path = Some(trap_log.to_owned());
     let mut csod = match recovered {
         Some(state) => Csod::with_recovered(config, Arc::clone(&frames), state),
         None => Csod::new(config, Arc::clone(&frames)),

@@ -20,7 +20,7 @@
 //! * [`analyze`] — the static overflow-risk pre-analysis that primes
 //!   the sampler with per-context priors;
 //! * [`trace`] — the always-on observability layer (event rings,
-//!   metrics snapshots, trap-report sinks); build with `--features
+//!   metrics snapshots, the JSONL report file); build with `--features
 //!   trace-off` to compile the tracer out.
 //!
 //! Run `cargo run --example quickstart` for a two-minute tour, and see

@@ -17,19 +17,18 @@ fn context_table_survives_heavy_contention() {
         .collect();
     let threads = 8;
     let iters = 2_000;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let keys = &keys;
             let table = &table;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..iters {
                     let key = keys[(t * 7 + i) % keys.len()];
                     table.with_entry(key, || 0, |v| *v += 1);
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let mut total = 0;
     table.for_each(|_, v| total += *v);
     assert_eq!(total, (threads * iters) as u64);
@@ -40,19 +39,18 @@ fn context_table_survives_heavy_contention() {
 fn frame_interner_is_consistent_across_threads() {
     let frames = FrameTable::new();
     let results: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..8 {
             let frames = &frames;
             let results = &results;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let ids: Vec<u32> = (0..200)
                     .map(|i| frames.intern(&format!("file{}.c:{i}", i % 50)).as_u32())
                     .collect();
                 results.lock().unwrap().push(ids);
             });
         }
-    })
-    .unwrap();
+    });
     let results = results.lock().unwrap();
     for other in results.iter().skip(1) {
         assert_eq!(other, &results[0], "all threads agree on every id");
@@ -63,16 +61,15 @@ fn frame_interner_is_consistent_across_threads() {
 #[test]
 fn per_thread_generators_are_independent_streams() {
     let prefixes: Mutex<HashSet<Vec<u32>>> = Mutex::new(HashSet::new());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..8 {
             let prefixes = &prefixes;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let p: Vec<u32> = (0..8).map(|_| with_thread_rng(|r| r.next_u32())).collect();
                 prefixes.lock().unwrap().insert(p);
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(
         prefixes.lock().unwrap().len(),
         8,
@@ -111,12 +108,12 @@ fn sampling_unit_is_safe_under_concurrent_allocations() {
         .map(|i| ContextKey::new(frames.intern(&format!("mt{i}.c:1")), 0x40))
         .collect();
     let per_thread = 500u64;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..8u64 {
             let unit = &unit;
             let keys = &keys;
             let frames = &frames;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut rng = Arc4Random::from_seed(99, t);
                 for i in 0..per_thread {
                     let key = keys[((t + i) % keys.len() as u64) as usize];
@@ -133,8 +130,7 @@ fn sampling_unit_is_safe_under_concurrent_allocations() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(unit.distinct_contexts(), keys.len());
     assert_eq!(unit.total_allocations(), 8 * per_thread);
     for key in keys {

@@ -1,9 +1,9 @@
-//! End-to-end observability: a seeded overflow must come out the other
-//! side of the trap-report pipeline as a machine-readable JSONL record,
+//! End-to-end observability: a seeded overflow must come out as one
+//! overflow report and one machine-readable JSONL line,
 //! the metrics registry must snapshot the same run coherently, and the
 //! event trace must narrate it.
 
-use csod::core::{Csod, CsodConfig, TrapReport};
+use csod::core::{Csod, CsodConfig, DetectionMethod};
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
 use csod::heap::{HeapConfig, SimHeap};
 use csod::machine::{Machine, SiteToken, ThreadId};
@@ -44,7 +44,20 @@ impl World {
             .free(&mut self.machine, &mut self.heap, ThreadId::MAIN, p)
             .unwrap();
     }
+
+    /// `ctx` as `file:line` strings, innermost frame first.
+    fn resolve(&self, ctx: &CallingContext) -> Vec<String> {
+        ctx.iter().map(|id| self.frames.resolve(id)).collect()
+    }
 }
+
+/// The two JSONL lines of `seeded_overflow_lands_in_the_jsonl_trap_report`
+/// (the watchpoint trap, then the exit-time canary scan). Crash-report
+/// backends parse these lines, so the wire format is pinned byte for byte.
+const SEEDED_OVERFLOW_JSONL: [&str; 2] = [
+    r#"{"method":"watchpoint","kind":"write","thread":0,"ctx_id":0,"object_start":"0x7f0000000020","access_addr":"0x7f0000000050","requested_size":44,"offset_past_end":4,"object_age_ns":2151,"at_ns":4726,"alloc_context":["request_buffer.c:55","request.c:210","main.c:1"],"overflow_site":["memcpy.S:81","handler.c:44","main.c:1"]}"#,
+    r#"{"method":"canary_exit","kind":"write","thread":0,"ctx_id":0,"object_start":"0x7f0000000020","access_addr":"0x7f0000000050","requested_size":44,"offset_past_end":4,"object_age_ns":2157,"at_ns":4732,"alloc_context":["request_buffer.c:55","request.c:210","main.c:1"],"overflow_site":[]}"#,
+];
 
 #[test]
 fn seeded_overflow_lands_in_the_jsonl_trap_report() {
@@ -75,35 +88,31 @@ fn seeded_overflow_lands_in_the_jsonl_trap_report() {
     w.csod.poll(&mut w.machine);
     w.csod.finish(&mut w.machine);
 
-    // The structured records are stored in memory: the watchpoint trap,
-    // plus the exit-time canary scan independently finding the same
-    // corruption on the never-freed object.
-    let reports = w.csod.trap_reports();
+    // The reports are stored in memory: the watchpoint trap, plus the
+    // exit-time canary scan independently finding the same corruption
+    // on the never-freed object.
+    let reports = w.csod.reports();
     assert_eq!(reports.len(), 2);
-    assert_eq!(TrapReport::method_tag(reports[1].method), "canary_exit");
+    assert_eq!(reports[1].method, DetectionMethod::CanaryAtExit);
     let report = &reports[0];
-    assert_eq!(report.offset_past_end, 4);
+    assert_eq!(report.offset_past_end(), 4);
     assert_eq!(report.requested_size, 44);
     assert_eq!(
-        report.alloc_context,
+        w.resolve(&report.alloc_context),
         vec!["request_buffer.c:55", "request.c:210", "main.c:1"]
     );
-    assert_eq!(report.overflow_site[0], "memcpy.S:81");
+    assert_eq!(
+        w.resolve(report.overflow_site.as_ref().unwrap())[0],
+        "memcpy.S:81"
+    );
 
-    // ...and the JSONL sink carries the same record, self-contained.
+    // ...and the JSONL file carries the same records, self-contained.
     let saved = std::fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = saved.lines().collect();
-    assert_eq!(lines.len(), 2, "one JSON line per detection");
-    let line = lines[0];
-    assert!(line.contains("\"method\":\"watchpoint\""));
-    assert!(line.contains("\"kind\":\"write\""));
-    assert!(line.contains("\"offset_past_end\":4"));
-    assert!(line.contains("\"requested_size\":44"));
-    assert!(line.contains(
-        "\"alloc_context\":[\"request_buffer.c:55\",\"request.c:210\",\"main.c:1\"]"
-    ));
-    assert!(line.contains("\"overflow_site\":[\"memcpy.S:81\",\"handler.c:44\",\"main.c:1\"]"));
-    assert_eq!(line, reports[0].to_json_line());
+    assert_eq!(lines, SEEDED_OVERFLOW_JSONL, "one JSON line per detection");
+    for (line, report) in lines.iter().zip(reports) {
+        assert_eq!(*line, report.to_json_line(&w.frames));
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -129,11 +138,11 @@ fn canary_detections_flow_through_the_same_pipeline() {
     w.csod.poll(&mut w.machine);
     w.free(p);
 
-    let report = w.csod.trap_reports().last().expect("canary report");
-    assert_eq!(TrapReport::method_tag(report.method), "canary_free");
-    assert_eq!(report.offset_past_end, 0, "canary word sits at the end");
-    assert_eq!(report.alloc_context[0], "victim.c:7");
-    assert!(report.overflow_site.is_empty(), "canaries cannot know the site");
+    let report = w.csod.reports().last().expect("canary report");
+    assert_eq!(report.method.tag(), "canary_free");
+    assert_eq!(report.offset_past_end(), 0, "canary word sits at the end");
+    assert_eq!(w.resolve(&report.alloc_context)[0], "victim.c:7");
+    assert!(report.overflow_site.is_none(), "canaries cannot know the site");
 }
 
 #[test]
@@ -155,7 +164,7 @@ fn metrics_snapshot_agrees_with_stats_in_both_formats() {
     assert_eq!(registry.counter("csod_frees_total"), Some(200));
     assert_eq!(
         registry.counter("csod_trap_reports_total"),
-        Some(w.csod.trap_reports().len() as u64)
+        Some(w.csod.reports().len() as u64)
     );
     assert_eq!(registry.gauge("csod_distinct_contexts"), Some(8.0));
 

@@ -33,7 +33,7 @@ use csod_bench::{best_of, BenchArgs, Metrics, REGRESSION_FACTOR};
 use csod_fleet::{ingest_parallel, ingest_serial, FleetStore, IngestOptions, SamplingBudget};
 use csod_persist::{RecordKind, Wal, WalRecord};
 use csod_rng::Arc4Random;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 use workloads::{run_fleet_round, FleetRoundConfig};
 
@@ -96,7 +96,7 @@ fn write_fleet(dir: &PathBuf) -> Vec<PathBuf> {
 
 /// `(serial_ms, parallel_ms, records)` for one durable ingest pair over
 /// the same WAL fleet, evidence-equality asserted.
-fn merge_pair(paths: &[PathBuf], dir: &PathBuf, durable: bool) -> (f64, f64, u64) {
+fn merge_pair(paths: &[PathBuf], dir: &Path, durable: bool) -> (f64, f64, u64) {
     let mut best_serial = f64::INFINITY;
     let mut best_parallel = f64::INFINITY;
     let mut records = 0;

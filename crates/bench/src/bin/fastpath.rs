@@ -115,7 +115,7 @@ fn contended_ns(refresh: u32) -> f64 {
                 for i in 0..CONTENDED_OPS {
                     let (key, ctx) = &sites[(i + t) % HOT_CONTEXTS];
                     let d = cache.on_allocation(
-                        &unit,
+                        unit,
                         *key,
                         VirtInstant::BOOT,
                         &mut rng,

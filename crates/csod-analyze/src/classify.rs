@@ -25,7 +25,7 @@
 //! earlier revisions. At `k > 0` two refinements engage: conclusive
 //! **function summaries** answer for every context reaching an access
 //! through the same innermost frame (see
-//! [`SummaryTable`](crate::summaries::SummaryTable)), and a widened
+//! [`SummaryTable`]), and a widened
 //! per-context summary gets one **narrowing** iteration that restores
 //! the exact observed hull — so a context is Unknown only if its own
 //! access stream defeated summarization, not because unrelated

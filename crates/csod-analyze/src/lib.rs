@@ -16,7 +16,7 @@
 //! | Stage | Module |
 //! |---|---|
 //! | Trace → per-thread statement IR | [`ir`] |
-//! | Basic blocks + spawn edges | [`cfg`] |
+//! | Basic blocks + spawn edges | [`cfg`](mod@cfg) |
 //! | Call graph over call/return/spawn edges | [`callgraph`] |
 //! | k-limited call-string assignment | [`callstring`] |
 //! | Pointer-slot escape analysis | [`escape`] |

@@ -3,7 +3,7 @@
 //! [`RiskReport`] is the analyzer's output artifact: one verdict per
 //! **(allocation site, call string)** plus the safe-segment
 //! certificates, addressed by the same `|`-joined frame signature the
-//! runtime's [`EvidenceStore`](csod_core::EvidenceStore) uses, so
+//! runtime's [`EvidenceStore`] uses, so
 //! reports survive process restarts and site-index reshuffles. The
 //! [`RiskReport::to_priors`] bridge turns a report into the
 //! [`AnalysisPriors`] table [`CsodConfig`](csod_core::CsodConfig)

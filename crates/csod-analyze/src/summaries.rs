@@ -4,7 +4,7 @@
 //! Ambiguously-bound accesses cannot be compared exactly; the
 //! classifier folds every end offset such a statement produces into an
 //! [`AccessSummary`] — joining exactly for the first
-//! [`WIDEN_AFTER`](crate::classify::WIDEN_AFTER) occurrences, widening
+//! [`WIDEN_AFTER`] occurrences, widening
 //! after that so access-dense traces summarize in constant space. Each
 //! summary also carries the *exact observed hull* (running min/max —
 //! still constant space), which one narrowing iteration

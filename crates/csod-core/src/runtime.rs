@@ -320,7 +320,7 @@ impl Csod {
     }
 
     /// [`Csod::new`], except startup recovery consumes a
-    /// [`RecoveredState`] that was already read — typically through the
+    /// [`RecoveredState`](csod_persist::RecoveredState) that was already read — typically through the
     /// fleet ingest pipeline's batched recovery, which reads every
     /// process's WAL once through parallel fan-out instead of each
     /// runtime re-opening its own file. The per-process read syscalls

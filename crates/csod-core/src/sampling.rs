@@ -571,8 +571,12 @@ impl SamplingUnit {
     }
 
     /// Number of distinct contexts observed (Table III/IV "CC" column).
+    ///
+    /// Ids are dense, one per inserted entry, and entries are never
+    /// removed, so the id counter is the table's size without locking
+    /// every stripe.
     pub fn distinct_contexts(&self) -> usize {
-        self.table.len()
+        self.next_id.load(Ordering::Relaxed) as usize
     }
 
     /// Snapshot of all context states for end-of-run reporting.
@@ -641,6 +645,28 @@ mod tests {
         assert_eq!(a.ctx_id, CtxId(0));
         assert_eq!(b.ctx_id, CtxId(1));
         assert_eq!(u.distinct_contexts(), 2);
+    }
+
+    #[test]
+    fn distinct_contexts_counts_entries_after_concurrent_first_sights() {
+        let frames = FrameTable::new();
+        let u = unit();
+        let keys: Vec<ContextKey> = (0..24).map(|i| key(&frames, &format!("k{i}"))).collect();
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (u, keys, frames) = (&u, &keys, &frames);
+                scope.spawn(move || {
+                    let mut rng = Arc4Random::from_seed(7, t as u64);
+                    // Overlapping windows: most keys are first-sighted
+                    // by two or three threads racing for them.
+                    for &k in &keys[t * 4..t * 4 + 12] {
+                        alloc(u, k, VirtInstant::BOOT, &mut rng, frames);
+                    }
+                });
+            }
+        });
+        assert_eq!(u.table.len(), 24);
+        assert_eq!(u.distinct_contexts(), u.table.len());
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl WatchpointManager {
     /// Creates a manager for hypothetical hardware with `slots` debug
     /// registers (the register-count ablation); the machine must be
     /// built with at least as many via
-    /// [`Machine::with_debug_registers`].
+    /// [`Machine::with_debug_registers`](sim_machine::Machine::with_debug_registers).
     ///
     /// # Panics
     ///
@@ -559,7 +559,7 @@ impl WatchpointManager {
     }
 
     /// Forgets descriptors pinned to an exited thread (the kernel closes
-    /// them with the thread; see [`Machine::exit_thread`]).
+    /// them with the thread; see [`Machine::exit_thread`](sim_machine::Machine::exit_thread)).
     pub fn forget_thread(&mut self, tid: ThreadId) {
         let fd_index = &mut self.fd_index;
         for slot in self.slots.iter_mut().flatten() {
@@ -710,7 +710,7 @@ mod tests {
             object_start: base + n * 64,
             canary_addr: base + n * 64 + 56,
             key: ContextKey::new(frames.intern(&format!("site{n}")), 0),
-            ctx_id: CtxId::from_index(n as u32),
+            ctx_id: CtxId::from_index(u32::try_from(n).expect("small test index")),
             probability_ppm: prob,
         }
     }

@@ -9,9 +9,15 @@
 //! Region backing is demand-paged in 64 KiB chunks: mapping a 256 MiB
 //! heap costs nothing until pages are touched, exactly like anonymous
 //! `mmap` memory. Untouched chunks read as zeroes.
+//!
+//! Translation is built for the common case of a handful of regions
+//! (a run maps exactly one, the heap arena): the regions sit in a
+//! vector sorted by base, so a lookup is one binary search plus a
+//! bounds check, and an access that lies inside one chunk — every
+//! allocator header, canary word and trace access — indexes that chunk
+//! directly instead of going through the piece-splitting loop.
 
 use crate::addr::{AddrRange, VirtAddr};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Size of one lazily-allocated backing chunk.
@@ -84,7 +90,16 @@ impl Region {
         }
     }
 
-    /// Runs `f` over the chunk-relative pieces of `[offset, offset+len)`.
+    /// Returns the chunk number and in-chunk start of `[offset,
+    /// offset+len)` when the range lies inside one chunk.
+    #[inline]
+    fn single_chunk(offset: u64, len: u64) -> Option<(usize, usize)> {
+        let start = offset % CHUNK;
+        (len <= CHUNK - start).then_some(((offset / CHUNK) as usize, start as usize))
+    }
+
+    /// Runs `f` over the chunk-relative pieces of `[offset, offset+len)`;
+    /// the slow path for ranges that straddle a chunk boundary.
     fn for_pieces(
         offset: u64,
         len: u64,
@@ -101,7 +116,15 @@ impl Region {
         }
     }
 
+    #[inline]
     fn read(&self, offset: u64, buf: &mut [u8]) {
+        if let Some((chunk, start)) = Region::single_chunk(offset, buf.len() as u64) {
+            match &self.chunks[chunk] {
+                Some(bytes) => buf.copy_from_slice(&bytes[start..start + buf.len()]),
+                None => buf.fill(0),
+            }
+            return;
+        }
         Region::for_pieces(offset, buf.len() as u64, |chunk, start, take, progress| {
             match &self.chunks[chunk as usize] {
                 Some(bytes) => buf[progress..progress + take]
@@ -115,33 +138,55 @@ impl Region {
     fn chunk_mut<'a>(
         chunks: &'a mut [Option<Box<[u8]>>],
         resident: &mut u64,
-        chunk: u64,
+        chunk: usize,
     ) -> &'a mut [u8] {
-        let slot = &mut chunks[chunk as usize];
-        if slot.is_none() {
-            *slot = Some(vec![0u8; CHUNK as usize].into_boxed_slice());
-            *resident += CHUNK;
+        let slot = &mut chunks[chunk];
+        match slot {
+            Some(bytes) => bytes,
+            None => Region::populate(slot, resident),
         }
-        slot.as_deref_mut().expect("just allocated")
     }
 
+    /// Backs an untouched chunk with zeroed memory.
+    #[cold]
+    #[inline(never)]
+    fn populate<'a>(slot: &'a mut Option<Box<[u8]>>, resident: &mut u64) -> &'a mut [u8] {
+        *resident += CHUNK;
+        slot.insert(vec![0u8; CHUNK as usize].into_boxed_slice())
+    }
+
+    #[inline]
     fn write(&mut self, offset: u64, data: &[u8]) {
+        if let Some((chunk, start)) = Region::single_chunk(offset, data.len() as u64) {
+            Region::chunk_mut(&mut self.chunks, &mut self.resident, chunk)
+                [start..start + data.len()]
+                .copy_from_slice(data);
+            return;
+        }
         let chunks = &mut self.chunks;
         let resident = &mut self.resident;
         Region::for_pieces(offset, data.len() as u64, |chunk, start, take, progress| {
-            Region::chunk_mut(chunks, resident, chunk)[start..start + take]
+            Region::chunk_mut(chunks, resident, chunk as usize)[start..start + take]
                 .copy_from_slice(&data[progress..progress + take]);
         });
     }
 
     fn fill(&mut self, offset: u64, len: u64, byte: u8) {
+        if let Some((chunk, start)) = Region::single_chunk(offset, len) {
+            if byte != 0 || self.chunks[chunk].is_some() {
+                Region::chunk_mut(&mut self.chunks, &mut self.resident, chunk)
+                    [start..start + len as usize]
+                    .fill(byte);
+            }
+            return;
+        }
         let chunks = &mut self.chunks;
         let resident = &mut self.resident;
         Region::for_pieces(offset, len, |chunk, start, take, _| {
             if byte == 0 && chunks[chunk as usize].is_none() {
                 return; // untouched chunks are already zero
             }
-            Region::chunk_mut(chunks, resident, chunk)[start..start + take].fill(byte);
+            Region::chunk_mut(chunks, resident, chunk as usize)[start..start + take].fill(byte);
         });
     }
 
@@ -170,8 +215,8 @@ impl Region {
 /// ```
 #[derive(Debug, Default)]
 pub struct AddressSpace {
-    /// Regions keyed by their base address.
-    regions: BTreeMap<u64, Region>,
+    /// Non-overlapping regions, sorted by base address.
+    regions: Vec<Region>,
 }
 
 impl AddressSpace {
@@ -204,14 +249,21 @@ impl AddressSpace {
                 existing: existing.name.clone(),
             });
         }
-        self.regions.insert(base.as_u64(), Region::new(range, name));
+        let at = self.regions.partition_point(|r| r.range.start() < base);
+        self.regions.insert(at, Region::new(range, name));
         Ok(())
     }
 
     /// Removes the region based exactly at `base`, returning whether a
     /// region was removed.
     pub fn unmap_region(&mut self, base: VirtAddr) -> bool {
-        self.regions.remove(&base.as_u64()).is_some()
+        match self.regions.binary_search_by_key(&base, |r| r.range.start()) {
+            Ok(at) => {
+                self.regions.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Returns `true` if every byte of `[addr, addr + len)` is mapped.
@@ -222,12 +274,12 @@ impl AddressSpace {
 
     /// Total mapped bytes across all regions (virtual size).
     pub fn mapped_bytes(&self) -> u64 {
-        self.regions.values().map(|r| r.range.len()).sum()
+        self.regions.iter().map(|r| r.range.len()).sum()
     }
 
     /// Total bytes actually backed by touched chunks (resident size).
     pub fn resident_bytes(&self) -> u64 {
-        self.regions.values().map(Region::resident_bytes).sum()
+        self.regions.iter().map(Region::resident_bytes).sum()
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -279,21 +331,11 @@ impl AddressSpace {
     /// Returns [`MemoryError::Unmapped`] if the eight bytes are not mapped.
     #[inline]
     pub fn load_u64(&self, addr: VirtAddr) -> Result<u64, MemoryError> {
+        // Not routed through `read_bytes`: with the length fixed at
+        // eight, the single-chunk copy compiles to one load.
         let region = self.region_or_fault(addr, 8)?;
-        let offset = addr - region.range.start();
-        let start = (offset % CHUNK) as usize;
-        if start <= CHUNK as usize - 8 {
-            // Word lies inside one chunk — the overwhelmingly common case
-            // (allocator headers and canaries are 8-byte aligned).
-            return Ok(match &region.chunks[(offset / CHUNK) as usize] {
-                Some(bytes) => {
-                    u64::from_le_bytes(bytes[start..start + 8].try_into().expect("8 bytes"))
-                }
-                None => 0,
-            });
-        }
         let mut buf = [0u8; 8];
-        region.read(offset, &mut buf);
+        region.read(addr - region.range.start(), &mut buf);
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -304,47 +346,36 @@ impl AddressSpace {
     /// Returns [`MemoryError::Unmapped`] if the eight bytes are not mapped.
     #[inline]
     pub fn store_u64(&mut self, addr: VirtAddr, value: u64) -> Result<(), MemoryError> {
+        // As in `load_u64`, the fixed length makes the copy one store.
         let region = self
             .region_containing_mut(addr, 8)
             .ok_or(MemoryError::Unmapped { addr, len: 8 })?;
-        let offset = addr - region.range.start();
-        let start = (offset % CHUNK) as usize;
-        if start <= CHUNK as usize - 8 {
-            let chunk = Region::chunk_mut(&mut region.chunks, &mut region.resident, offset / CHUNK);
-            chunk[start..start + 8].copy_from_slice(&value.to_le_bytes());
-            return Ok(());
-        }
-        region.write(offset, &value.to_le_bytes());
+        region.write(addr - region.range.start(), &value.to_le_bytes());
         Ok(())
     }
 
+    /// The lowest-based region sharing a byte with `range`.
     fn find_overlap(&self, range: &AddrRange) -> Option<&Region> {
-        self.regions
-            .range(..=range.end().as_u64())
-            .map(|(_, r)| r)
-            .find(|r| r.range.overlaps(range))
+        self.regions.iter().find(|r| r.range.overlaps(range))
+    }
+
+    /// Index of the region holding all of `[addr, addr + len)`.
+    #[inline]
+    fn index_containing(&self, addr: VirtAddr, len: u64) -> Option<usize> {
+        let end = addr.checked_add(len)?;
+        let at = self.regions.partition_point(|r| r.range.start() <= addr).checked_sub(1)?;
+        let range = &self.regions[at].range;
+        (range.contains(addr) && end <= range.end() && len > 0).then_some(at)
     }
 
     #[inline]
     fn region_containing(&self, addr: VirtAddr, len: u64) -> Option<&Region> {
-        let end = addr.checked_add(len)?;
-        let (_, region) = self.regions.range(..=addr.as_u64()).next_back()?;
-        if region.range.contains(addr) && end <= region.range.end() && len > 0 {
-            Some(region)
-        } else {
-            None
-        }
+        self.index_containing(addr, len).map(|at| &self.regions[at])
     }
 
     #[inline]
     fn region_containing_mut(&mut self, addr: VirtAddr, len: u64) -> Option<&mut Region> {
-        let end = addr.checked_add(len)?;
-        let (_, region) = self.regions.range_mut(..=addr.as_u64()).next_back()?;
-        if region.range.contains(addr) && end <= region.range.end() && len > 0 {
-            Some(region)
-        } else {
-            None
-        }
+        self.index_containing(addr, len).map(|at| &mut self.regions[at])
     }
 
     #[inline]
@@ -483,6 +514,48 @@ mod tests {
         assert!(mem.map_region(base - 10, 20, "below").is_err());
         // Adjacent mapping is fine.
         assert!(mem.map_region(base + 4096, 4096, "heap2").is_ok());
+    }
+
+    #[test]
+    fn overlap_names_the_lowest_based_region() {
+        let mut mem = AddressSpace::new();
+        let base = VirtAddr::new(0x10_0000);
+        // Mapped out of address order.
+        mem.map_region(base + 0x2000, 0x1000, "high").unwrap();
+        mem.map_region(base, 0x1000, "low").unwrap();
+        mem.map_region(base + 0x1000, 0x1000, "mid").unwrap();
+        for (at, len, named) in [
+            (base + 0x800, 0x2000, "low"),
+            (base + 0x1800, 0x1000, "mid"),
+            (base + 0x2fff, 0x10, "high"),
+            (base - 0x10, 0x10_000, "low"),
+        ] {
+            match mem.map_region(at, len, "new") {
+                Err(MemoryError::MappingOverlap { existing, .. }) => assert_eq!(existing, named),
+                other => panic!("mapping at {at} (len {len:#x}): {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unmapping_a_middle_region_keeps_its_neighbours() {
+        let mut mem = AddressSpace::new();
+        let base = VirtAddr::new(0x10_0000);
+        for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
+            let at = base + i as u64 * 0x1000;
+            mem.map_region(at, 0x1000, name).unwrap();
+            mem.store_u64(at, i as u64 + 1).unwrap();
+        }
+        assert!(mem.unmap_region(base + 0x1000));
+        assert!(!mem.unmap_region(base + 0x1008), "unmap needs the exact base");
+        assert_eq!(mem.load_u64(base).unwrap(), 1);
+        assert_eq!(mem.load_u64(base + 0x2000).unwrap(), 3);
+        assert_eq!(mem.load_u64(base + 0xff8).unwrap(), 0, "last word of `a`");
+        assert!(mem.load_u64(base + 0x1000).is_err());
+        assert!(mem.load_u64(base + 0xffc).is_err(), "spills into the hole");
+        assert_eq!(mem.mapped_bytes(), 0x2000);
+        mem.map_region(base + 0x1000, 0x1000, "b2").unwrap();
+        assert_eq!(mem.load_u64(base + 0x1000).unwrap(), 0, "a fresh mapping is zeroed");
     }
 
     #[test]

@@ -34,8 +34,8 @@ const MIN_TRACES_PER_WORKER: usize = 2;
 /// registry, in parallel — the scaling path for the benchmark and
 /// effectiveness suites.
 ///
-/// Small batches fall back to a serial in-line loop (see
-/// [`MIN_TRACES_PER_WORKER`]); larger ones claim a few traces per
+/// Small batches fall back to a serial in-line loop (each worker needs
+/// at least two traces); larger ones claim a few traces per
 /// counter increment so the steal overhead amortises without starving
 /// the tail.
 pub fn run_traces_parallel(

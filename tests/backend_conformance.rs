@@ -13,6 +13,9 @@
 //!    `RunOutcome` debug representation for every buggy app under the
 //!    default CSOD configuration, captured on the commit *before* the
 //!    `Backend` trait existed, and must still be reproduced exactly.
+//!    The Figure-7 goldens pin the nineteen performance apps the same
+//!    way; they exercise the allocation, canary and memory paths that
+//!    the buggy apps barely touch.
 
 use std::sync::Arc;
 
@@ -22,7 +25,7 @@ use csod::core::{
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
 use csod::heap::{HeapConfig, SimHeap};
 use csod::machine::{Fd, Machine, ThreadId, VirtAddr};
-use workloads::{BuggyApp, RunOutcome, ToolSpec, TraceRunner};
+use workloads::{BuggyApp, PerfApp, RunOutcome, ToolSpec, TraceRunner};
 
 // ----- parity: the refactor changed nothing ---------------------------------------
 
@@ -65,6 +68,55 @@ const TRACE_NEUTRAL_GOLDENS: &[(&str, u64)] = &[
     ("Zziplib-0.13.62", 0x5e394eed0c82ef47),
 ];
 
+/// `RunOutcome` digests of the nineteen Figure-7 apps (`PerfApp::run`,
+/// seed 0xC50D, default `CsodConfig`), captured before the address
+/// space's region table and single-chunk paths were rewritten.
+const FIG7_GOLDENS: &[(&str, u64)] = &[
+    ("Blackscholes", 0x1fc917739f26e96d),
+    ("Bodytrack", 0x881ab6e05635ffdc),
+    ("Canneal", 0x0f1d141a8c615521),
+    ("Dedup", 0x8b1e684cc463fcdb),
+    ("Facesim", 0x7b976156f9954b34),
+    ("Ferret", 0xd9ef9a1648dd435d),
+    ("Fluidanimate", 0xfaace2babf1ad00d),
+    ("Freqmine", 0xd4994422e76c05f3),
+    ("Raytrace", 0x004ff610c4663e22),
+    ("Streamcluster", 0xa93644ba2f474c40),
+    ("Swaptions", 0x2cb0ff0c0c6aca5b),
+    ("Vips", 0xae34af03cad26292),
+    ("X264", 0x66f38f880cd36ce7),
+    ("Aget", 0x10b9a57405454e1e),
+    ("Apache", 0x4e1b3bed2cc5f63e),
+    ("Memcached", 0x08a0b0ee1feb2687),
+    ("Mysql", 0x61f1bc22076b589e),
+    ("Pbzip2", 0x8b96f192ffa56a5c),
+    ("Pfscan", 0x2d41eca84324d3bc),
+];
+
+/// The same Figure-7 runs with the three trace fields cleared, as in
+/// `TRACE_NEUTRAL_GOLDENS`.
+const FIG7_TRACE_NEUTRAL_GOLDENS: &[(&str, u64)] = &[
+    ("Blackscholes", 0x564d2c34b21e5dd7),
+    ("Bodytrack", 0xb229028fd59187e2),
+    ("Canneal", 0x9824131e47ebf521),
+    ("Dedup", 0xc4b1d013ba8064de),
+    ("Facesim", 0x73a9f989f8cb367f),
+    ("Ferret", 0x5709247e8b909866),
+    ("Fluidanimate", 0xd76f7d318928aa74),
+    ("Freqmine", 0x129e7a2222c225ed),
+    ("Raytrace", 0xd1efa5d759d05f5a),
+    ("Streamcluster", 0x652598a357603f86),
+    ("Swaptions", 0xb2eb7a4ae0222d03),
+    ("Vips", 0x3f07af32c57d8737),
+    ("X264", 0x16f55aaa0e673ade),
+    ("Aget", 0xb03985b72cafb157),
+    ("Apache", 0x0783c7bf6690e656),
+    ("Memcached", 0x820f5af9ea9ef09d),
+    ("Mysql", 0x47cb23e5c380c5f4),
+    ("Pbzip2", 0xf25a3cf582636543),
+    ("Pfscan", 0x02e0c15ba834d0e1),
+];
+
 fn golden(table: &[(&str, u64)], app: &str) -> u64 {
     table
         .iter()
@@ -77,7 +129,7 @@ fn assert_digest(outcome: &RunOutcome, expected: u64, what: &str) {
     let digest = fnv1a(format!("{outcome:?}").as_bytes());
     assert_eq!(
         digest, expected,
-        "{what}: RunOutcome diverged from pre-Backend-trait behavior \
+        "{what}: RunOutcome diverged from its pinned golden \
          (got {digest:#018x}, pinned {expected:#018x})"
     );
 }
@@ -89,32 +141,42 @@ fn assert_digest(outcome: &RunOutcome, expected: u64, what: &str) {
 /// in every build. A `trace-off` build must also report no trace
 /// activity at all.
 fn assert_parity(mode: &str, check: impl Fn(&str, &RunOutcome)) {
-    let trace_off = cfg!(feature = "trace-off");
     for app in BuggyApp::all() {
         let registry = app.registry();
         let trace = app.trace(0xC50D);
-        let mut outcome =
+        let outcome =
             TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::default())).run(trace);
         check(app.name, &outcome);
         let what = format!("{} ({mode} replay)", app.name);
-        if trace_off {
-            assert_eq!(
-                (
-                    outcome.trace_events,
-                    outcome.trace_dropped,
-                    outcome.trace_counts.len()
-                ),
-                (0, 0, 0),
-                "{what}: trace-off must record no trace events"
-            );
-        } else {
-            assert_digest(&outcome, golden(PRE_REFACTOR_GOLDENS, app.name), &what);
-        }
-        outcome.trace_events = 0;
-        outcome.trace_dropped = 0;
-        outcome.trace_counts.clear();
-        assert_digest(&outcome, golden(TRACE_NEUTRAL_GOLDENS, app.name), &what);
+        assert_goldens(
+            outcome,
+            golden(PRE_REFACTOR_GOLDENS, app.name),
+            golden(TRACE_NEUTRAL_GOLDENS, app.name),
+            &what,
+        );
     }
+}
+
+/// Checks one outcome against its full golden (tracer compiled in) and
+/// its trace-neutral golden (every build).
+fn assert_goldens(mut outcome: RunOutcome, full: u64, trace_neutral: u64, what: &str) {
+    if cfg!(feature = "trace-off") {
+        assert_eq!(
+            (
+                outcome.trace_events,
+                outcome.trace_dropped,
+                outcome.trace_counts.len()
+            ),
+            (0, 0, 0),
+            "{what}: trace-off must record no trace events"
+        );
+    } else {
+        assert_digest(&outcome, full, what);
+    }
+    outcome.trace_events = 0;
+    outcome.trace_dropped = 0;
+    outcome.trace_counts.clear();
+    assert_digest(&outcome, trace_neutral, what);
 }
 
 /// The default runner used to replay through the trace cache; with the
@@ -138,6 +200,21 @@ fn parity_with_pre_refactor_goldens_cached_replay() {
 #[test]
 fn parity_with_pre_refactor_goldens_interpreted_replay() {
     assert_parity("interpreted", |_, _| {});
+}
+
+/// Every Figure-7 app reproduces its pinned outcome bit for bit.
+#[test]
+fn parity_with_fig7_goldens() {
+    for app in PerfApp::all() {
+        let registry = app.registry();
+        let outcome = app.run(&registry, ToolSpec::Csod(CsodConfig::default()), 0xC50D);
+        assert_goldens(
+            outcome,
+            golden(FIG7_GOLDENS, app.name),
+            golden(FIG7_TRACE_NEUTRAL_GOLDENS, app.name),
+            app.name,
+        );
+    }
 }
 
 // ----- conformance: the Backend contract, generically ------------------------------

@@ -4,11 +4,13 @@
 //! execution, if missed in the first." For each of the six over-write
 //! applications, the harness hunts for first executions whose watchpoints
 //! miss the bug, verifies the canary evidence catches it anyway, persists
-//! the evidence file, and checks that a second execution detects the
-//! overflow with a watchpoint every time.
+//! it in the WAL, and checks that a second execution detects the
+//! overflow with a watchpoint every time. The second execution runs with
+//! mitigation off: a hardened context would absorb the overflow in slack,
+//! and the paper's second run only pins.
 
 use csod_bench::{header, row, runs_arg};
-use csod_core::CsodConfig;
+use csod_core::{CsodConfig, MitigationParams};
 use workloads::{BuggyApp, OverflowKind, ToolSpec, TraceRunner};
 
 fn main() {
@@ -40,10 +42,10 @@ fn main() {
         let mut first_evidence = 0u32;
         let mut second_detected = 0u32;
         for seed in 0..attempts as u64 {
-            let path = dir.join(format!("{}-{seed}.evidence", app.name));
+            let path = dir.join(format!("{}-{seed}.wal", app.name));
             let _ = std::fs::remove_file(&path);
             let mut config = CsodConfig::with_seed(seed);
-            config.evidence_path = Some(path.clone());
+            config.persist_path = Some(path.clone());
             let first =
                 TraceRunner::new(&registry, ToolSpec::Csod(config.clone())).run(trace.iter().copied());
             if first.watchpoint_detected {
@@ -54,9 +56,10 @@ fn main() {
             if first.evidence_detected {
                 first_evidence += 1;
             }
-            // Second execution, same evidence file, fresh seed.
+            // Second execution, same WAL, fresh seed, pin-only.
             let mut config2 = CsodConfig::with_seed(seed ^ 0xFFFF);
-            config2.evidence_path = Some(path.clone());
+            config2.persist_path = Some(path.clone());
+            config2.mitigation = MitigationParams::disabled();
             let second =
                 TraceRunner::new(&registry, ToolSpec::Csod(config2)).run(trace.iter().copied());
             if second.watchpoint_detected {

@@ -2,8 +2,9 @@
 //!
 //! [`RiskReport`] is the analyzer's output artifact: one verdict per
 //! **(allocation site, call string)** plus the safe-segment
-//! certificates, addressed by the same `|`-joined frame signature the
-//! runtime's [`EvidenceStore`] uses, so
+//! certificates, addressed by the same `|`-joined frame signature
+//! ([`CallingContext::signature`](csod_ctx::CallingContext::signature))
+//! the runtime's durability WAL keys records by, so
 //! reports survive process restarts and site-index reshuffles. The
 //! [`RiskReport::to_priors`] bridge turns a report into the
 //! [`AnalysisPriors`] table [`CsodConfig`](csod_core::CsodConfig)
@@ -30,7 +31,7 @@
 use crate::callstring::CtxAssignment;
 use crate::certify::Certificate;
 use crate::classify::{rank, CtxOutcome};
-use csod_core::{AnalysisPriors, EvidenceStore, RiskClass};
+use csod_core::{AnalysisPriors, RiskClass};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -114,8 +115,7 @@ impl RiskReport {
         k: usize,
     ) -> RiskReport {
         let frames = registry.frames();
-        let signature_of =
-            |site: usize| EvidenceStore::signature(&registry.alloc_site(site).context, frames);
+        let signature_of = |site: usize| registry.alloc_site(site).context.signature(frames);
         let verdicts = outcomes
             .into_iter()
             .map(|o| SiteVerdict {
@@ -296,7 +296,7 @@ impl RiskReport {
         let resolve = |signature: &str| {
             registry
                 .alloc_sites()
-                .find(|site| EvidenceStore::signature(&site.context, frames) == signature)
+                .find(|site| site.context.signature(frames) == signature)
                 .map(|site| site.index)
         };
         let mut verdicts = Vec::new();

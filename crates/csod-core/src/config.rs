@@ -487,17 +487,15 @@ pub struct CsodConfig {
     pub watch_age_decay: VirtDuration,
     /// Seed for the per-thread sampling generators.
     pub seed: u64,
-    /// Where to persist contexts with observed overflow evidence so the
-    /// next execution watches them from the start (Section IV-B).
-    /// `None` keeps the evidence in memory only.
-    pub evidence_path: Option<PathBuf>,
     /// Crash-safe write-ahead log of context records (canary evidence,
-    /// trap signatures, mitigation confirmations). Unlike
-    /// `evidence_path` — written once at a *clean* exit — the WAL is
-    /// appended *before* each report is sinked, so a process killed by
+    /// trap signatures, mitigation confirmations): the persisted
+    /// evidence of Section IV-B, so the next execution watches every
+    /// known-overflowing context from the start. Each record is
+    /// appended *before* its report is sinked, so a process killed by
     /// its own overflow still leaves the boost behind for the second
     /// execution. Recovered records seed the sampler and the mitigation
-    /// policy at startup. `None` disables durability.
+    /// policy at startup; with [`MitigationParams::disabled`] they only
+    /// pin. `None` keeps the evidence in memory only.
     pub persist_path: Option<PathBuf>,
     /// Closed-loop hardening of confirmed-overflowing contexts.
     pub mitigation: MitigationParams,
@@ -557,7 +555,6 @@ impl Default for CsodConfig {
             degradation: DegradationParams::default(),
             watch_age_decay: VirtDuration::from_secs(10),
             seed: 0xC50D,
-            evidence_path: None,
             persist_path: None,
             mitigation: MitigationParams::default(),
             trace: TraceParams::default(),

@@ -21,7 +21,7 @@
 //! | Watchpoint Management | [`WatchpointManager`], [`ReplacementPolicy`] |
 //! | Signal Handling | [`Csod::poll`], [`OverflowReport`] |
 //! | Canary Management | [`CanaryUnit`], [`ObjectLayout`] |
-//! | Termination Handling | [`Csod::finish`], [`EvidenceStore`] |
+//! | Termination Handling | [`Csod::finish`], [`csod_persist::Wal`] |
 //!
 //! See the crate-level example on [`Csod`] for an end-to-end detection.
 
@@ -38,7 +38,6 @@ mod canary;
 mod config;
 mod decision_cache;
 mod degradation;
-mod evidence;
 mod mitigation;
 mod policy;
 mod report;
@@ -59,7 +58,6 @@ pub use decision_cache::{DecisionCache, DecisionCacheStats};
 pub use degradation::{
     DegradationManager, DegradationParams, DegradationStats, DetectionMode, FailureVerdict,
 };
-pub use evidence::EvidenceStore;
 pub use mitigation::MitigationPolicy;
 pub use policy::{ParsePolicyError, ReplacementPolicy};
 pub use report::{DetectionMethod, OverflowReport};

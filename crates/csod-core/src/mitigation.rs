@@ -12,6 +12,10 @@
 //! unconfirmed context keeps the untouched fast paths; the per-thread
 //! decision caches memoize the verdict and the sampler's epoch
 //! mechanism invalidates them when a context is confirmed mid-run.
+//!
+//! The confirmed set is the runtime's one overflow ledger: it also pins
+//! every confirmed context at 100 %, whether or not mitigation is
+//! enabled.
 
 use crate::config::MitigationParams;
 use sim_machine::VirtAddr;

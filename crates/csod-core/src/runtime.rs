@@ -11,7 +11,6 @@ use crate::canary::{CanaryStatus, CanaryUnit, ObjectLayout, HEADER_SIZE};
 use crate::config::{CsodConfig, RiskClass};
 use crate::decision_cache::{DecisionCache, DecisionCacheStats};
 use crate::degradation::{DegradationManager, DegradationStats, DetectionMode};
-use crate::evidence::EvidenceStore;
 use crate::mitigation::MitigationPolicy;
 use crate::report::{DetectionMethod, OverflowReport};
 use crate::sampling::{ContextJudgment, CtxId, SamplingUnit};
@@ -253,9 +252,10 @@ pub struct Csod {
     watchpoints: WatchpointManager,
     degradation: DegradationManager,
     canary: CanaryUnit,
-    evidence: EvidenceStore,
-    /// The closed-loop mitigation ledger: confirmed-overflowing contexts
-    /// and the free-quarantine of their hardened objects.
+    /// The one overflow ledger: confirmed-overflowing contexts (seeded
+    /// from WAL recovery, grown by each detection) and the
+    /// free-quarantine of their hardened objects. A confirmed context
+    /// starts pinned at 100 %; it is hardened only if mitigation is on.
     mitigation: MitigationPolicy,
     /// The durability write-ahead log. Confirmed-context boosts are
     /// appended here *before* their report reaches any sink, so a crash
@@ -303,8 +303,8 @@ pub struct Csod {
 }
 
 impl Csod {
-    /// Creates a runtime. If [`CsodConfig::evidence_path`] is set, the
-    /// evidence of previous executions is loaded so known-overflowing
+    /// Creates a runtime. If [`CsodConfig::persist_path`] is set, the
+    /// WAL of previous executions is recovered so known-overflowing
     /// contexts start pinned at 100 %.
     ///
     /// # Panics
@@ -353,23 +353,17 @@ impl Csod {
             config.sampling.initial_ppm <= csod_rng::PPM_SCALE,
             "initial probability exceeds 100%"
         );
-        let mut evidence = config
-            .evidence_path
-            .as_deref()
-            .map(|p| EvidenceStore::load(p).unwrap_or_default())
-            .unwrap_or_default();
-        // Crash-safe durability: recover the WAL before anything can
-        // consult the evidence store. Every record that survives the
-        // scan — canary evidence, trap signature, or already-mitigated
-        // context — seeds both the evidence store (the context starts
-        // pinned at 100 %) and the mitigation policy (its allocations
-        // start hardened). Corrupt regions are counted and skipped; a
-        // hostile or torn log can lose records but never crash start-up.
+        // Crash-safe durability: recover the WAL before any allocation
+        // is judged. Every record that survives the scan — canary
+        // evidence, trap signature, or already-mitigated context — is
+        // confirmed in the mitigation ledger: the context starts pinned
+        // at 100 % and, with mitigation on, its allocations start
+        // hardened. Corrupt regions are counted and skipped; a hostile
+        // or torn log can lose records but never crash start-up.
         let mut mitigation = MitigationPolicy::new(config.mitigation);
         let (wal_records_recovered, wal_records_skipped_corrupt) = match &recovered {
             Some(state) => {
                 for rec in &state.records {
-                    evidence.merge_signature(rec.signature.clone());
                     mitigation.confirm(&rec.signature);
                 }
                 (state.recovered, state.skipped_corrupt)
@@ -402,7 +396,6 @@ impl Csod {
             watchpoints,
             degradation: DegradationManager::new(config.degradation, config.watchpoint_slots),
             canary,
-            evidence,
             mitigation,
             wal,
             flushed_on_drop,
@@ -695,19 +688,18 @@ impl Csod {
             self.config.fast_path.decision_cache_refresh,
             tid,
         );
-        let evidence = &self.evidence;
         let mitigation = &self.mitigation;
         let frames = &self.frames;
         let decision = cache.on_allocation(&self.sampling, key, machine.now(), rng, ctx, |full| {
             // First sight of the context: one signature render answers
-            // both recovered-state questions — unless both ledgers are
-            // empty, when no signature can match and none is rendered.
-            if evidence.is_empty() && mitigation.confirmed_contexts() == 0 {
+            // both ledger questions — unless the ledger is empty, when no
+            // signature can match and none is rendered.
+            if mitigation.confirmed_contexts() == 0 {
                 return ContextJudgment::clear();
             }
             let signature = full.signature(frames);
             ContextJudgment {
-                known_overflow: evidence.contains_signature(&signature),
+                known_overflow: mitigation.is_confirmed(&signature),
                 mitigate: mitigation.should_mitigate(&signature),
             }
         });
@@ -1131,12 +1123,11 @@ impl Csod {
         self.reports.push(report);
     }
 
-    /// The closed loop on a confirmed detection: merges the context's
-    /// signature into the evidence store, confirms it with the
-    /// mitigation policy (marking the sampler so later allocations
-    /// harden, and bumping the decision-cache epoch), and appends the
-    /// boost to the durability WAL. Idempotent per context; the WAL is
-    /// written only on the first confirmation.
+    /// The closed loop on a confirmed detection: confirms the context's
+    /// signature with the mitigation policy (marking the sampler so later
+    /// allocations harden, and bumping the decision-cache epoch), and
+    /// appends the boost to the durability WAL. Idempotent per context;
+    /// the WAL is written only on the first confirmation.
     fn confirm_overflowing(
         &mut self,
         key: ContextKey,
@@ -1147,7 +1138,6 @@ impl Csod {
         if signature.is_empty() {
             return;
         }
-        self.evidence.merge_signature(signature.clone());
         if self.mitigation.confirm(&signature) {
             self.sampling.mark_mitigated(key);
             if let Some(wal) = &mut self.wal {
@@ -1219,7 +1209,7 @@ impl Csod {
 
     /// End of execution: flushes every thread's decision cache into the
     /// sampler, drains signals, sweeps all live canaries, removes every
-    /// watchpoint, and persists the evidence store. Idempotent.
+    /// watchpoint, and compacts the WAL. Idempotent.
     pub fn finish<B: Backend>(&mut self, machine: &mut B) {
         if self.finished {
             return;
@@ -1231,10 +1221,6 @@ impl Csod {
         self.poll(machine);
         self.sweep_canaries(machine);
         self.watchpoints.remove_all(machine);
-        if let Some(path) = self.config.evidence_path.as_deref() {
-            // Persisting evidence must never crash the host program.
-            let _ = self.evidence.save(path);
-        }
         if let Some(log) = &mut self.trap_log {
             log.flush();
         }
@@ -1325,11 +1311,6 @@ impl Csod {
     /// The sampling unit (read access for experiments).
     pub fn sampling(&self) -> &SamplingUnit {
         &self.sampling
-    }
-
-    /// The evidence store accumulated in this run.
-    pub fn evidence(&self) -> &EvidenceStore {
-        &self.evidence
     }
 
     /// The mitigation policy: confirmed-overflowing contexts and the
@@ -1639,12 +1620,13 @@ mod tests {
 
     #[test]
     fn evidence_pins_context_across_executions() {
+        use crate::config::MitigationParams;
         let dir = std::env::temp_dir().join("csod-runtime-evidence");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("evidence-{}.txt", std::process::id()));
+        let path = dir.join(format!("evidence-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let config = CsodConfig {
-            evidence_path: Some(path.clone()),
+            persist_path: Some(path.clone()),
             ..CsodConfig::default()
         };
 
@@ -1662,16 +1644,22 @@ mod tests {
         f1.csod.finish(&mut f1.machine);
         assert!(path.exists());
 
-        // Execution 2: the very first allocation from bug.c:7 starts at
-        // 100% and is watched immediately.
-        let mut f2 = fixture(config);
+        // Execution 2, pin-only (mitigation off): the very first
+        // allocation from bug.c:7 starts at 100% and is watched
+        // immediately, with the plain layout.
+        let mut f2 = fixture(CsodConfig {
+            mitigation: MitigationParams::disabled(),
+            ..config
+        });
         for i in 0..4 {
             let _ = malloc(&mut f2, &format!("filler.c:{i}"), 16);
         }
         let p2 = malloc(&mut f2, "bug.c:7", 16);
         let state = f2.csod.sampling().state(key(&f2.frames, "bug.c:7")).unwrap();
         assert!(state.pinned_certain, "evidence pre-pinned the context");
-        let _ = p2;
+        assert!(!state.mitigated, "pin-only: the context is not hardened");
+        let header = CanaryUnit::new(0).read_header(&f2.machine, p2).unwrap();
+        assert_eq!(header.object_size, 16, "plain layout");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1701,8 +1689,8 @@ mod tests {
         assert_eq!(f1.csod.stats().contexts_mitigated, 1);
         drop(f1); // simulated kill: no finish(), no compaction
 
-        // Execution 2: the WAL alone (no evidence file) re-pins and
-        // re-mitigates the context from its very first allocation.
+        // Execution 2: the WAL alone re-pins and re-mitigates the
+        // context from its very first allocation.
         let mut f2 = fixture(config.clone());
         assert_eq!(f2.csod.stats().wal_records_recovered, 1);
         assert_eq!(f2.csod.stats().wal_records_skipped_corrupt, 0);

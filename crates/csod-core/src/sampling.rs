@@ -51,7 +51,7 @@ impl fmt::Display for CtxId {
 
 /// What the runtime already knows about a context when it is first
 /// seen (or re-judged): the verdicts recovered from previous
-/// executions' evidence and durability stores.
+/// executions' durability WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContextJudgment {
     /// A previous execution proved this context overflows: pin the
@@ -112,6 +112,28 @@ impl CtxState {
     /// Current probability in parts per million.
     pub fn probability_ppm(&self) -> u32 {
         self.probability_ppm
+    }
+
+    /// Per-allocation degradation for `n` allocations, floor-bounded.
+    /// Pinned and burst-throttled contexts keep their probability.
+    fn degrade(&mut self, n: u32, params: &SamplingParams) {
+        if !self.pinned_certain
+            && self.burst_until.is_none()
+            && self.probability_ppm > params.floor_ppm
+        {
+            self.probability_ppm = self
+                .probability_ppm
+                .saturating_sub(params.degrade_per_alloc_ppm.saturating_mul(n))
+                .max(params.floor_ppm);
+        }
+    }
+
+    /// Absorbs `n` allocations that bypassed the table through a
+    /// per-thread decision cache: their counts and degradation.
+    fn absorb(&mut self, n: u32, params: &SamplingParams) {
+        self.alloc_count += u64::from(n);
+        self.window_allocs = self.window_allocs.saturating_add(n);
+        self.degrade(n, params);
     }
 }
 
@@ -337,17 +359,7 @@ impl SamplingUnit {
                 // are applied in one step, so a cached context's schedule
                 // converges to the uncached one at every refresh.
                 if pending > 0 {
-                    state.alloc_count += u64::from(pending);
-                    state.window_allocs = state.window_allocs.saturating_add(pending);
-                    if !state.pinned_certain
-                        && state.burst_until.is_none()
-                        && state.probability_ppm > params.floor_ppm
-                    {
-                        state.probability_ppm = state
-                            .probability_ppm
-                            .saturating_sub(params.degrade_per_alloc_ppm.saturating_mul(pending))
-                            .max(params.floor_ppm);
-                    }
+                    state.absorb(pending, &params);
                 }
 
                 // Pending allocations predate this decision: they only
@@ -439,15 +451,7 @@ impl SamplingUnit {
 
                 // 4. Degradation on each allocation, floor-bounded.
                 state.alloc_count += 1;
-                if !state.pinned_certain
-                    && state.burst_until.is_none()
-                    && state.probability_ppm > params.floor_ppm
-                {
-                    state.probability_ppm = state
-                        .probability_ppm
-                        .saturating_sub(params.degrade_per_alloc_ppm)
-                        .max(params.floor_ppm);
-                }
+                state.degrade(1, &params);
 
                 AllocDecision {
                     ctx_id: state.id,
@@ -473,20 +477,7 @@ impl SamplingUnit {
         if count == 0 {
             return;
         }
-        let params = self.params;
-        self.table.with_existing(key, |state| {
-            state.alloc_count += u64::from(count);
-            state.window_allocs = state.window_allocs.saturating_add(count);
-            if !state.pinned_certain
-                && state.burst_until.is_none()
-                && state.probability_ppm > params.floor_ppm
-            {
-                state.probability_ppm = state
-                    .probability_ppm
-                    .saturating_sub(params.degrade_per_alloc_ppm.saturating_mul(count))
-                    .max(params.floor_ppm);
-            }
-        });
+        self.table.with_existing(key, |state| state.absorb(count, &self.params));
     }
 
     /// Records that an object of `key` was watched: halves the context's
@@ -920,7 +911,7 @@ mod tests {
             VirtInstant::BOOT,
             &mut rng,
             &ctx(&frames, "a"),
-            // The evidence file knows this context.
+            // The recovered WAL knows this context.
             |_| ContextJudgment {
                 known_overflow: true,
                 mitigate: false,
@@ -1063,7 +1054,7 @@ mod tests {
         let priors = AnalysisPriors::from_classes([(k, RiskClass::ProvenSafe)]);
         let u = SamplingUnit::with_priors(SamplingParams::default(), priors);
         let mut rng = Arc4Random::from_seed(1, 0);
-        // The evidence file from a previous run knows this context
+        // The WAL from a previous run knows this context
         // overflows: pinning wins over the static verdict.
         let d = u.on_allocation(
             k,

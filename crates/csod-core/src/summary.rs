@@ -43,8 +43,6 @@ pub struct RunSummary {
     /// Reports beyond the first for their allocation-context signature —
     /// the same bug rediscovered via another overflow site or thread.
     pub duplicate_reports: u64,
-    /// Contexts with persisted overflow evidence.
-    pub evidence_contexts: usize,
     /// Contexts quarantined at collection time.
     pub quarantined_contexts: usize,
     /// Whether the run ended in canary-only mode (backend still down).
@@ -64,7 +62,6 @@ impl RunSummary {
             contexts: csod.distinct_contexts(),
             reports,
             duplicate_reports: (reports - csod.unique_report_contexts()) as u64,
-            evidence_contexts: csod.evidence().len(),
             quarantined_contexts: csod.quarantined_contexts(machine),
             canary_only: csod.detection_mode() == crate::DetectionMode::CanaryOnly,
             syscalls: machine.counter().syscalls(),
@@ -124,7 +121,7 @@ impl fmt::Display for RunSummary {
         writeln!(
             f,
             "evidence store: {} context(s) with observed overflows",
-            self.evidence_contexts
+            s.contexts_mitigated
         )?;
         writeln!(
             f,
@@ -203,7 +200,7 @@ mod tests {
         assert!(summary.found_overflows());
         // The over-write also corrupted the canary; the exit sweep saw it.
         assert_eq!(summary.stats.canary_exit_hits, 1);
-        assert_eq!(summary.evidence_contexts, 1);
+        assert_eq!(summary.stats.contexts_mitigated, 1);
         assert!(summary.overhead > 1.0);
 
         let text = summary.to_string();

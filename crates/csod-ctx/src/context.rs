@@ -67,7 +67,7 @@ impl CallingContext {
 
     /// The canonical one-line signature of the context: frame locations
     /// joined by `|`, innermost first. This is the identity the
-    /// evidence store and the durability WAL key records by, so it
+    /// mitigation ledger and the durability WAL key records by, so it
     /// lives here with the context type.
     pub fn signature(&self, table: &FrameTable) -> String {
         let mut out = String::new();

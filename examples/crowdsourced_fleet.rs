@@ -9,10 +9,10 @@
 //! users". This example simulates a fleet of users running the buggy
 //! MySQL model: each execution detects the overflow with only ~16%
 //! probability, yet the fleet as a whole finds it almost immediately —
-//! and the evidence file turns every *subsequent* run on the same host
-//! into a guaranteed detection.
+//! and the WAL turns every *subsequent* run on the same host into a
+//! guaranteed detection.
 
-use csod::core::CsodConfig;
+use csod::core::{CsodConfig, MitigationParams};
 use csod::workloads::{BuggyApp, ToolSpec, TraceRunner};
 
 fn main() {
@@ -59,18 +59,21 @@ fn main() {
             !out.watchpoint_detected
         })
         .expect("some execution misses");
-    let path = std::env::temp_dir().join("csod-fleet-example.evidence");
+    let path = std::env::temp_dir().join("csod-fleet-example.wal");
     let _ = std::fs::remove_file(&path);
     let mut config = CsodConfig::with_seed(missed_seed);
-    config.evidence_path = Some(path.clone());
+    config.persist_path = Some(path.clone());
     let first = TraceRunner::new(&registry, ToolSpec::Csod(config.clone()))
         .run(trace.iter().copied());
     println!(
         "a host that missed (seed {missed_seed}): watchpoint {}, canary evidence {}",
         first.watchpoint_detected, first.evidence_detected
     );
+    // Pin-only: with mitigation on, the recovered context would be
+    // hardened and the overflow would land harmlessly in slack.
     let mut config2 = CsodConfig::with_seed(missed_seed + 1);
-    config2.evidence_path = Some(path.clone());
+    config2.persist_path = Some(path.clone());
+    config2.mitigation = MitigationParams::disabled();
     let second = TraceRunner::new(&registry, ToolSpec::Csod(config2))
         .run(trace.iter().copied());
     println!(

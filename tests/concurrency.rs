@@ -142,7 +142,7 @@ fn sampling_unit_is_safe_under_concurrent_allocations() {
 #[test]
 fn calling_contexts_are_shareable() {
     // CallingContext values flow between the sampler, the reporter and
-    // the evidence store; they must be Send + Sync.
+    // the WAL; they must be Send + Sync.
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CallingContext>();
     assert_send_sync::<ContextTable<u64>>();

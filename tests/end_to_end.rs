@@ -5,6 +5,7 @@ use csod::core::{Csod, CsodConfig, DetectionMethod, ReplacementPolicy};
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
 use csod::heap::{HeapConfig, SimHeap};
 use csod::machine::{AccessKind, Machine, SiteToken, ThreadId, VirtDuration};
+use csod_persist::Wal;
 use std::sync::Arc;
 
 struct World {
@@ -222,11 +223,11 @@ fn non_continuous_overflow_beyond_the_watch_word_is_missed() {
 fn finish_reports_leaked_overflows_and_persists() {
     let dir = std::env::temp_dir().join("csod-e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("evidence-{}.txt", std::process::id()));
+    let path = dir.join(format!("evidence-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
     let mut w = world(CsodConfig {
-        evidence_path: Some(path.clone()),
+        persist_path: Some(path.clone()),
         ..CsodConfig::default()
     });
     for i in 0..4 {
@@ -246,8 +247,8 @@ fn finish_reports_leaked_overflows_and_persists() {
     w.csod.poll(&mut w.machine);
     w.csod.finish(&mut w.machine);
     assert_eq!(w.csod.stats().canary_exit_hits, 1);
-    let saved = std::fs::read_to_string(&path).unwrap();
-    assert!(saved.contains("leak.c:2"));
+    let saved = Wal::recover(&path);
+    assert!(saved.records.iter().any(|r| r.signature.contains("leak.c:2")));
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: watchpoint backends
 //! (ptrace / combined syscall), the Sampler baseline, and failure
-//! injection around the evidence store and allocator.
+//! injection around the durability WAL and allocator.
 
 use csod::core::{Csod, CsodConfig, WatchBackend};
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
@@ -8,6 +8,7 @@ use csod::heap::{HeapConfig, HeapError, SimHeap};
 use csod::machine::{FaultPlan, Machine, ThreadId, VirtAddr};
 use csod::sampler::SamplerConfig;
 use csod::workloads::{BuggyApp, ToolSpec, TraceRunner};
+use csod_persist::Wal;
 use std::sync::Arc;
 
 #[test]
@@ -100,7 +101,7 @@ fn sampler_never_false_positives_on_buggy_free_traffic() {
 fn corrupt_evidence_file_is_tolerated() {
     let dir = std::env::temp_dir().join("csod-ext-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("garbage-{}.evidence", std::process::id()));
+    let path = dir.join(format!("garbage-{}.wal", std::process::id()));
     std::fs::write(&path, b"\x00\xFFnot|a\x07context\nrandom line\n# comment\n").unwrap();
 
     let frames = Arc::new(FrameTable::new());
@@ -108,11 +109,12 @@ fn corrupt_evidence_file_is_tolerated() {
     let mut heap = SimHeap::new(&mut machine, HeapConfig::default()).unwrap();
     let mut csod = Csod::new(
         CsodConfig {
-            evidence_path: Some(path.clone()),
+            persist_path: Some(path.clone()),
             ..CsodConfig::default()
         },
         Arc::clone(&frames),
     );
+    assert!(csod.stats().wal_records_skipped_corrupt >= 1);
     // Normal operation is unaffected by the garbage.
     let ctx = CallingContext::from_locations(&frames, ["ok.c:1", "main.c:1"]);
     let key = ContextKey::new(frames.intern("ok.c:1"), 0x40);
@@ -121,9 +123,8 @@ fn corrupt_evidence_file_is_tolerated() {
         .unwrap();
     assert!(csod.is_watched(p));
     csod.finish(&mut machine);
-    // finish() rewrites the file in the canonical format.
-    let rewritten = std::fs::read_to_string(&path).unwrap();
-    assert!(rewritten.starts_with('#'));
+    // finish() compacts the log into a clean snapshot.
+    assert_eq!(Wal::recover(&path).skipped_corrupt, 0);
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -2,7 +2,7 @@
 //! V-B, checked end-to-end on the workload models.
 
 use csod::asan::AsanConfig;
-use csod::core::CsodConfig;
+use csod::core::{CsodConfig, MitigationParams};
 use csod::workloads::{BuggyApp, OverflowKind, PerfApp, ToolSpec, TraceRunner};
 
 fn asan_spec(app: &BuggyApp) -> ToolSpec {
@@ -106,18 +106,21 @@ fn evidence_guarantees_second_execution_for_overwrites() {
         }) else {
             continue; // tiny apps never miss; nothing to verify
         };
-        let path = dir.join(format!("{}-{}.evidence", app.name, std::process::id()));
+        let path = dir.join(format!("{}-{}.wal", app.name, std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut c1 = CsodConfig::with_seed(seed);
-        c1.evidence_path = Some(path.clone());
+        c1.persist_path = Some(path.clone());
         let first = TraceRunner::new(&registry, ToolSpec::Csod(c1)).run(trace.iter().copied());
         assert!(
             first.evidence_detected,
             "{}: a missed over-write must leave canary evidence",
             app.name
         );
+        // Pin-only second execution: mitigation would harden the
+        // recovered context and absorb the overflow in slack.
         let mut c2 = CsodConfig::with_seed(seed + 7_777);
-        c2.evidence_path = Some(path.clone());
+        c2.persist_path = Some(path.clone());
+        c2.mitigation = MitigationParams::disabled();
         let second = TraceRunner::new(&registry, ToolSpec::Csod(c2)).run(trace.iter().copied());
         assert!(
             second.watchpoint_detected,

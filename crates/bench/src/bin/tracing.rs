@@ -1,12 +1,10 @@
 //! Tracked tracing-overhead benchmark: the cost of the always-on event
 //! tracer on the allocation fast path.
 //!
-//! One binary measures both states through the *runtime* toggle
-//! (`config.trace.events`): ns/alloc and ns/free through the full
-//! runtime with event emission on versus off, plus the drain cost per
-//! event. The JSON also records whether the `trace-off` feature compiled
-//! the tracer out entirely (`trace_compiled_off`), so the CI leg that
-//! builds with the feature can assert the stub is truly free.
+//! One binary measures both states through the runtime's only tracing
+//! switch (`config.trace.events`): ns/alloc and ns/free through the
+//! full runtime with event emission on versus off, plus the events
+//! drained per round.
 //!
 //! ```bash
 //! cargo run --release -p csod-bench --bin tracing            # writes BENCH_tracing.json
@@ -51,7 +49,6 @@ fn runtime_pair(trace_on: bool) -> (f64, f64, u64) {
 }
 
 fn measure() -> Metrics {
-    let compiled_off = csod_trace::trace_compiled_off();
     // The on/off runs execute at different moments, so frequency drift
     // or a background burst on one side skews the ratio in either
     // direction. Each attempt runs the two modes back to back and forms
@@ -78,7 +75,6 @@ fn measure() -> Metrics {
         off_free = off_free.min(f_off);
     }
     Metrics(vec![
-        ("trace_compiled_off", f64::from(u8::from(compiled_off))),
         ("traced_ns_per_alloc", on_alloc),
         ("traced_ns_per_free", on_free),
         ("untraced_ns_per_alloc", off_alloc),

@@ -270,8 +270,8 @@ pub struct CallStringPrior {
 /// [`paper::INITIAL_WATCH_PPM`] and follows the adaptive schedule.
 /// With priors, [`RiskClass::ProvenSafe`] contexts start at the floor
 /// and skip the availability bypass, [`RiskClass::Suspicious`] contexts
-/// start at [`AnalysisPriors::suspicious_ppm`] and are exempt from burst
-/// throttling, and [`RiskClass::Unknown`] contexts are untouched.
+/// start at [`AnalysisPriors::DEFAULT_SUSPICIOUS_PPM`] and are exempt
+/// from burst throttling, and [`RiskClass::Unknown`] contexts are untouched.
 /// Evidence pinning (Section IV-B) always outranks a prior.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AnalysisPriors {
@@ -281,13 +281,11 @@ pub struct AnalysisPriors {
     /// Per-call-string detail behind each verdict, where the analyzer
     /// provided it.
     pub detail: HashMap<ContextKey, CallStringPrior>,
-    /// Initial probability for [`RiskClass::Suspicious`] contexts, in
-    /// ppm. Must exceed the 50 % default to mean anything.
-    pub suspicious_ppm: u32,
 }
 
 impl AnalysisPriors {
-    /// The default boost for suspicious contexts: 90 %.
+    /// Initial probability for [`RiskClass::Suspicious`] contexts, in
+    /// ppm: 90 %, a boost over the paper's 50 % start.
     pub const DEFAULT_SUSPICIOUS_PPM: u32 = PPM_SCALE / 10 * 9;
 
     /// An empty prior table (no static analysis ran).
@@ -295,13 +293,11 @@ impl AnalysisPriors {
         AnalysisPriors::default()
     }
 
-    /// Builds a prior table from per-context verdicts with the default
-    /// suspicious boost.
+    /// Builds a prior table from per-context verdicts.
     pub fn from_classes(classes: impl IntoIterator<Item = (ContextKey, RiskClass)>) -> Self {
         AnalysisPriors {
             classes: classes.into_iter().collect(),
             detail: HashMap::new(),
-            suspicious_ppm: Self::DEFAULT_SUSPICIOUS_PPM,
         }
     }
 
@@ -337,10 +333,11 @@ impl AnalysisPriors {
     /// paper's default schedule applies).
     ///
     /// Without detail this is the classic three-way split: floor for
-    /// proven-safe, [`suspicious_ppm`](AnalysisPriors::suspicious_ppm)
+    /// proven-safe,
+    /// [`DEFAULT_SUSPICIOUS_PPM`](AnalysisPriors::DEFAULT_SUSPICIOUS_PPM)
     /// for suspicious, `initial_ppm` for unknown. With per-call-string
     /// detail the start is graded: a suspicious context climbs from
-    /// `suspicious_ppm` toward 100 % with the fraction of its call
+    /// `DEFAULT_SUSPICIOUS_PPM` toward 100 % with the fraction of its call
     /// strings that are suspicious, and an unknown context descends
     /// from `initial_ppm` toward the floor with the fraction proven
     /// safe.
@@ -357,8 +354,8 @@ impl AnalysisPriors {
         Some(match self.class_of(key)? {
             RiskClass::ProvenSafe => params.floor_ppm,
             RiskClass::Suspicious => graded(
-                self.suspicious_ppm,
-                PPM_SCALE.saturating_sub(self.suspicious_ppm),
+                Self::DEFAULT_SUSPICIOUS_PPM,
+                PPM_SCALE - Self::DEFAULT_SUSPICIOUS_PPM,
                 d.suspicious,
                 d.contexts,
             ),
@@ -414,13 +411,6 @@ pub struct MitigationParams {
     /// Master switch. Off: confirmed contexts are only pinned (the
     /// paper's behaviour), never hardened.
     pub enabled: bool,
-    /// Minimum over-allocation past the object's original boundary, in
-    /// bytes. The overflow the context was convicted of lands in this
-    /// slack instead of the canary or a neighbour.
-    pub slack_bytes: u64,
-    /// Hardened sizes are rounded up to a multiple of this (size-class
-    /// rounding keeps the hardened allocations allocator-friendly).
-    pub size_align: u64,
     /// Freed hardened objects held back from reuse; the oldest is
     /// released once the quarantine exceeds this many objects. `0`
     /// disables the quarantine.
@@ -431,14 +421,20 @@ impl Default for MitigationParams {
     fn default() -> Self {
         MitigationParams {
             enabled: true,
-            slack_bytes: 32,
-            size_align: 16,
             quarantine_capacity: 64,
         }
     }
 }
 
 impl MitigationParams {
+    /// Minimum over-allocation past the object's original boundary, in
+    /// bytes. The overflow the context was convicted of lands in this
+    /// slack instead of the canary or a neighbour.
+    pub const SLACK_BYTES: u64 = 32;
+    /// Hardened sizes are rounded up to a multiple of this (size-class
+    /// rounding keeps the hardened allocations allocator-friendly).
+    pub const SIZE_ALIGN: u64 = 16;
+
     /// Mitigation switched off entirely (paper-faithful pin-only
     /// behaviour).
     pub fn disabled() -> Self {
@@ -451,9 +447,10 @@ impl MitigationParams {
     /// The hardened request for `requested` bytes: the original size
     /// plus slack, rounded up to the size alignment.
     pub fn harden(&self, requested: u64) -> u64 {
-        let grown = requested.saturating_add(self.slack_bytes);
-        let align = self.size_align.max(1);
-        grown.div_ceil(align).saturating_mul(align)
+        let grown = requested.saturating_add(Self::SLACK_BYTES);
+        grown
+            .div_ceil(Self::SIZE_ALIGN)
+            .saturating_mul(Self::SIZE_ALIGN)
     }
 }
 
@@ -504,18 +501,14 @@ pub struct CsodConfig {
 }
 
 /// Observability knobs: the per-thread event rings and the JSONL file
-/// overflow reports are appended to. Orthogonal to the `trace-off` cargo
-/// feature — that removes the tracer at compile time, while
-/// [`TraceParams::events`] switches it at run time (the tracing
-/// benchmark uses the latter to measure both states in one binary).
+/// overflow reports are appended to. [`TraceParams::events`] is the one
+/// tracing switch; the tracer itself is always compiled in, with
+/// [`csod_trace::DEFAULT_RING_CAPACITY`] events per thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceParams {
     /// Emit runtime events into the per-thread rings. Off: `emit` sites
-    /// cost one branch.
+    /// cost one branch and no ring is allocated.
     pub events: bool,
-    /// Per-thread ring capacity in events (rounded up to a power of
-    /// two).
-    pub ring_capacity: usize,
     /// Append each overflow report as a JSON line to this file, in
     /// addition to the always-on in-memory report list.
     pub trap_report_path: Option<PathBuf>,
@@ -525,19 +518,7 @@ impl Default for TraceParams {
     fn default() -> Self {
         TraceParams {
             events: true,
-            ring_capacity: csod_trace::DEFAULT_RING_CAPACITY,
             trap_report_path: None,
-        }
-    }
-}
-
-impl TraceParams {
-    /// Tracing disabled at run time (rings still allocated lazily, so
-    /// this costs one branch per emit site and nothing else).
-    pub fn disabled() -> Self {
-        TraceParams {
-            events: false,
-            ..TraceParams::default()
         }
     }
 }
@@ -636,27 +617,12 @@ impl CsodConfig {
                     .into(),
             );
         }
-        if !self.priors.is_empty() {
-            if self.priors.suspicious_ppm > PPM_SCALE {
-                return Err(format!(
-                    "suspicious prior {} ppm exceeds 100%",
-                    self.priors.suspicious_ppm
-                ));
-            }
-            if self.priors.suspicious_ppm <= s.initial_ppm {
-                return Err(format!(
-                    "suspicious prior ({} ppm) must exceed the initial probability ({} ppm) to be a boost",
-                    self.priors.suspicious_ppm, s.initial_ppm
-                ));
-            }
-        }
-        if self.mitigation.size_align == 0 {
-            return Err("mitigation size alignment must be non-zero".into());
-        }
-        if self.mitigation.enabled && self.mitigation.slack_bytes == 0 {
-            return Err(
-                "mitigation with zero slack hardens nothing; disable it instead".into(),
-            );
+        if !self.priors.is_empty() && AnalysisPriors::DEFAULT_SUSPICIOUS_PPM <= s.initial_ppm {
+            return Err(format!(
+                "suspicious prior ({} ppm) must exceed the initial probability ({} ppm) to be a boost",
+                AnalysisPriors::DEFAULT_SUSPICIOUS_PPM,
+                s.initial_ppm
+            ));
         }
         let d = &self.degradation;
         if d.degrade_threshold == 0 {
@@ -861,7 +827,7 @@ mod tests {
             priors.observe_context(k("mixed"), RiskClass::ProvenSafe);
         }
         priors.observe_context(k("mixed"), RiskClass::Suspicious);
-        let boost = priors.suspicious_ppm;
+        let boost = AnalysisPriors::DEFAULT_SUSPICIOUS_PPM;
         assert_eq!(
             priors.initial_ppm_for(k("mixed"), &params),
             Some(boost + (PPM_SCALE - boost) / 4)
@@ -892,17 +858,11 @@ mod tests {
         use csod_ctx::FrameTable;
         let frames = FrameTable::new();
         let k = ContextKey::new(frames.intern("a"), 0x40);
-        let mut priors = AnalysisPriors::from_classes([(k, RiskClass::Suspicious)]);
-        priors.suspicious_ppm = 2_000_000;
-        assert!(CsodConfig::with_priors(priors.clone())
-            .validate()
-            .unwrap_err()
-            .contains("100%"));
-        priors.suspicious_ppm = paper::INITIAL_WATCH_PPM; // not a boost
-        assert!(CsodConfig::with_priors(priors)
-            .validate()
-            .unwrap_err()
-            .contains("boost"));
+        let mut config =
+            CsodConfig::with_priors(AnalysisPriors::from_classes([(k, RiskClass::Suspicious)]));
+        assert_eq!(config.validate(), Ok(()));
+        config.sampling.initial_ppm = AnalysisPriors::DEFAULT_SUSPICIOUS_PPM; // no longer a boost
+        assert!(config.validate().unwrap_err().contains("boost"));
     }
 
     #[test]
@@ -914,40 +874,10 @@ mod tests {
         // The hardened size always clears the original boundary by at
         // least the slack.
         for req in [1u64, 7, 8, 63, 64, 100, 4096] {
-            assert!(m.harden(req) >= req + m.slack_bytes);
-            assert_eq!(m.harden(req) % m.size_align, 0);
+            assert!(m.harden(req) >= req + MitigationParams::SLACK_BYTES);
+            assert_eq!(m.harden(req) % MitigationParams::SIZE_ALIGN, 0);
         }
         assert!(!MitigationParams::disabled().enabled);
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_mitigation() {
-        let zero_align = CsodConfig {
-            mitigation: MitigationParams {
-                size_align: 0,
-                ..MitigationParams::default()
-            },
-            ..CsodConfig::default()
-        };
-        assert!(zero_align.validate().unwrap_err().contains("alignment"));
-        let zero_slack = CsodConfig {
-            mitigation: MitigationParams {
-                slack_bytes: 0,
-                ..MitigationParams::default()
-            },
-            ..CsodConfig::default()
-        };
-        assert!(zero_slack.validate().unwrap_err().contains("slack"));
-        // Zero slack is fine when mitigation is off.
-        let off = CsodConfig {
-            mitigation: MitigationParams {
-                enabled: false,
-                slack_bytes: 0,
-                ..MitigationParams::default()
-            },
-            ..CsodConfig::default()
-        };
-        assert_eq!(off.validate(), Ok(()));
     }
 
     #[test]

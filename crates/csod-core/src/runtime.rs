@@ -414,7 +414,7 @@ impl Csod {
                 ..CsodStats::default()
             },
             finished: false,
-            tracer: Tracer::new(config.trace.ring_capacity),
+            tracer: Tracer::with_default_capacity(),
             thread_tracers: Vec::new(),
             trap_log,
             traced_mode: DetectionMode::Watchpoints,
@@ -424,8 +424,7 @@ impl Csod {
     }
 
     /// Appends one event to the calling thread's trace ring. A no-op
-    /// when run-time tracing is off or the `trace-off` feature compiled
-    /// the tracer out.
+    /// when `config.trace.events` is off.
     #[inline]
     fn trace_event(&mut self, at: VirtInstant, tid: ThreadId, kind: TraceEventKind, a: u64, b: u64) {
         if !self.config.trace.events {

@@ -271,7 +271,7 @@ impl SamplingUnit {
                 Some(RiskClass::Suspicious) => {
                     let boost = priors
                         .initial_ppm_for(key, &params)
-                        .unwrap_or(priors.suspicious_ppm);
+                        .unwrap_or(AnalysisPriors::DEFAULT_SUSPICIOUS_PPM);
                     state.probability_ppm = state.probability_ppm.max(boost);
                 }
                 Some(RiskClass::Unknown) | None => {}

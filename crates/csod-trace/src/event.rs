@@ -92,8 +92,6 @@ impl TraceEventKind {
         }
     }
 
-    // Only the real ring decodes tags; the trace-off stub never does.
-    #[cfg_attr(feature = "trace-off", allow(dead_code))]
     pub(crate) fn from_tag(tag: u8) -> Option<TraceEventKind> {
         TraceEventKind::ALL.get(tag as usize).copied()
     }
@@ -106,7 +104,7 @@ impl fmt::Display for TraceEventKind {
 }
 
 /// One traced runtime event. Fixed-size and `Copy`, so a ring slot is
-/// four machine words of payload plus a sequence word.
+/// four machine words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual nanoseconds since machine boot.
@@ -121,8 +119,7 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-// Ring wire format; unused when the ring is compiled out.
-#[cfg_attr(feature = "trace-off", allow(dead_code))]
+// Ring wire format.
 impl TraceEvent {
     /// Packs the event into the ring's four data words.
     pub(crate) fn encode(self) -> [u64; 4] {

@@ -8,8 +8,8 @@
 //!   ring-buffer event tracer. Each thread writes [`TraceEvent`]s into
 //!   its own ring with plain atomic stores (no locks, no allocation on
 //!   the hot path); [`Tracer::drain`] merges every ring into one
-//!   time-ordered stream. The `trace-off` cargo feature compiles the
-//!   whole thing down to no-ops.
+//!   time-ordered stream. Tracing is always compiled in; embedders
+//!   switch it off at run time by not emitting.
 //! * [`Histogram`] — power-of-two-bucketed latency/occupancy histograms
 //!   cheap enough to record on runtime paths.
 //! * [`MetricsRegistry`] — named counters, gauges and histograms with
@@ -39,12 +39,6 @@ pub use log::BoundedLog;
 pub use metrics::MetricsRegistry;
 pub use ring::{ThreadTracer, TraceStream, Tracer, DEFAULT_RING_CAPACITY};
 pub use sink::{JsonlFileSink, FLUSH_EVERY_ENV};
-
-/// `true` when the crate was built with the `trace-off` feature — the
-/// tracer is compiled out and every [`ThreadTracer::emit`] is a no-op.
-pub const fn trace_compiled_off() -> bool {
-    cfg!(feature = "trace-off")
-}
 
 /// Minimal JSON string escaping for hand-rolled serializers: quotes,
 /// backslashes and control characters. Everything this workspace writes

@@ -13,11 +13,13 @@
 //! overwritten or discarded event in [`TraceStream::dropped`], so
 //! `drained + dropped == emitted` always holds per ring.
 //!
-//! With the `trace-off` cargo feature every type below keeps its API but
-//! compiles to nothing: no rings are allocated and
-//! [`ThreadTracer::emit`] is an empty inline function.
+//! Tracing is switched off at run time by not emitting (the runtime's
+//! `TraceParams::events`); a tracer nobody registers with allocates no
+//! rings.
 
 use crate::event::{TraceEvent, TraceEventKind};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Ring capacity used when the embedder does not specify one: room for
 /// the last thousand events per thread at ~32 KiB per ring — small
@@ -56,273 +58,200 @@ impl TraceStream {
     }
 }
 
-#[cfg(not(feature = "trace-off"))]
-mod imp {
-    use super::{TraceStream, DEFAULT_RING_CAPACITY};
-    use crate::event::{TraceEvent, TraceEventKind};
-    use std::sync::atomic::{fence, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
+/// One ring slot: the four encoded event words, all-atomic so
+/// readers and the writer race without UB. 32-byte aligned — two
+/// slots per cache line, never straddling one.
+#[derive(Debug, Default)]
+#[repr(align(32))]
+struct Slot {
+    w: [AtomicU64; 4],
+}
 
-    /// One ring slot: the four encoded event words, all-atomic so
-    /// readers and the writer race without UB. 32-byte aligned — two
-    /// slots per cache line, never straddling one.
-    #[derive(Debug, Default)]
-    #[repr(align(32))]
-    struct Slot {
-        w: [AtomicU64; 4],
-    }
+#[derive(Debug)]
+struct Ring {
+    /// Positions ever *claimed* by the writer: bumped before the
+    /// data stores, so `head` bounds what may be mid-overwrite.
+    head: AtomicU64,
+    /// Positions *committed*: bumped after the data stores, so
+    /// everything below `tail` was fully written at some point.
+    tail: AtomicU64,
+    /// Position the last drain consumed up to.
+    reader: AtomicU64,
+    /// `capacity - 1`; capacity is a power of two.
+    mask: usize,
+    slots: Box<[Slot]>,
+}
 
-    #[derive(Debug)]
-    struct Ring {
-        /// Positions ever *claimed* by the writer: bumped before the
-        /// data stores, so `head` bounds what may be mid-overwrite.
-        head: AtomicU64,
-        /// Positions *committed*: bumped after the data stores, so
-        /// everything below `tail` was fully written at some point.
-        tail: AtomicU64,
-        /// Position the last drain consumed up to.
-        reader: AtomicU64,
-        /// `capacity - 1`; capacity is a power of two.
-        mask: usize,
-        slots: Box<[Slot]>,
-    }
-
-    impl Ring {
-        fn new(capacity: usize) -> Ring {
-            let capacity = capacity.max(2).next_power_of_two();
-            let slots = (0..capacity).map(|_| Slot::default()).collect();
-            Ring {
-                head: AtomicU64::new(0),
-                tail: AtomicU64::new(0),
-                reader: AtomicU64::new(0),
-                mask: capacity - 1,
-                slots,
-            }
-        }
-
-        /// Drains everything still readable into `out`; returns the
-        /// number of events lost since the previous drain. Runs
-        /// concurrently with the writer: after reading, `head` is
-        /// re-checked and every position the writer may have been
-        /// overwriting meanwhile counts as lost rather than surfacing
-        /// torn.
-        fn drain_into(&self, out: &mut Vec<TraceEvent>) -> u64 {
-            let tail = self.tail.load(Ordering::Acquire);
-            let prev = self.reader.load(Ordering::Relaxed);
-            let cap = self.mask as u64 + 1;
-            let start = prev.max(tail.saturating_sub(cap));
-            let mut lost = start - prev;
-            let mut batch: Vec<(u64, Option<TraceEvent>)> =
-                Vec::with_capacity(usize::try_from(tail - start).unwrap_or(0));
-            for pos in start..tail {
-                let slot = &self.slots[usize::try_from(pos).unwrap_or(usize::MAX) & self.mask];
-                let words = [
-                    slot.w[0].load(Ordering::Relaxed),
-                    slot.w[1].load(Ordering::Relaxed),
-                    slot.w[2].load(Ordering::Relaxed),
-                    slot.w[3].load(Ordering::Relaxed),
-                ];
-                batch.push((pos, TraceEvent::decode(words)));
-            }
-            // The writer claims `head` *before* its data stores: slot
-            // `pos` can only have been mid-rewrite if position
-            // `pos + cap` was already claimed (`head > pos + cap`), so
-            // such positions may be torn and are discarded. The fence
-            // orders the data loads above before this re-check.
-            fence(Ordering::Acquire);
-            let head_now = self.head.load(Ordering::Relaxed);
-            for (pos, event) in batch {
-                match event {
-                    Some(e) if pos + cap >= head_now => out.push(e),
-                    _ => lost += 1,
-                }
-            }
-            self.reader.store(tail, Ordering::Relaxed);
-            lost
+impl Ring {
+    fn new(capacity: usize) -> Ring {
+        let capacity = capacity.max(2).next_power_of_two();
+        let slots = (0..capacity).map(|_| Slot::default()).collect();
+        Ring {
+            head: AtomicU64::new(0),
+            tail: AtomicU64::new(0),
+            reader: AtomicU64::new(0),
+            mask: capacity - 1,
+            slots,
         }
     }
 
-    /// The tracer: hands out per-thread writer handles and merges their
-    /// rings into one stream on [`Tracer::drain`].
-    #[derive(Debug)]
-    pub struct Tracer {
-        capacity: usize,
-        rings: Mutex<Vec<Arc<Ring>>>,
-    }
-
-    impl Tracer {
-        /// Creates a tracer whose rings keep the last `capacity` events
-        /// per thread (rounded up to a power of two).
-        pub fn new(capacity: usize) -> Tracer {
-            Tracer {
-                capacity: capacity.max(2).next_power_of_two(),
-                rings: Mutex::new(Vec::new()),
+    /// Drains everything still readable into `out`; returns the
+    /// number of events lost since the previous drain. Runs
+    /// concurrently with the writer: after reading, `head` is
+    /// re-checked and every position the writer may have been
+    /// overwriting meanwhile counts as lost rather than surfacing
+    /// torn.
+    fn drain_into(&self, out: &mut Vec<TraceEvent>) -> u64 {
+        let tail = self.tail.load(Ordering::Acquire);
+        let prev = self.reader.load(Ordering::Relaxed);
+        let cap = self.mask as u64 + 1;
+        let start = prev.max(tail.saturating_sub(cap));
+        let mut lost = start - prev;
+        let mut batch: Vec<(u64, Option<TraceEvent>)> =
+            Vec::with_capacity(usize::try_from(tail - start).unwrap_or(0));
+        for pos in start..tail {
+            let slot = &self.slots[usize::try_from(pos).unwrap_or(usize::MAX) & self.mask];
+            let words = [
+                slot.w[0].load(Ordering::Relaxed),
+                slot.w[1].load(Ordering::Relaxed),
+                slot.w[2].load(Ordering::Relaxed),
+                slot.w[3].load(Ordering::Relaxed),
+            ];
+            batch.push((pos, TraceEvent::decode(words)));
+        }
+        // The writer claims `head` *before* its data stores: slot
+        // `pos` can only have been mid-rewrite if position
+        // `pos + cap` was already claimed (`head > pos + cap`), so
+        // such positions may be torn and are discarded. The fence
+        // orders the data loads above before this re-check.
+        fence(Ordering::Acquire);
+        let head_now = self.head.load(Ordering::Relaxed);
+        for (pos, event) in batch {
+            match event {
+                Some(e) if pos + cap >= head_now => out.push(e),
+                _ => lost += 1,
             }
         }
-
-        /// A tracer with [`DEFAULT_RING_CAPACITY`].
-        pub fn with_default_capacity() -> Tracer {
-            Tracer::new(DEFAULT_RING_CAPACITY)
-        }
-
-        /// Per-ring capacity in events.
-        pub fn capacity(&self) -> usize {
-            self.capacity
-        }
-
-        /// Registers a new writer for `thread` and returns its handle.
-        /// The handle is the ring's *only* writer — it is not `Clone`,
-        /// and `emit` takes `&mut self` — which is what makes the push
-        /// path safe without compare-and-swap.
-        pub fn register(&self, thread: u32) -> ThreadTracer {
-            let ring = Arc::new(Ring::new(self.capacity));
-            self.rings
-                .lock()
-                .expect("tracer registry poisoned")
-                .push(Arc::clone(&ring));
-            ThreadTracer { ring, thread }
-        }
-
-        /// Merges every ring's unread events into one stream sorted by
-        /// timestamp (stable, so each thread's events keep their
-        /// emission order on ties). Safe to call while writers are live;
-        /// events overwritten or torn mid-drain are counted in
-        /// [`TraceStream::dropped`].
-        pub fn drain(&self) -> TraceStream {
-            let rings = self.rings.lock().expect("tracer registry poisoned");
-            let mut stream = TraceStream::default();
-            for ring in rings.iter() {
-                stream.dropped += ring.drain_into(&mut stream.events);
-            }
-            stream.events.sort_by_key(|e| e.at_ns);
-            stream
-        }
-    }
-
-    /// One thread's writer handle (see [`Tracer::register`]).
-    #[derive(Debug)]
-    pub struct ThreadTracer {
-        ring: Arc<Ring>,
-        thread: u32,
-    }
-
-    impl ThreadTracer {
-        /// The dense thread id this handle writes as.
-        pub fn thread(&self) -> u32 {
-            self.thread
-        }
-
-        /// Total events ever pushed through this handle.
-        pub fn emitted(&self) -> u64 {
-            self.ring.head.load(Ordering::Relaxed)
-        }
-
-        /// Appends one event. Wait-free: one claim store, four data
-        /// stores, one commit store, evicting the oldest event when the
-        /// ring is full.
-        #[inline]
-        pub fn emit(&mut self, at_ns: u64, kind: TraceEventKind, a: u64, b: u64) {
-            let pos = self.ring.head.load(Ordering::Relaxed);
-            // Claim before writing: readers re-check `head` after their
-            // data loads and discard any position this rewrite could
-            // have torn. The release fence keeps the data stores below
-            // from becoming visible before the claim.
-            self.ring.head.store(pos + 1, Ordering::Relaxed);
-            fence(Ordering::Release);
-            let slot = &self.ring.slots[usize::try_from(pos).unwrap_or(usize::MAX) & self.ring.mask];
-            let words = TraceEvent {
-                at_ns,
-                thread: self.thread,
-                kind,
-                a,
-                b,
-            }
-            .encode();
-            slot.w[0].store(words[0], Ordering::Relaxed);
-            slot.w[1].store(words[1], Ordering::Relaxed);
-            slot.w[2].store(words[2], Ordering::Relaxed);
-            slot.w[3].store(words[3], Ordering::Relaxed);
-            // Commit: readers only scan below `tail`, so the slot is
-            // visible only once fully written.
-            self.ring.tail.store(pos + 1, Ordering::Release);
-            // Warm the next slot's cache line off the critical path:
-            // the ring streams through memory, so without this every
-            // other emit opens its line with a demand miss. A relaxed
-            // load is enough — drains are rare, so the line arrives
-            // exclusive and the eventual stores upgrade it for free.
-            let next =
-                &self.ring.slots[usize::try_from(pos + 1).unwrap_or(usize::MAX) & self.ring.mask];
-            let _ = next.w[0].load(Ordering::Relaxed);
-        }
+        self.reader.store(tail, Ordering::Relaxed);
+        lost
     }
 }
 
-#[cfg(feature = "trace-off")]
-mod imp {
-    use super::{TraceStream, DEFAULT_RING_CAPACITY};
-    use crate::event::TraceEventKind;
+/// The tracer: hands out per-thread writer handles and merges their
+/// rings into one stream on [`Tracer::drain`].
+#[derive(Debug)]
+pub struct Tracer {
+    capacity: usize,
+    rings: Mutex<Vec<Arc<Ring>>>,
+}
 
-    /// Compiled-out tracer: the API of the real one, none of the cost.
-    #[derive(Debug)]
-    pub struct Tracer {
-        capacity: usize,
-    }
-
-    impl Tracer {
-        /// Creates a tracer stub; no memory is allocated.
-        pub fn new(capacity: usize) -> Tracer {
-            Tracer {
-                capacity: capacity.max(2).next_power_of_two(),
-            }
-        }
-
-        /// A tracer stub with the default capacity constant.
-        pub fn with_default_capacity() -> Tracer {
-            Tracer::new(DEFAULT_RING_CAPACITY)
-        }
-
-        /// The capacity the real tracer would have had.
-        pub fn capacity(&self) -> usize {
-            self.capacity
-        }
-
-        /// Returns a no-op writer handle.
-        pub fn register(&self, thread: u32) -> ThreadTracer {
-            ThreadTracer { thread }
-        }
-
-        /// Always the empty stream.
-        pub fn drain(&self) -> TraceStream {
-            TraceStream::default()
+impl Tracer {
+    /// Creates a tracer whose rings keep the last `capacity` events
+    /// per thread (rounded up to a power of two).
+    pub fn new(capacity: usize) -> Tracer {
+        Tracer {
+            capacity: capacity.max(2).next_power_of_two(),
+            rings: Mutex::new(Vec::new()),
         }
     }
 
-    /// No-op writer handle.
-    #[derive(Debug)]
-    pub struct ThreadTracer {
-        thread: u32,
+    /// A tracer with [`DEFAULT_RING_CAPACITY`].
+    pub fn with_default_capacity() -> Tracer {
+        Tracer::new(DEFAULT_RING_CAPACITY)
     }
 
-    impl ThreadTracer {
-        /// The dense thread id this handle writes as.
-        pub fn thread(&self) -> u32 {
-            self.thread
-        }
+    /// Per-ring capacity in events.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
 
-        /// Always zero when compiled out.
-        pub fn emitted(&self) -> u64 {
-            0
-        }
+    /// Registers a new writer for `thread` and returns its handle.
+    /// The handle is the ring's *only* writer — it is not `Clone`,
+    /// and `emit` takes `&mut self` — which is what makes the push
+    /// path safe without compare-and-swap.
+    pub fn register(&self, thread: u32) -> ThreadTracer {
+        let ring = Arc::new(Ring::new(self.capacity));
+        self.rings
+            .lock()
+            .expect("tracer registry poisoned")
+            .push(Arc::clone(&ring));
+        ThreadTracer { ring, thread }
+    }
 
-        /// Compiled out: does nothing.
-        #[inline(always)]
-        pub fn emit(&mut self, _at_ns: u64, _kind: TraceEventKind, _a: u64, _b: u64) {}
+    /// Merges every ring's unread events into one stream sorted by
+    /// timestamp (stable, so each thread's events keep their
+    /// emission order on ties). Safe to call while writers are live;
+    /// events overwritten or torn mid-drain are counted in
+    /// [`TraceStream::dropped`].
+    pub fn drain(&self) -> TraceStream {
+        let rings = self.rings.lock().expect("tracer registry poisoned");
+        let mut stream = TraceStream::default();
+        for ring in rings.iter() {
+            stream.dropped += ring.drain_into(&mut stream.events);
+        }
+        stream.events.sort_by_key(|e| e.at_ns);
+        stream
     }
 }
 
-pub use imp::{ThreadTracer, Tracer};
+/// One thread's writer handle (see [`Tracer::register`]).
+#[derive(Debug)]
+pub struct ThreadTracer {
+    ring: Arc<Ring>,
+    thread: u32,
+}
 
-#[cfg(all(test, not(feature = "trace-off")))]
+impl ThreadTracer {
+    /// The dense thread id this handle writes as.
+    pub fn thread(&self) -> u32 {
+        self.thread
+    }
+
+    /// Total events ever pushed through this handle.
+    pub fn emitted(&self) -> u64 {
+        self.ring.head.load(Ordering::Relaxed)
+    }
+
+    /// Appends one event. Wait-free: one claim store, four data
+    /// stores, one commit store, evicting the oldest event when the
+    /// ring is full.
+    #[inline]
+    pub fn emit(&mut self, at_ns: u64, kind: TraceEventKind, a: u64, b: u64) {
+        let pos = self.ring.head.load(Ordering::Relaxed);
+        // Claim before writing: readers re-check `head` after their
+        // data loads and discard any position this rewrite could
+        // have torn. The release fence keeps the data stores below
+        // from becoming visible before the claim.
+        self.ring.head.store(pos + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let slot = &self.ring.slots[usize::try_from(pos).unwrap_or(usize::MAX) & self.ring.mask];
+        let words = TraceEvent {
+            at_ns,
+            thread: self.thread,
+            kind,
+            a,
+            b,
+        }
+        .encode();
+        slot.w[0].store(words[0], Ordering::Relaxed);
+        slot.w[1].store(words[1], Ordering::Relaxed);
+        slot.w[2].store(words[2], Ordering::Relaxed);
+        slot.w[3].store(words[3], Ordering::Relaxed);
+        // Commit: readers only scan below `tail`, so the slot is
+        // visible only once fully written.
+        self.ring.tail.store(pos + 1, Ordering::Release);
+        // Warm the next slot's cache line off the critical path:
+        // the ring streams through memory, so without this every
+        // other emit opens its line with a demand miss. A relaxed
+        // load is enough — drains are rare, so the line arrives
+        // exclusive and the eventual stores upgrade it for free.
+        let next =
+            &self.ring.slots[usize::try_from(pos + 1).unwrap_or(usize::MAX) & self.ring.mask];
+        let _ = next.w[0].load(Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

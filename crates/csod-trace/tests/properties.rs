@@ -2,8 +2,6 @@
 //! concurrent writers never lose more events than ring capacity
 //! accounts for, and drained streams are time-ordered.
 
-#![cfg(not(feature = "trace-off"))]
-
 use csod_trace::{TraceEventKind, Tracer};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};

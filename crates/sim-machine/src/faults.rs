@@ -78,10 +78,9 @@ impl FaultStats {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     state: u64,
-    open_fail_ppm: u32,
-    fcntl_fail_ppm: u32,
-    ioctl_fail_ppm: u32,
-    close_fail_ppm: u32,
+    /// Failure probability of each perf syscall (`open`/`fcntl`/`ioctl`/
+    /// `close`), drawn independently per call.
+    perf_fail_ppm: u32,
     drop_signal_ppm: u32,
     delay_signal_ppm: u32,
     signal_delay: VirtDuration,
@@ -99,10 +98,7 @@ impl FaultPlan {
         FaultPlan {
             // Mix the seed so seeds 0 and 1 do not produce nearby streams.
             state: seed ^ 0x9E37_79B9_7F4A_7C15,
-            open_fail_ppm: 0,
-            fcntl_fail_ppm: 0,
-            ioctl_fail_ppm: 0,
-            close_fail_ppm: 0,
+            perf_fail_ppm: 0,
             drop_signal_ppm: 0,
             delay_signal_ppm: 0,
             signal_delay: VirtDuration::from_micros(100),
@@ -115,40 +111,13 @@ impl FaultPlan {
 
     // ----- builder knobs -----------------------------------------------------
 
-    /// Fails every perf syscall (`open`/`fcntl`/`ioctl`/`close`) with the
-    /// given probability.
+    /// Fails every perf syscall with the given probability:
+    /// `perf_event_open` with `EBUSY` or `ENOSPC`, `fcntl` and `ioctl`
+    /// with `EINTR`, and `close` reports `EINTR`. As on Linux, a failed
+    /// close still releases the descriptor — retrying it would be the
+    /// bug.
     pub fn perf_failures_ppm(mut self, ppm: u32) -> Self {
-        self.open_fail_ppm = ppm;
-        self.fcntl_fail_ppm = ppm;
-        self.ioctl_fail_ppm = ppm;
-        self.close_fail_ppm = ppm;
-        self
-    }
-
-    /// Fails `perf_event_open` with the given probability (alternating
-    /// `EBUSY` and `ENOSPC`).
-    pub fn open_failures_ppm(mut self, ppm: u32) -> Self {
-        self.open_fail_ppm = ppm;
-        self
-    }
-
-    /// Fails `fcntl` with `EINTR` at the given probability.
-    pub fn fcntl_failures_ppm(mut self, ppm: u32) -> Self {
-        self.fcntl_fail_ppm = ppm;
-        self
-    }
-
-    /// Fails `ioctl` with `EINTR` at the given probability.
-    pub fn ioctl_failures_ppm(mut self, ppm: u32) -> Self {
-        self.ioctl_fail_ppm = ppm;
-        self
-    }
-
-    /// Makes `close` report `EINTR` at the given probability. As on
-    /// Linux, the descriptor is still released — retrying the close would
-    /// be the bug.
-    pub fn close_failures_ppm(mut self, ppm: u32) -> Self {
-        self.close_fail_ppm = ppm;
+        self.perf_fail_ppm = ppm;
         self
     }
 
@@ -198,7 +167,7 @@ impl FaultPlan {
     }
 
     /// Whether `now` falls inside a registers-stolen window.
-    pub fn registers_busy_at(&self, now: VirtInstant) -> bool {
+    fn registers_busy_at(&self, now: VirtInstant) -> bool {
         self.busy_windows
             .iter()
             .any(|&(from, until)| now >= from && now < until)
@@ -224,7 +193,7 @@ impl FaultPlan {
             self.stats.open_failures += 1;
             return Some(PerfError::DeviceBusy(tid));
         }
-        if self.chance(self.open_fail_ppm) {
+        if self.chance(self.perf_fail_ppm) {
             self.stats.open_failures += 1;
             // Real deployments see both errnos; alternate deterministically.
             return Some(if self.next_u64() & 1 == 0 {
@@ -237,7 +206,7 @@ impl FaultPlan {
     }
 
     pub(crate) fn fail_fcntl(&mut self) -> Option<PerfError> {
-        if self.chance(self.fcntl_fail_ppm) {
+        if self.chance(self.perf_fail_ppm) {
             self.stats.fcntl_failures += 1;
             return Some(PerfError::Interrupted);
         }
@@ -245,7 +214,7 @@ impl FaultPlan {
     }
 
     pub(crate) fn fail_ioctl(&mut self) -> Option<PerfError> {
-        if self.chance(self.ioctl_fail_ppm) {
+        if self.chance(self.perf_fail_ppm) {
             self.stats.ioctl_failures += 1;
             return Some(PerfError::Interrupted);
         }
@@ -253,7 +222,7 @@ impl FaultPlan {
     }
 
     pub(crate) fn fail_close(&mut self) -> bool {
-        if self.chance(self.close_fail_ppm) {
+        if self.chance(self.perf_fail_ppm) {
             self.stats.close_failures += 1;
             return true;
         }

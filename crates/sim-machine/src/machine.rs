@@ -116,11 +116,6 @@ impl Machine {
         machine
     }
 
-    /// Debug registers available per thread on this machine.
-    pub fn debug_registers(&self) -> usize {
-        self.perf.registers_per_thread()
-    }
-
     /// Creates a machine with an explicit cost model.
     pub fn with_costs(cost: CostModel) -> Self {
         Machine {
@@ -151,24 +146,9 @@ impl Machine {
         self.faults = Some(plan);
     }
 
-    /// Removes the fault plan, returning it (with its counters) for
-    /// inspection.
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.faults.take()
-    }
-
     /// Counters of the faults injected so far, if a plan is installed.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.faults.as_ref().map(FaultPlan::stats)
-    }
-
-    /// Whether the installed fault plan (if any) marks the debug
-    /// registers as stolen right now. Tools use this as their cheap
-    /// backend-health probe.
-    pub fn registers_busy(&self) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.registers_busy_at(self.clock.now()))
     }
 
     /// Fault hook for allocators: whether the next heap allocation must
@@ -858,11 +838,6 @@ impl Machine {
     pub fn has_pending_signals(&self) -> bool {
         let now = self.clock.now();
         !self.pending.is_empty() || self.delayed.iter().any(|&(due, _)| due <= now)
-    }
-
-    /// Signals still held back by a fault-injected delivery delay.
-    pub fn delayed_signal_count(&self) -> usize {
-        self.delayed.len()
     }
 
     /// Raises a signal programmatically (e.g. the program calls `abort`).

@@ -237,11 +237,6 @@ impl PerfSubsystem {
         }
     }
 
-    /// Debug registers available per thread.
-    pub fn registers_per_thread(&self) -> usize {
-        self.registers_per_thread
-    }
-
     /// `perf_event_open(&attr, tid, -1, -1, 0)`: opens a breakpoint event
     /// on `tid`, claiming one of its four debug registers.
     ///

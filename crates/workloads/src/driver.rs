@@ -837,16 +837,11 @@ mod tests {
         let reg = registry();
         let outcome = TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::default()))
             .run(bug_trace(SiteToken(0), AccessKind::Write));
-        if csod_trace::trace_compiled_off() {
-            assert_eq!(outcome.trace_events, 0);
-            assert!(outcome.trace_counts.is_empty());
-        } else {
-            assert!(outcome.trace_events > 0);
-            let kinds: Vec<_> = outcome.trace_counts.iter().map(|(k, _)| *k).collect();
-            assert!(kinds.contains(&TraceEventKind::AllocSampled));
-            assert!(kinds.contains(&TraceEventKind::WatchInstalled));
-            assert!(kinds.contains(&TraceEventKind::TrapFired));
-        }
+        assert!(outcome.trace_events > 0);
+        let kinds: Vec<_> = outcome.trace_counts.iter().map(|(k, _)| *k).collect();
+        assert!(kinds.contains(&TraceEventKind::AllocSampled));
+        assert!(kinds.contains(&TraceEventKind::WatchInstalled));
+        assert!(kinds.contains(&TraceEventKind::TrapFired));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * [`analyze`] — the static overflow-risk pre-analysis that primes
 //!   the sampler with per-context priors;
 //! * [`trace`] — the always-on observability layer (event rings,
-//!   metrics snapshots, the JSONL report file); build with `--features
-//!   trace-off` to compile the tracer out.
+//!   metrics snapshots, the JSONL report file); set
+//!   `CsodConfig::trace.events = false` to stop emitting events.
 //!
 //! Run `cargo run --example quickstart` for a two-minute tour, and see
 //! DESIGN.md / EXPERIMENTS.md for the experiment index.

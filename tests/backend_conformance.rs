@@ -53,9 +53,9 @@ const PRE_REFACTOR_GOLDENS: &[(&str, u64)] = &[
 ];
 
 /// The same runs' digests with the three trace fields (`trace_events`,
-/// `trace_dropped`, `trace_counts`) cleared, captured with default
-/// features. They are the only fields a `trace-off` build changes, so
-/// both builds must reproduce these.
+/// `trace_dropped`, `trace_counts`) cleared. They are the only fields
+/// that switching tracing off (`trace.events = false`) changes, so a run
+/// with tracing off must reproduce these as they stand.
 const TRACE_NEUTRAL_GOLDENS: &[(&str, u64)] = &[
     ("Gzip-1.2.4", 0xe22dd314d03c39d7),
     ("Heartbleed", 0xce031b9dd0a2fdf1),
@@ -136,10 +136,8 @@ fn assert_digest(outcome: &RunOutcome, expected: u64, what: &str) {
 
 /// Runs every buggy app on a fresh default runner and checks its
 /// `RunOutcome` digest against the pinned goldens: the full outcome
-/// against `PRE_REFACTOR_GOLDENS` when the tracer is compiled in, and
-/// the outcome without its trace fields against `TRACE_NEUTRAL_GOLDENS`
-/// in every build. A `trace-off` build must also report no trace
-/// activity at all.
+/// against `PRE_REFACTOR_GOLDENS`, and the outcome without its trace
+/// fields against `TRACE_NEUTRAL_GOLDENS`.
 fn assert_parity(mode: &str, check: impl Fn(&str, &RunOutcome)) {
     for app in BuggyApp::all() {
         let registry = app.registry();
@@ -157,22 +155,10 @@ fn assert_parity(mode: &str, check: impl Fn(&str, &RunOutcome)) {
     }
 }
 
-/// Checks one outcome against its full golden (tracer compiled in) and
-/// its trace-neutral golden (every build).
+/// Checks one outcome against its full golden and, with its trace
+/// fields cleared, against its trace-neutral golden.
 fn assert_goldens(mut outcome: RunOutcome, full: u64, trace_neutral: u64, what: &str) {
-    if cfg!(feature = "trace-off") {
-        assert_eq!(
-            (
-                outcome.trace_events,
-                outcome.trace_dropped,
-                outcome.trace_counts.len()
-            ),
-            (0, 0, 0),
-            "{what}: trace-off must record no trace events"
-        );
-    } else {
-        assert_digest(&outcome, full, what);
-    }
+    assert_digest(&outcome, full, what);
     outcome.trace_events = 0;
     outcome.trace_dropped = 0;
     outcome.trace_counts.clear();
@@ -211,6 +197,42 @@ fn parity_with_fig7_goldens() {
         assert_goldens(
             outcome,
             golden(FIG7_GOLDENS, app.name),
+            golden(FIG7_TRACE_NEUTRAL_GOLDENS, app.name),
+            app.name,
+        );
+    }
+}
+
+/// With run-time tracing off, every buggy app and every Figure-7 app
+/// records no trace activity and otherwise reproduces its run exactly:
+/// the untouched outcome matches its trace-neutral golden.
+#[test]
+fn parity_with_tracing_switched_off() {
+    let mut config = CsodConfig::default();
+    config.trace.events = false;
+    let check = |outcome: RunOutcome, trace_neutral: u64, what: &str| {
+        assert_eq!(
+            (
+                outcome.trace_events,
+                outcome.trace_dropped,
+                outcome.trace_counts.len()
+            ),
+            (0, 0, 0),
+            "{what}: tracing off must record no trace events"
+        );
+        assert_digest(&outcome, trace_neutral, what);
+    };
+    for app in BuggyApp::all() {
+        let registry = app.registry();
+        let outcome =
+            TraceRunner::new(&registry, ToolSpec::Csod(config.clone())).run(app.trace(0xC50D));
+        check(outcome, golden(TRACE_NEUTRAL_GOLDENS, app.name), app.name);
+    }
+    for app in PerfApp::all() {
+        let registry = app.registry();
+        let outcome = app.run(&registry, ToolSpec::Csod(config.clone()), 0xC50D);
+        check(
+            outcome,
             golden(FIG7_TRACE_NEUTRAL_GOLDENS, app.name),
             app.name,
         );

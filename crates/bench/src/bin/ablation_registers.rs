@@ -8,12 +8,14 @@
 //! the adaptive sampling doing its job, surprisingly little — see the
 //! closing note.)
 
-use csod_bench::{header, parallel_map, row, runs_arg};
+use csod_bench::{header, row, runs_arg};
 use csod_core::{CsodConfig, ReplacementPolicy};
-use workloads::{BuggyApp, PerfApp, ToolSpec, TraceRunner};
+use workloads::{run_parallel, BuggyApp, PerfApp, ToolSpec, TraceRunner};
 
 fn main() {
     let runs = runs_arg(200);
+    let seeds: Vec<u64> = (0..runs as u64).collect();
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let apps: Vec<BuggyApp> = ["heartbleed", "memcached", "mysql", "zziplib"]
         .iter()
         .map(|n| BuggyApp::by_name(n).expect("known app"))
@@ -44,10 +46,10 @@ fn main() {
         for app in &apps {
             let registry = app.registry();
             let trace = app.trace(42);
-            let detections: usize = parallel_map(runs, |seed| {
+            let detections: usize = run_parallel(&seeds, threads, |&seed| {
                 let mut config = CsodConfig::with_policy(ReplacementPolicy::NearFifo);
                 config.watchpoint_slots = slots;
-                config.seed = seed as u64;
+                config.seed = seed;
                 usize::from(
                     TraceRunner::new(&registry, ToolSpec::Csod(config))
                         .run(trace.iter().copied())

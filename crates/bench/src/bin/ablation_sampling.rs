@@ -6,18 +6,20 @@
 //! hardest workloads (Heartbleed and MySQL, near-FIFO policy) to show
 //! where the defaults sit on the curve.
 
-use csod_bench::{header, parallel_map, row, runs_arg};
+use csod_bench::{header, row, runs_arg};
 use csod_core::{CsodConfig, ReplacementPolicy, SamplingParams};
 use csod_rng::PPM_SCALE;
-use workloads::{BuggyApp, ToolSpec, TraceRunner};
+use workloads::{run_parallel, BuggyApp, ToolSpec, TraceRunner};
 
 fn detection_rate(app: &BuggyApp, params: SamplingParams, runs: usize) -> f64 {
     let registry = app.registry();
     let trace = app.trace(42);
-    let detections: usize = parallel_map(runs, |seed| {
+    let seeds: Vec<u64> = (0..runs as u64).collect();
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let detections: usize = run_parallel(&seeds, threads, |&seed| {
         let mut config = CsodConfig::with_policy(ReplacementPolicy::NearFifo);
         config.sampling = params;
-        config.seed = seed as u64;
+        config.seed = seed;
         let outcome =
             TraceRunner::new(&registry, ToolSpec::Csod(config)).run(trace.iter().copied());
         usize::from(outcome.watchpoint_detected)

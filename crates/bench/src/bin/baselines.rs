@@ -12,13 +12,15 @@
 //! repeated).
 
 use asan_sim::AsanConfig;
-use csod_bench::{header, parallel_map, row, runs_arg};
+use csod_bench::{header, row, runs_arg};
 use csod_core::CsodConfig;
 use sampler_sim::SamplerConfig;
-use workloads::{BuggyApp, PerfApp, ToolSpec, TraceRunner};
+use workloads::{run_parallel, BuggyApp, PerfApp, ToolSpec, TraceRunner};
 
 fn main() {
     let runs = runs_arg(200);
+    let seeds: Vec<u64> = (0..runs as u64).collect();
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
     header(&format!(
         "Baselines: detection rate over {runs} executions (+ mean overhead)"
     ));
@@ -40,10 +42,10 @@ fn main() {
         let registry = app.registry();
         let trace = app.trace(42);
 
-        let csod_hits: usize = parallel_map(runs, |seed| {
+        let csod_hits: usize = run_parallel(&seeds, threads, |&seed| {
             let outcome = TraceRunner::new(
                 &registry,
-                ToolSpec::Csod(CsodConfig::with_seed(seed as u64)),
+                ToolSpec::Csod(CsodConfig::with_seed(seed)),
             )
             .run(trace.iter().copied());
             usize::from(outcome.watchpoint_detected)
@@ -51,11 +53,11 @@ fn main() {
         .into_iter()
         .sum();
 
-        let sampler_hits: usize = parallel_map(runs, |seed| {
+        let sampler_hits: usize = run_parallel(&seeds, threads, |&seed| {
             let outcome = TraceRunner::new(
                 &registry,
                 ToolSpec::Sampler(SamplerConfig {
-                    phase: seed as u64 * 97,
+                    phase: seed * 97,
                     ..SamplerConfig::default()
                 }),
             )

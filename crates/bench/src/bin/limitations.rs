@@ -42,9 +42,7 @@ fn main() {
 
     // --- 1. Continuous one-word heap overflow (the design target). ----
     {
-        let (csod, asan) = heap_scenario(|m, tid, obj_end| {
-            let _ = m.app_access(tid, obj_end, 8, AccessKind::Write);
-        });
+        let (csod, asan) = heap_scenario(0, 8, AccessKind::Write);
         results.push(Scenario {
             name: "continuous heap over-write",
             paper_expectation: "both detect",
@@ -55,9 +53,7 @@ fn main() {
 
     // --- 2. Continuous heap over-read. ---------------------------------
     {
-        let (csod, asan) = heap_scenario(|m, tid, obj_end| {
-            let _ = m.app_access(tid, obj_end, 8, AccessKind::Read);
-        });
+        let (csod, asan) = heap_scenario(0, 8, AccessKind::Read);
         results.push(Scenario {
             name: "continuous heap over-read",
             paper_expectation: "both detect",
@@ -68,11 +64,9 @@ fn main() {
 
     // --- 3. Non-continuous, skips boundary, lands in redzone. ----------
     {
-        let (csod, asan) = heap_scenario(|m, tid, obj_end| {
-            // Skip the watched word; +8 is still inside ASan's 16-byte
-            // redzone.
-            let _ = m.app_access(tid, obj_end + 8, 4, AccessKind::Write);
-        });
+        // Skip the watched word; +8 is still inside ASan's 16-byte
+        // redzone.
+        let (csod, asan) = heap_scenario(8, 4, AccessKind::Write);
         results.push(Scenario {
             name: "strided overflow within redzone",
             paper_expectation: "ASan only",
@@ -83,9 +77,7 @@ fn main() {
 
     // --- 4. Non-continuous, far beyond the redzone. ---------------------
     {
-        let (csod, asan) = heap_scenario(|m, tid, obj_end| {
-            let _ = m.app_access(tid, obj_end + 4096, 8, AccessKind::Write);
-        });
+        let (csod, asan) = heap_scenario(4096, 8, AccessKind::Write);
         results.push(Scenario {
             name: "far non-continuous overflow",
             paper_expectation: "neither detects",
@@ -180,11 +172,9 @@ fn yn(b: bool) -> String {
 }
 
 /// Runs one heap scenario: a 64-byte object, guaranteed watched under
-/// CSOD (first allocation) and redzoned under ASan; `act` performs the
-/// accesses given (machine, thread, first address past the object).
-fn heap_scenario(
-    act: impl Fn(&mut Machine, ThreadId, VirtAddr),
-) -> (bool, bool) {
+/// CSOD (first allocation) and redzoned under ASan, then one `len`-byte
+/// access of `kind` starting `past_end` bytes past the object's end.
+fn heap_scenario(past_end: u64, len: u64, kind: AccessKind) -> (bool, bool) {
     // CSOD.
     let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
@@ -197,7 +187,7 @@ fn heap_scenario(
         .unwrap();
     assert!(csod.is_watched(p), "first object is always watched");
     machine.set_current_site(ThreadId::MAIN, SiteToken(0));
-    act(&mut machine, ThreadId::MAIN, p + 64);
+    let _ = machine.app_access(ThreadId::MAIN, p + 64 + past_end, len, kind);
     csod.poll(&mut machine);
     csod.finish(&mut machine);
     let csod_detected = csod.detected();
@@ -208,28 +198,14 @@ fn heap_scenario(
     let mut asan = Asan::new(AsanConfig::default());
     asan.instrument_module("app");
     let q = asan.malloc(&mut machine, &mut heap, 64).unwrap();
-    let end = q + 64;
-    // Perform the same access pattern; the scenario calls raw machine
-    // accesses, so replay them through asan.access by interposing here.
-    let mut recorded: Vec<(VirtAddr, u64, AccessKind)> = Vec::new();
-    {
-        let mut rec_machine = Machine::new();
-        rec_machine.map_region(VirtAddr::new(0x100_0000), 1 << 20, "rec").unwrap();
-        // Record against a scratch machine with the same offsets.
-        let scratch_end = VirtAddr::new(0x100_0000) + 64;
-        rec_machine.recorder_enable(64);
-        act(&mut rec_machine, ThreadId::MAIN, scratch_end);
-        if let Some(recorder) = rec_machine.recorder() {
-            for (_, event) in recorder.events() {
-                if let sim_machine::LogEvent::Access { addr, len, kind, .. } = event {
-                    let offset = *addr - VirtAddr::new(0x100_0000);
-                    recorded.push((end - 64 + offset, *len, *kind));
-                }
-            }
-        }
-    }
-    for (addr, len, kind) in recorded {
-        let _ = asan.access(&mut machine, ThreadId::MAIN, addr, len, kind, "app", SiteToken(0));
-    }
+    let _ = asan.access(
+        &mut machine,
+        ThreadId::MAIN,
+        q + 64 + past_end,
+        len,
+        kind,
+        "app",
+        SiteToken(0),
+    );
     (csod_detected, asan.detected())
 }

@@ -20,8 +20,6 @@
 use csod_core::{Backend, Csod, HeapBackend};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use sim_machine::ThreadId;
-use std::num::NonZeroUsize;
-use std::thread;
 use std::time::Instant;
 
 /// Formats a row of fixed-width columns.
@@ -58,28 +56,6 @@ pub fn runs_arg(default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Maps `f` over `0..n` on all available cores and collects the results
-/// in index order.
-pub fn parallel_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n.max(1));
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(workers.max(1)).max(1);
-    thread::scope(|scope| {
-        for (w, slice) in results.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(w * chunk + i));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("filled")).collect()
 }
 
 /// Allowed slowdown versus the committed baseline before `--check` fails.
@@ -494,18 +470,6 @@ mod tests {
             (t, t as u32)
         });
         assert_eq!((t, tag), (1.0, 1));
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_edge_sizes() {
-        assert!(parallel_map(0, |i| i).is_empty());
-        assert_eq!(parallel_map(1, |i| i), vec![0]);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! |---|---|
 //! | Trace → per-thread statement IR | [`ir`] |
 //! | Basic blocks + spawn edges | [`cfg`](mod@cfg) |
-//! | Call graph over call/return/spawn edges | [`callgraph`] |
 //! | k-limited call-string assignment | [`callstring`] |
 //! | Pointer-slot escape analysis | [`escape`] |
 //! | Flow-sensitive binding resolution | [`cfg::resolve_bindings`] |
@@ -53,7 +52,6 @@
 #![warn(clippy::cast_possible_truncation)]
 #![warn(clippy::missing_panics_doc)]
 
-pub mod callgraph;
 pub mod callstring;
 pub mod certify;
 pub mod cfg;
@@ -65,7 +63,6 @@ pub mod oracle;
 pub mod report;
 pub mod summaries;
 
-pub use callgraph::CallGraph;
 pub use callstring::{CtxAssignment, CtxId, CtxTable};
 pub use certify::{verify_certificates, Certificate};
 pub use cfg::{Binding, Bindings, Cfg};
@@ -91,8 +88,6 @@ pub struct AnalyzeStats {
     pub k: usize,
     /// Distinct k-limited call strings interned.
     pub contexts: usize,
-    /// Distinct caller→callee edges in the call graph.
-    pub call_edges: usize,
     /// Times a conclusive function summary answered for a context
     /// without consulting its per-context summary.
     pub summary_reuses: u64,
@@ -134,7 +129,6 @@ pub fn analyze_with_k(registry: &SiteRegistry, trace: &[Event], k: usize) -> Ris
 pub fn analyze_detailed(registry: &SiteRegistry, trace: &[Event], k: usize) -> Analysis {
     let program = ir::lower(registry, trace);
     let cfg = Cfg::build(&program);
-    let graph = CallGraph::build(&program);
     let ctxs = callstring::assign(&program, k);
     let slots = escape::analyze_slots(&program);
     let bindings = cfg::resolve_bindings(&program, &cfg, &slots);
@@ -143,7 +137,6 @@ pub fn analyze_detailed(registry: &SiteRegistry, trace: &[Event], k: usize) -> A
     let stats = AnalyzeStats {
         k,
         contexts: ctxs.table.len(),
-        call_edges: graph.edge_count(),
         summary_reuses: classification.summary_reuses,
         widened_summaries: classification.widened_summaries,
         certificates: certificates.len(),

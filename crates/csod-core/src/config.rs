@@ -72,8 +72,9 @@ impl fmt::Display for WatchBackend {
 ///
 /// "These percentages are pre-defined macros used at compilation time,
 /// which could be further adjusted based on the behavior of programs" —
-/// here they are plain fields so the `ablation_sampling` harness can
-/// sweep them.
+/// the ones a caller adjusts (the fleet budget, the `ablation_sampling`
+/// sweep) are plain fields; the burst window and throttle and the
+/// reviving boost and period are the [`paper`] constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingParams {
     /// Initial probability of every new calling context (paper: 50 %).
@@ -83,19 +84,9 @@ pub struct SamplingParams {
     pub degrade_per_alloc_ppm: u32,
     /// Lower bound no degradation can cross (paper: 0.001 %).
     pub floor_ppm: u32,
-    /// Allocation count within [`SamplingParams::burst_window`] beyond
-    /// which the context is throttled (paper: 5,000).
+    /// Allocation count within [`paper::BURST_WINDOW`] beyond which the
+    /// context is throttled (paper: 5,000).
     pub burst_threshold: u32,
-    /// The burst-detection window (paper: 10 seconds).
-    pub burst_window: VirtDuration,
-    /// Probability while throttled (paper: 0.0001 %).
-    pub burst_ppm: u32,
-    /// Reviving boost applied to floor-level contexts after a quiet
-    /// period (paper Section IV-A: 0.01 %).
-    pub revive_ppm: u32,
-    /// How long a context must sit at the floor before it becomes
-    /// eligible for reviving.
-    pub revive_period: VirtDuration,
     /// Chance per allocation that an eligible context is actually
     /// revived ("augmented randomly").
     pub revive_chance_ppm: u32,
@@ -108,10 +99,6 @@ impl Default for SamplingParams {
             degrade_per_alloc_ppm: paper::DEGRADE_PER_ALLOC_PPM,
             floor_ppm: paper::FLOOR_PPM,
             burst_threshold: paper::BURST_ALLOC_THRESHOLD,
-            burst_window: paper::BURST_WINDOW,
-            burst_ppm: paper::BURST_THROTTLE_PPM,
-            revive_ppm: paper::REVIVE_PPM,
-            revive_period: paper::REVIVE_PERIOD,
             revive_chance_ppm: PPM_SCALE / 100, // 1% per allocation once eligible
         }
     }
@@ -599,16 +586,11 @@ impl CsodConfig {
                 s.floor_ppm, s.initial_ppm
             ));
         }
-        if s.burst_ppm > s.floor_ppm {
-            return Err(format!(
-                "burst throttle ({} ppm) above the floor ({} ppm) would make bursting a reward",
-                s.burst_ppm, s.floor_ppm
-            ));
-        }
-        if s.revive_ppm < s.floor_ppm {
+        if paper::REVIVE_PPM < s.floor_ppm {
             return Err(format!(
                 "reviving to {} ppm below the floor ({} ppm) is a no-op",
-                s.revive_ppm, s.floor_ppm
+                paper::REVIVE_PPM,
+                s.floor_ppm
             ));
         }
         if self.fast_path.decision_cache_refresh == 0 {
@@ -653,9 +635,9 @@ mod tests {
         assert_eq!(p.degrade_per_alloc_ppm, 10); // 0.001%
         assert_eq!(p.floor_ppm, 10); // 0.001%
         assert_eq!(p.burst_threshold, 5_000);
-        assert_eq!(p.burst_window, VirtDuration::from_secs(10));
-        assert_eq!(p.burst_ppm, 1); // 0.0001%
-        assert_eq!(p.revive_ppm, 100); // 0.01%
+        assert_eq!(paper::BURST_WINDOW, VirtDuration::from_secs(10));
+        assert_eq!(paper::BURST_THROTTLE_PPM, 1); // 0.0001%
+        assert_eq!(paper::REVIVE_PPM, 100); // 0.01%
         let c = CsodConfig::default();
         assert!(c.evidence);
         assert_eq!(c.policy, ReplacementPolicy::NearFifo);
@@ -691,13 +673,8 @@ mod tests {
             ..SamplingParams::default()
         });
         assert!(over_unity.validate().unwrap_err().contains("100%"));
-        let high_burst = with_sampling(SamplingParams {
-            burst_ppm: 500,
-            ..SamplingParams::default()
-        });
-        assert!(high_burst.validate().unwrap_err().contains("burst"));
         let dead_revive = with_sampling(SamplingParams {
-            revive_ppm: 1,
+            floor_ppm: 1_000,
             ..SamplingParams::default()
         });
         assert!(dead_revive.validate().unwrap_err().contains("no-op"));
@@ -758,10 +735,6 @@ mod tests {
         assert_eq!(p.degrade_per_alloc_ppm, paper::DEGRADE_PER_ALLOC_PPM);
         assert_eq!(p.floor_ppm, paper::FLOOR_PPM);
         assert_eq!(p.burst_threshold, paper::BURST_ALLOC_THRESHOLD);
-        assert_eq!(p.burst_window, paper::BURST_WINDOW);
-        assert_eq!(p.burst_ppm, paper::BURST_THROTTLE_PPM);
-        assert_eq!(p.revive_ppm, paper::REVIVE_PPM);
-        assert_eq!(p.revive_period, paper::REVIVE_PERIOD);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! pre-cache behaviour, kept as a comparison mode for the fast-path
 //! bench and the parity tests.
 
+use crate::config::paper;
 use crate::sampling::{AllocDecision, ContextJudgment, SamplingUnit};
 use csod_ctx::{CallingContext, ContextKey};
 use csod_rng::Arc4Random;
@@ -115,10 +116,11 @@ impl DecisionCache {
         if current != self.epoch {
             self.invalidate(sampler, current);
         }
-        let ttl = sampler.params().burst_window;
         if self.refresh > 1 {
             if let Some(entry) = self.map.get_mut(&key) {
-                if entry.uses_left > 0 && now.saturating_duration_since(entry.filled_at) <= ttl {
+                if entry.uses_left > 0
+                    && now.saturating_duration_since(entry.filled_at) <= paper::BURST_WINDOW
+                {
                     entry.uses_left -= 1;
                     entry.pending += 1;
                     self.stats.hits += 1;

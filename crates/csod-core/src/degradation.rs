@@ -8,7 +8,7 @@
 //!
 //! 1. **Retry with bounded backoff** — a failed install is retried on
 //!    virtual time, with the backoff doubling per consecutive failure up
-//!    to a cap, and at most [`DegradationParams::max_retries`] attempts
+//!    to a cap, and at most [`DegradationParams::MAX_RETRIES`] attempts
 //!    per candidate.
 //! 2. **Context quarantine** — a context whose installs keep failing is
 //!    benched for [`DegradationParams::quarantine_period`] so the tool
@@ -36,8 +36,6 @@ pub struct DegradationParams {
     pub retry_backoff: VirtDuration,
     /// Upper bound on the doubled backoff.
     pub max_backoff: VirtDuration,
-    /// Install attempts per candidate before it is abandoned.
-    pub max_retries: u32,
     /// Consecutive per-context failures before the context is benched.
     pub quarantine_threshold: u32,
     /// How long a benched context stays out of the watch path.
@@ -49,12 +47,16 @@ pub struct DegradationParams {
     pub probe_interval: VirtDuration,
 }
 
+impl DegradationParams {
+    /// Install attempts per candidate before it is abandoned.
+    pub const MAX_RETRIES: u32 = 4;
+}
+
 impl Default for DegradationParams {
     fn default() -> Self {
         DegradationParams {
             retry_backoff: VirtDuration::from_millis(10),
             max_backoff: VirtDuration::from_secs(1),
-            max_retries: 4,
             quarantine_threshold: 3,
             quarantine_period: VirtDuration::from_secs(60),
             degrade_threshold: 8,
@@ -284,7 +286,7 @@ impl DegradationManager {
         // left, queue not full).
         let attempts = prior_attempts + 1;
         if !verdict.quarantined
-            && attempts < self.params.max_retries
+            && attempts < DegradationParams::MAX_RETRIES
             && self.retry_queue.len() < self.retry_capacity
         {
             self.retry_queue.push(PendingRetry {
@@ -490,9 +492,9 @@ mod tests {
         m.cancel_retry(VirtAddr::new(0x2000));
         let due = m.due_retries(far);
         assert_eq!(due.len(), 1);
-        // Exhausted candidates (attempts >= max_retries) never queue.
+        // Exhausted candidates (attempts >= MAX_RETRIES) never queue.
         let c = candidate(&frames, "spent");
-        m.on_install_failure(far, c, DegradationParams::default().max_retries);
+        m.on_install_failure(far, c, DegradationParams::MAX_RETRIES);
         assert!(m.due_retries(far + VirtDuration::from_secs(10)).is_empty());
     }
 }

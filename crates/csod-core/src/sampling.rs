@@ -20,7 +20,7 @@
 //! * **evidence pinning** (Section IV-B): once a corrupted canary proves
 //!   a context overflows, its probability is pinned at 100 %.
 
-use crate::config::{AnalysisPriors, RiskClass, SamplingParams};
+use crate::config::{paper, AnalysisPriors, RiskClass, SamplingParams};
 use csod_ctx::{CallingContext, ContextKey, ContextTable, ContextTree, CtxNodeId};
 use csod_rng::{Arc4Random, PPM_SCALE};
 use sim_machine::VirtInstant;
@@ -372,11 +372,11 @@ impl SamplingUnit {
                     && state.burst_until.is_none()
                     && state.probability_ppm <= params.floor_ppm
                     && state.floor_since.is_some_and(|since| {
-                        now.saturating_duration_since(since) >= params.revive_period
+                        now.saturating_duration_since(since) >= paper::REVIVE_PERIOD
                     });
 
                 // 1. Burst-window bookkeeping.
-                if now.saturating_duration_since(state.window_start) > params.burst_window {
+                if now.saturating_duration_since(state.window_start) > paper::BURST_WINDOW {
                     state.window_start = now;
                     state.window_allocs = 0;
                 }
@@ -401,8 +401,8 @@ impl SamplingUnit {
                     && state.burst_until.is_none()
                     && state.window_allocs > params.burst_threshold
                 {
-                    state.probability_ppm = params.burst_ppm;
-                    state.burst_until = Some(state.window_start + params.burst_window);
+                    state.probability_ppm = paper::BURST_THROTTLE_PPM;
+                    state.burst_until = Some(state.window_start + paper::BURST_WINDOW);
                     entered_burst = true;
                     epoch.fetch_add(1, Ordering::AcqRel);
                 }
@@ -426,13 +426,13 @@ impl SamplingUnit {
                             None => state.floor_since = Some(now),
                             Some(since)
                                 if now.saturating_duration_since(since)
-                                    >= params.revive_period
+                                    >= paper::REVIVE_PERIOD
                                     && rng.chance_ppm(compound_chance_ppm(
                                         params.revive_chance_ppm,
                                         revive_trials,
                                     )) =>
                             {
-                                state.probability_ppm = params.revive_ppm;
+                                state.probability_ppm = paper::REVIVE_PPM;
                                 state.floor_since = None;
                                 revived = true;
                                 epoch.fetch_add(1, Ordering::AcqRel);
@@ -1024,7 +1024,7 @@ mod tests {
             alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
         }
         let p = u.probability_ppm(k).unwrap();
-        assert!(p > SamplingParams::default().burst_ppm, "not throttled: {p}");
+        assert!(p > paper::BURST_THROTTLE_PPM, "not throttled: {p}");
         assert!(
             p >= AnalysisPriors::DEFAULT_SUSPICIOUS_PPM - 5_002 * 10,
             "only ordinary degradation applied: {p}"

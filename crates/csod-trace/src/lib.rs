@@ -16,8 +16,6 @@
 //!   JSON and Prometheus-style text serialization.
 //! * [`JsonlFileSink`] — the crash-tolerant JSONL file that overflow
 //!   reports are appended to, one line per detection.
-//! * [`BoundedLog`] — the generic bounded ring with eviction accounting
-//!   shared with the machine's flight recorder.
 //!
 //! The crate is dependency-free and knows nothing about the simulator:
 //! timestamps are plain nanosecond counts, thread ids plain `u32`s.
@@ -28,14 +26,12 @@
 
 mod event;
 mod histogram;
-mod log;
 mod metrics;
 mod ring;
 mod sink;
 
 pub use event::{TraceEvent, TraceEventKind};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use log::BoundedLog;
 pub use metrics::MetricsRegistry;
 pub use ring::{ThreadTracer, TraceStream, Tracer, DEFAULT_RING_CAPACITY};
 pub use sink::{JsonlFileSink, FLUSH_EVERY_ENV};

@@ -20,9 +20,8 @@
 //! * the alternative watchpoint routes the paper discusses — `ptrace`
 //!   ([`Machine::sys_ptrace_watch`]) and the combined custom syscall of
 //!   Section V-B ([`Machine::sys_watch_all_threads`]),
-//! * [PMU access sampling](Machine::pmu_enable) (the Sampler baseline's
-//!   substrate) and a [flight recorder](FlightRecorder) for post-mortem
-//!   debugging.
+//! * [PMU access sampling](Machine::pmu_enable), the Sampler baseline's
+//!   substrate.
 //!
 //! ## Quick start
 //!
@@ -60,7 +59,6 @@ mod fxhash;
 mod machine;
 mod memory;
 mod perf;
-mod recorder;
 mod signal;
 mod thread;
 
@@ -71,7 +69,6 @@ pub use debug::{DebugRegisterFile, NUM_WATCHPOINT_REGISTERS};
 pub use faults::{FaultPlan, FaultStats};
 pub use fxhash::{AddrHasher, FxBuild};
 pub use machine::{Machine, PmuSample};
-pub use recorder::{FlightRecorder, LogEvent};
 pub use memory::{AddressSpace, MemoryError};
 pub use perf::{
     BpType, Fd, FcntlCmd, FiredWatchpoint, IoctlCmd, PerfError, PerfEventAttr, PerfSubsystem,

@@ -7,7 +7,6 @@ use crate::cost::{CostDomain, CostModel, CycleCounter};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::memory::{AddressSpace, MemoryError};
 use crate::perf::{Fd, FcntlCmd, IoctlCmd, PerfError, PerfEventAttr, PerfSubsystem};
-use crate::recorder::{FlightRecorder, LogEvent};
 use crate::signal::{Signal, SignalInfo, SiteToken};
 use crate::thread::{ThreadError, ThreadId, ThreadRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -67,7 +66,6 @@ pub struct Machine {
     pmu_period: Option<u64>,
     pmu_countdown: u64,
     pmu_samples: VecDeque<PmuSample>,
-    recorder: Option<FlightRecorder>,
     faults: Option<FaultPlan>,
     /// Signals whose delivery a fault plan postponed, with their due time.
     /// The delay is constant per plan, so pushes arrive in due order.
@@ -131,7 +129,6 @@ impl Machine {
             pmu_period: None,
             pmu_countdown: 0,
             pmu_samples: VecDeque::new(),
-            recorder: None,
             faults: None,
             delayed: VecDeque::new(),
         }
@@ -335,19 +332,8 @@ impl Machine {
         self.charge(CostDomain::App, self.cost.mem_access);
         self.counter.count_access();
         self.pmu_observe_n(tid, addr, len, kind, 1);
-        self.record(LogEvent::Access {
-            thread: tid,
-            addr,
-            len,
-            kind,
-            count: 1,
-        });
         if !self.mem.is_mapped(addr, len) {
             let site = self.site_of(tid);
-            self.record(LogEvent::SignalRaised {
-                signal: Signal::Segv,
-                thread: tid,
-            });
             self.pending.push_back(SignalInfo {
                 signal: Signal::Segv,
                 thread: tid,
@@ -377,10 +363,6 @@ impl Machine {
             if self.faults.as_mut().is_some_and(FaultPlan::drop_signal) {
                 continue;
             }
-            self.record(LogEvent::SignalRaised {
-                signal: hit.sig,
-                thread: hit.owner,
-            });
             let info = SignalInfo {
                 signal: hit.sig,
                 // F_SETOWN directed the signal at `hit.owner`; CSOD sets the
@@ -426,37 +408,7 @@ impl Machine {
         self.charge(CostDomain::App, self.cost.mem_access * (count - 1));
         self.counter.add_accesses(count - 1);
         self.pmu_observe_n(tid, addr, len, kind, count - 1);
-        if count > 1 {
-            self.record(LogEvent::Access {
-                thread: tid,
-                addr,
-                len,
-                kind,
-                count: count - 1,
-            });
-        }
         self.app_access(tid, addr, len, kind)
-    }
-
-    /// Enables the flight recorder, keeping the last `capacity` events.
-    pub fn recorder_enable(&mut self, capacity: usize) {
-        self.recorder = Some(FlightRecorder::new(capacity));
-    }
-
-    /// Disables the flight recorder, returning it for inspection.
-    pub fn recorder_take(&mut self) -> Option<FlightRecorder> {
-        self.recorder.take()
-    }
-
-    /// Read access to the flight recorder, if enabled.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
-    }
-
-    fn record(&mut self, event: LogEvent) {
-        if let Some(recorder) = &mut self.recorder {
-            recorder.record(self.clock.now(), event);
-        }
     }
 
     /// Enables PMU access sampling: every `period`-th application access
@@ -552,9 +504,7 @@ impl Machine {
 
     /// Spawns a new thread and returns its id.
     pub fn spawn_thread(&mut self) -> ThreadId {
-        let tid = self.threads.spawn();
-        self.record(LogEvent::ThreadSpawn { thread: tid });
-        tid
+        self.threads.spawn()
     }
 
     /// Exits `tid`, closing any perf events pinned to it.
@@ -566,7 +516,6 @@ impl Machine {
         self.threads.exit(tid)?;
         self.perf.on_thread_exit(tid);
         self.current_site.remove(&tid);
-        self.record(LogEvent::ThreadExit { thread: tid });
         Ok(())
     }
 
@@ -589,9 +538,6 @@ impl Machine {
         attr: PerfEventAttr,
         tid: ThreadId,
     ) -> Result<Fd, PerfError> {
-        self.record(LogEvent::Syscall {
-            name: "perf_event_open",
-        });
         self.syscall_cost(self.cost.perf_event_open);
         if !self.threads.is_alive(tid) {
             return Err(PerfError::NoSuchThread(tid));
@@ -609,7 +555,6 @@ impl Machine {
     ///
     /// Returns [`PerfError::BadFd`] for closed descriptors.
     pub fn sys_fcntl(&mut self, fd: Fd, cmd: FcntlCmd) -> Result<i64, PerfError> {
-        self.record(LogEvent::Syscall { name: "fcntl" });
         self.syscall_cost(self.cost.syscall);
         if let Some(e) = self.faults.as_mut().and_then(FaultPlan::fail_fcntl) {
             return Err(e);
@@ -623,7 +568,6 @@ impl Machine {
     ///
     /// Returns [`PerfError::BadFd`] for closed descriptors.
     pub fn sys_ioctl(&mut self, fd: Fd, cmd: IoctlCmd) -> Result<(), PerfError> {
-        self.record(LogEvent::Syscall { name: "ioctl" });
         self.syscall_cost(self.cost.syscall);
         if let Some(e) = self.faults.as_mut().and_then(FaultPlan::fail_ioctl) {
             return Err(e);
@@ -637,7 +581,6 @@ impl Machine {
     ///
     /// Returns [`PerfError::BadFd`] for closed descriptors.
     pub fn sys_close(&mut self, fd: Fd) -> Result<(), PerfError> {
-        self.record(LogEvent::Syscall { name: "close" });
         self.syscall_cost(self.cost.syscall);
         if self.faults.as_mut().is_some_and(FaultPlan::fail_close) {
             // As on Linux, an EINTR from close still releases the
@@ -663,7 +606,6 @@ impl Machine {
         attr: PerfEventAttr,
         tid: ThreadId,
     ) -> Result<Fd, PerfError> {
-        self.record(LogEvent::Syscall { name: "ptrace" });
         self.syscall_cost(self.cost.ptrace_attach);
         if !self.threads.is_alive(tid) {
             // The attach already cost us; the errno comes back anyway.
@@ -695,7 +637,6 @@ impl Machine {
     ///
     /// Returns [`PerfError::BadFd`] for descriptors that are not open.
     pub fn sys_ptrace_unwatch(&mut self, fd: Fd) -> Result<(), PerfError> {
-        self.record(LogEvent::Syscall { name: "ptrace" });
         self.syscall_cost(self.cost.ptrace_attach);
         self.syscall_cost(self.cost.ptrace_poke);
         let result = self.perf.close(fd);
@@ -715,9 +656,6 @@ impl Machine {
         &mut self,
         attr: PerfEventAttr,
     ) -> Result<Vec<(ThreadId, Fd)>, PerfError> {
-        self.record(LogEvent::Syscall {
-            name: "watch_all_threads",
-        });
         let threads: Vec<ThreadId> = self.threads.alive().collect();
         self.syscall_cost(
             self.cost.combined_watch
@@ -755,9 +693,6 @@ impl Machine {
     /// The removal half of the combined syscall: one kernel entry closes
     /// all given descriptors.
     pub fn sys_unwatch_all(&mut self, fds: &[Fd]) {
-        self.record(LogEvent::Syscall {
-            name: "unwatch_all_threads",
-        });
         self.syscall_cost(
             self.cost.combined_watch
                 + self.cost.combined_watch_per_thread * fds.len() as u64,
@@ -777,9 +712,6 @@ impl Machine {
         if fds.is_empty() {
             return;
         }
-        self.record(LogEvent::Syscall {
-            name: "teardown_batch",
-        });
         self.syscall_cost(
             self.cost.teardown_batch + self.cost.teardown_batch_per_fd * fds.len() as u64,
         );
@@ -1125,25 +1057,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn pmu_zero_period_rejected() {
         Machine::new().pmu_enable(0);
-    }
-
-    #[test]
-    fn flight_recorder_captures_the_story() {
-        let (mut m, base) = machine_with_heap();
-        m.recorder_enable(64);
-        let worker = m.spawn_thread();
-        configured_watch(&mut m, base + 64, ThreadId::MAIN);
-        m.app_write(ThreadId::MAIN, base + 64, 8).unwrap();
-        m.app_access_bulk(worker, base, 8, AccessKind::Read, 100).unwrap();
-        m.exit_thread(worker).unwrap();
-        let recorder = m.recorder_take().expect("enabled");
-        let dump = recorder.dump();
-        assert!(dump.contains("spawn tid1"));
-        assert!(dump.contains("perf_event_open"));
-        assert!(dump.contains("SIGTRAP -> tid0"));
-        assert!(dump.contains("x99"), "bulk access recorded with count");
-        assert!(dump.contains("exit tid1"));
-        assert!(m.recorder().is_none(), "taking disables");
     }
 
     #[test]

@@ -8,21 +8,13 @@
 //! `csod_fleet::par` (the fleet ingest pipeline fans out over the same
 //! engine, and `workloads` already sits above `csod-fleet` in the crate
 //! stack); this module re-exports it unchanged and keeps the
-//! scenario-shaped entry points.
+//! trace-shaped entry point.
 
-use crate::chaos::{run_chaos_soak, ChaosConfig, ChaosOutcome};
 use crate::driver::{RunOutcome, ToolSpec, TraceRunner};
 use crate::sites::SiteRegistry;
 use crate::trace::Event;
 
 pub use csod_fleet::par::{run_parallel, run_parallel_batches, run_parallel_chunked};
-
-/// Runs one chaos soak per config, in parallel. Each soak owns its own
-/// machine, heap and runtime, so the fleet's outcomes are bit-identical
-/// to running the same configs serially.
-pub fn run_chaos_fleet(configs: &[ChaosConfig], threads: usize) -> Vec<ChaosOutcome> {
-    run_parallel(configs, threads, run_chaos_soak)
-}
 
 /// Below this many traces per would-be worker, fanning out costs more
 /// than it saves (thread spawn + counter contention dwarf the work), so
@@ -55,6 +47,7 @@ pub fn run_traces_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{run_chaos_soak, ChaosConfig};
     use csod_core::CsodConfig;
     use csod_ctx::FrameTable;
     use sim_machine::AccessKind;
@@ -104,7 +97,7 @@ mod tests {
     #[test]
     fn fleet_member_matches_serial_soak_exactly() {
         let configs: Vec<ChaosConfig> = (0..4).map(|i| small_soak(0xFEE7 + i)).collect();
-        let fleet = run_chaos_fleet(&configs, 4);
+        let fleet = run_parallel(&configs, 4, run_chaos_soak);
         assert_eq!(fleet.len(), configs.len());
         for (cfg, parallel) in configs.iter().zip(&fleet) {
             let serial = run_chaos_soak(cfg);

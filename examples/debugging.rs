@@ -1,14 +1,14 @@
-//! Post-mortem debugging with the machine's flight recorder.
+//! Post-mortem debugging with CSOD's own event trace.
 //!
 //! ```bash
 //! cargo run --release --example debugging
 //! ```
 //!
 //! When a detection report looks surprising, the question is always
-//! "what exactly happened just before the trap?". The simulated machine
-//! has the answer built in: a bounded flight recorder of recent
-//! accesses, syscalls, signals and thread events. This example triggers
-//! an overflow from a worker thread and dumps the recorded tail.
+//! "what exactly happened just before the trap?". CSOD answers it from
+//! its per-thread trace rings: every sampling, watch and trap decision
+//! with its virtual timestamp and acting thread. This example triggers
+//! an overflow from a worker thread and prints the drained trace.
 
 use csod::core::{Csod, CsodConfig, RunSummary};
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
@@ -19,7 +19,6 @@ use std::sync::Arc;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
-    machine.recorder_enable(32); // keep the last 32 events
     let mut heap = SimHeap::new(&mut machine, HeapConfig::default())?;
     let mut csod = Csod::new(CsodConfig::default(), Arc::clone(&frames));
 
@@ -56,10 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- report ---\n");
     println!("{}", csod.reports()[0].render(&frames));
 
-    println!("--- flight recorder: the last {} events before/at the trap ---\n",
-        machine.recorder().map_or(0, |r| r.len()));
-    let recorder = machine.recorder_take().expect("enabled at boot");
-    print!("{}", recorder.dump());
+    let trace = csod.drain_trace();
+    println!("--- trace: {} events up to the trap ---\n", trace.events.len());
+    for event in &trace.events {
+        println!("{event}");
+    }
 
     csod.finish(&mut machine);
     println!("\n{}", RunSummary::collect(&csod, &machine));

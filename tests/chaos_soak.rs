@@ -10,7 +10,7 @@
 
 use csod::core::{CsodConfig, DegradationParams, MitigationParams};
 use csod::machine::VirtDuration;
-use csod::workloads::{run_chaos_fleet, run_chaos_soak, ChaosConfig};
+use csod::workloads::{run_chaos_soak, run_parallel, ChaosConfig};
 
 /// Scale knob for the nightly CI soak: `CSOD_SOAK_ALLOCS` /
 /// `CSOD_FLEET_RUNS` grow the storms far past the per-push defaults
@@ -181,7 +181,7 @@ fn parallel_fleet_of_soaks_is_deterministic_and_leak_free() {
             ..ChaosConfig::default()
         })
         .collect();
-    let fleet = run_chaos_fleet(&configs, 4);
+    let fleet = run_parallel(&configs, 4, run_chaos_soak);
     assert_eq!(fleet.len(), configs.len());
     for (cfg, out) in configs.iter().zip(&fleet) {
         assert!(out.leak_free());

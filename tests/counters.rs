@@ -81,7 +81,6 @@ fn execute(wal: &Path, chaos: bool) -> (RunSummary, MetricsRegistry) {
             probe_interval: VirtDuration::from_millis(5),
             quarantine_threshold: 6,
             quarantine_period: VirtDuration::from_millis(4),
-            ..DegradationParams::default()
         },
         ..CsodConfig::with_priors(priors)
     };

@@ -5,8 +5,8 @@
 //! behaviour kept as a comparison mode).
 
 use csod::core::{
-    AnalysisPriors, ContextJudgment, CsodConfig, DecisionCache, RiskClass, SamplingParams,
-    SamplingUnit,
+    paper, AnalysisPriors, ContextJudgment, CsodConfig, DecisionCache, RiskClass,
+    SamplingParams, SamplingUnit,
 };
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
 use csod::machine::{VirtDuration, VirtInstant};
@@ -61,7 +61,7 @@ fn burst_entry_and_exit_invalidate_the_cache() {
         cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
     }
     cache.flush(&unit);
-    assert_eq!(prob(&unit, key), params.burst_ppm, "throttled to 0.0001%");
+    assert_eq!(prob(&unit, key), paper::BURST_THROTTLE_PPM, "throttled to 0.0001%");
     assert!(
         cache.stats().invalidations > start,
         "burst entry must flush cached verdicts"
@@ -98,10 +98,10 @@ fn revive_invalidates_the_cache() {
     // Mark the floor, wait out the quiet period, allocate once more.
     cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
     assert_eq!(prob(&unit, key), params.floor_ppm);
-    let later = VirtInstant::BOOT + params.revive_period + VirtDuration::from_secs(1);
+    let later = VirtInstant::BOOT + paper::REVIVE_PERIOD + VirtDuration::from_secs(1);
     let before = cache.stats().invalidations;
     let d = cache.on_allocation(&unit, key, later, &mut rng, &ctx, |_| ContextJudgment::clear());
-    assert_eq!(d.probability_ppm, params.revive_ppm, "revived to 0.01%");
+    assert_eq!(d.probability_ppm, paper::REVIVE_PPM, "revived to 0.01%");
     assert!(
         cache.stats().invalidations > before,
         "reviving must flush cached verdicts"

@@ -200,4 +200,26 @@ fn trace_stream_narrates_the_run() {
     // Time-ordered, and a second drain starts empty.
     assert!(stream.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
     assert!(w.csod.drain_trace().events.is_empty());
+
+    // An overflow from a spawned thread: the trap is attributed to the
+    // worker and names the watched word, after the watch that armed it.
+    let mut w = world(CsodConfig::default());
+    let worker = w.csod.spawn_thread(&mut w.machine);
+    let p = w.malloc("shared.c:1", 32);
+    w.machine.app_write(worker, p + 32, 8).unwrap();
+    w.csod.poll(&mut w.machine);
+
+    let stream = w.csod.drain_trace();
+    assert_eq!(stream.count_of(TraceEventKind::TrapFired), 1);
+    let trap_at = stream
+        .events
+        .iter()
+        .position(|e| e.kind == TraceEventKind::TrapFired)
+        .unwrap();
+    let trap = stream.events[trap_at];
+    assert_eq!(trap.thread, worker.as_u32());
+    assert_eq!(trap.a, (p + 32).as_u64());
+    assert!(stream.events[..trap_at]
+        .iter()
+        .any(|e| e.kind == TraceEventKind::WatchInstalled && e.a == p.as_u64()));
 }

@@ -147,11 +147,6 @@ impl Asan {
         self.instrumented.insert(module.to_owned());
     }
 
-    /// Whether `module` carries instrumentation.
-    pub fn is_instrumented(&self, module: &str) -> bool {
-        self.instrumented.contains(module)
-    }
-
     /// Registers a global variable: ASan's compile-time instrumentation
     /// surrounds each global with redzones, which is why it covers
     /// global-variable overflows that heap-only tools like CSOD cannot

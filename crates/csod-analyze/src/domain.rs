@@ -189,14 +189,6 @@ impl Interval {
             _ => None,
         }
     }
-
-    /// The lower bound if finite.
-    pub fn lo_finite(&self) -> Option<i128> {
-        match self.lo {
-            Bound::Finite(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl std::ops::Add for Interval {

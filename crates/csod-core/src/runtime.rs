@@ -146,10 +146,6 @@ pub struct CsodStats {
     /// Corrupt regions skipped by the WAL recovery scan (torn writes,
     /// truncated tails, bit flips).
     pub wal_records_skipped_corrupt: u64,
-    /// Start-up WAL reads satisfied by batched fleet recovery
-    /// ([`Csod::with_recovered`]) instead of this runtime re-opening
-    /// and re-scanning its own log — i.e. read syscalls saved.
-    pub wal_reads_batched: u64,
     /// Trap-report lines whose durable flush happened only because a
     /// JSONL sink was dropped (crash-path flush-on-drop).
     pub reports_flushed_on_drop: u64,
@@ -187,7 +183,6 @@ impl CsodStats {
         ("csod_contexts_mitigated_total", |s| s.contexts_mitigated),
         ("csod_wal_records_recovered_total", |s| s.wal_records_recovered),
         ("csod_wal_records_skipped_corrupt_total", |s| s.wal_records_skipped_corrupt),
-        ("csod_wal_reads_batched_total", |s| s.wal_reads_batched),
         ("csod_reports_flushed_on_drop_total", |s| s.reports_flushed_on_drop),
         ("csod_watch_installs_total", |s| s.watch.installs),
         ("csod_watch_replacements_total", |s| s.watch.replacements),
@@ -315,38 +310,6 @@ impl Csod {
     /// floor) are reported by [`CsodConfig::validate`] but tolerated, so
     /// parameter sweeps can explore them.
     pub fn new(config: CsodConfig, frames: Arc<FrameTable>) -> Self {
-        let recovered = config.persist_path.as_deref().map(Wal::recover);
-        Self::build(config, frames, recovered, false)
-    }
-
-    /// [`Csod::new`], except startup recovery consumes a
-    /// [`RecoveredState`](csod_persist::RecoveredState) that was already read — typically through the
-    /// fleet ingest pipeline's batched recovery, which reads every
-    /// process's WAL once through parallel fan-out instead of each
-    /// runtime re-opening its own file. The per-process read syscalls
-    /// saved this way are counted in
-    /// [`CsodStats::wal_reads_batched`] (and surface in
-    /// `RunSummary`). The append handle on
-    /// [`CsodConfig::persist_path`] is still opened normally, so
-    /// subsequent evidence lands in the same log.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same unusable configurations as [`Csod::new`].
-    pub fn with_recovered(
-        config: CsodConfig,
-        frames: Arc<FrameTable>,
-        recovered: csod_persist::RecoveredState,
-    ) -> Self {
-        Self::build(config, frames, Some(recovered), true)
-    }
-
-    fn build(
-        config: CsodConfig,
-        frames: Arc<FrameTable>,
-        recovered: Option<csod_persist::RecoveredState>,
-        batched: bool,
-    ) -> Self {
         assert!(config.watchpoint_slots > 0, "watchpoint_slots must be at least 1");
         assert!(config.sampling.floor_ppm > 0, "probability floor must be positive");
         assert!(
@@ -361,15 +324,10 @@ impl Csod {
         // hardened. Corrupt regions are counted and skipped; a hostile
         // or torn log can lose records but never crash start-up.
         let mut mitigation = MitigationPolicy::new(config.mitigation);
-        let (wal_records_recovered, wal_records_skipped_corrupt) = match &recovered {
-            Some(state) => {
-                for rec in &state.records {
-                    mitigation.confirm(&rec.signature);
-                }
-                (state.recovered, state.skipped_corrupt)
-            }
-            None => (0, 0),
-        };
+        let recovered = config.persist_path.as_deref().map(Wal::recover).unwrap_or_default();
+        for rec in &recovered.records {
+            mitigation.confirm(&rec.signature);
+        }
         let wal = config.persist_path.as_deref().map(Wal::open);
         let flushed_on_drop = Arc::new(AtomicU64::new(0));
         // Stream u64::MAX is reserved for run-level secrets (the canary
@@ -407,10 +365,8 @@ impl Csod {
             reported: HashSet::new(),
             proven_safe_overflow_signatures: Vec::new(),
             stats: CsodStats {
-                wal_records_recovered,
-                wal_records_skipped_corrupt,
-                // 1 when start-up recovery consumed a pre-read batched state.
-                wal_reads_batched: u64::from(batched && config.persist_path.is_some()),
+                wal_records_recovered: recovered.recovered,
+                wal_records_skipped_corrupt: recovered.skipped_corrupt,
                 ..CsodStats::default()
             },
             finished: false,
@@ -1721,42 +1677,6 @@ mod tests {
         assert_eq!(state.records.len(), 1);
         assert_eq!(state.records[0].kind, RecordKind::Mitigated);
         assert_eq!(state.skipped_corrupt, 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn batched_recovery_seeds_state_without_rereading_the_wal() {
-        let dir = std::env::temp_dir().join("csod-runtime-wal");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("batched-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut wal = Wal::open(&path);
-            wal.append(&WalRecord::new(RecordKind::TrapSignature, PPM_SCALE, "bug.c:7|main.c:1"));
-            wal.sync();
-        }
-        // The fleet driver read the WAL once, up front...
-        let pre_read = Wal::recover(&path);
-        let config = CsodConfig {
-            persist_path: Some(path.clone()),
-            ..CsodConfig::default()
-        };
-        let frames = Arc::new(FrameTable::new());
-        // ...so the runtime starts from the pre-read state.
-        let csod = Csod::with_recovered(config, Arc::clone(&frames), pre_read);
-        let stats = csod.stats();
-        assert_eq!(stats.wal_reads_batched, 1, "one read syscall saved");
-        assert_eq!(stats.wal_records_recovered, 1);
-        assert_eq!(stats.contexts_mitigated, 1, "recovered record still mitigates");
-        // The append handle still works: a plain construction afterwards
-        // sees the same record the batched one consumed.
-        drop(csod);
-        let again = fixture(CsodConfig {
-            persist_path: Some(path.clone()),
-            ..CsodConfig::default()
-        });
-        assert_eq!(again.csod.stats().wal_records_recovered, 1);
-        assert_eq!(again.csod.stats().wal_reads_batched, 0);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -80,7 +80,6 @@ impl RunSummary {
         s.contexts_mitigated > 0
             || s.wal_records_recovered > 0
             || s.wal_records_skipped_corrupt > 0
-            || s.wal_reads_batched > 0
             || s.reports_flushed_on_drop > 0
     }
 
@@ -141,11 +140,10 @@ impl fmt::Display for RunSummary {
         if self.durability_used() {
             writeln!(
                 f,
-                "durability: {} context(s) mitigated, {} WAL record(s) recovered ({} corrupt skipped, {} read(s) batched), {} report line(s) salvaged on drop",
+                "durability: {} context(s) mitigated, {} WAL record(s) recovered ({} corrupt skipped), {} report line(s) salvaged on drop",
                 s.contexts_mitigated,
                 s.wal_records_recovered,
                 s.wal_records_skipped_corrupt,
-                s.wal_reads_batched,
                 s.reports_flushed_on_drop
             )?;
         }

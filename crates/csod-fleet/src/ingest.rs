@@ -29,7 +29,7 @@
 
 use crate::par::run_parallel_batches;
 use crate::store::FleetStore;
-use csod_persist::{RecoveredState, Strongest, Wal};
+use csod_persist::{Strongest, Wal};
 use std::path::{Path, PathBuf};
 
 /// Tuning for [`ingest_parallel`].
@@ -144,15 +144,6 @@ pub fn ingest_parallel(store: &FleetStore, paths: &[PathBuf], opts: &IngestOptio
         }
     }
     stats
-}
-
-/// Batch-recovers many per-process WALs through the parallel fan-out,
-/// returning each process's [`RecoveredState`] in input order. This is
-/// the bulk replacement for re-opening WALs one by one between fleet
-/// executions: the reads and checksum scans fan out across workers and
-/// each file is read exactly once.
-pub fn recover_states(paths: &[PathBuf], threads: usize) -> Vec<RecoveredState> {
-    crate::par::run_parallel(paths, threads, |path: &PathBuf| Wal::recover(path))
 }
 
 fn segment_path(base: &Path, start: usize) -> PathBuf {
@@ -270,20 +261,6 @@ mod tests {
         assert_eq!(stats.checkpoint_syncs, 6);
         let recovered = Wal::recover(&ckpt);
         assert_eq!(recovered.records.len() as u64, stats.records, "journal keeps raw records");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_recovery_matches_one_by_one_reads() {
-        let dir = temp_dir("batch-recover");
-        let paths = fleet_paths(&dir, 9);
-        let batched = recover_states(&paths, 4);
-        assert_eq!(batched.len(), paths.len());
-        for (path, state) in paths.iter().zip(&batched) {
-            let solo = Wal::recover(path);
-            assert_eq!(solo.records, state.records);
-            assert_eq!(solo.skipped_corrupt, state.skipped_corrupt);
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

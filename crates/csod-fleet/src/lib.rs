@@ -65,5 +65,5 @@ pub mod par;
 mod store;
 
 pub use budget::{FleetPlan, SamplingBudget};
-pub use ingest::{ingest_parallel, ingest_serial, recover_states, IngestOptions, IngestStats};
+pub use ingest::{ingest_parallel, ingest_serial, IngestOptions, IngestStats};
 pub use store::{FleetEntry, FleetRecord, FleetStore, MergeStats, DEFAULT_SHARDS};

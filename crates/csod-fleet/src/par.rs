@@ -9,10 +9,11 @@
 //! back in input order, and per-job determinism is untouched: a job's
 //! outcome depends only on its own input, never on scheduling.
 //!
-//! This module used to live in the `workloads` crate (the PR 8 parallel
-//! scenario driver); it moved down here so the fleet ingest pipeline
-//! can fan out over the same driver without a dependency cycle —
-//! `workloads` re-exports these functions unchanged.
+//! It sits below `workloads` in the crate stack so the fleet ingest
+//! pipeline can fan out over the same driver without a dependency
+//! cycle. `workloads` re-exports [`run_parallel`] and
+//! [`run_parallel_chunked`]; the ingest pipeline calls
+//! [`run_parallel_batches`] directly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;

@@ -181,11 +181,6 @@ impl FleetStore {
         }
     }
 
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a signature hashes to. High bits of the FNV-1a hash
     /// pick the shard so the map probe (which uses the low bits via the
     /// hasher) stays decorrelated from shard selection.

@@ -53,11 +53,6 @@ impl VirtDuration {
         self.0
     }
 
-    /// The duration in whole seconds, truncated.
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// The duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -61,11 +61,6 @@ impl DebugRegisterFile {
         }
     }
 
-    /// Number of slots this file has.
-    pub fn register_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Claims a free register for `fd` watching `range`, returning its
     /// index, or `None` when all four are busy.
     pub fn claim(&mut self, fd: Fd, range: AddrRange) -> Option<usize> {

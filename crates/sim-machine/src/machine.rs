@@ -743,11 +743,6 @@ impl Machine {
         self.perf.open_events()
     }
 
-    /// Total perf events ever opened.
-    pub fn events_opened_total(&self) -> u64 {
-        self.perf.opened_total()
-    }
-
     // ----- signals ------------------------------------------------------------------
 
     /// Drains and returns all pending signals in delivery order.

@@ -202,9 +202,6 @@ pub struct PerfSubsystem {
     registers: Vec<Option<DebugRegisterFile>>,
     registers_per_thread: usize,
     next_fd: u64,
-    /// Total breakpoint events ever opened (for Table IV's "watched
-    /// times" style accounting at machine level).
-    opened_total: u64,
 }
 
 impl Default for PerfSubsystem {
@@ -233,7 +230,6 @@ impl PerfSubsystem {
             registers_per_thread: n,
             // fd 0..2 are stdio on a real process; start above them.
             next_fd: 3,
-            opened_total: 0,
         }
     }
 
@@ -263,7 +259,6 @@ impl PerfSubsystem {
             return Err(PerfError::NoFreeRegister(tid));
         }
         self.next_fd += 1;
-        self.opened_total += 1;
         self.events.insert(
             fd.0,
             PerfEvent {
@@ -402,11 +397,6 @@ impl PerfSubsystem {
     /// Number of currently open events.
     pub fn open_events(&self) -> usize {
         self.events.len()
-    }
-
-    /// Total events ever opened.
-    pub fn opened_total(&self) -> u64 {
-        self.opened_total
     }
 
     /// The watched address range of an open descriptor, if any.
@@ -584,16 +574,6 @@ mod tests {
         assert_eq!(closed, vec![wfd]);
         assert_eq!(perf.open_events(), 1);
         assert_eq!(perf.free_registers(worker), 4);
-    }
-
-    #[test]
-    fn opened_total_is_monotonic() {
-        let mut perf = PerfSubsystem::new();
-        let fd = open_configured(&mut perf, 0x1000, ThreadId::MAIN);
-        perf.close(fd).unwrap();
-        open_configured(&mut perf, 0x2000, ThreadId::MAIN);
-        assert_eq!(perf.opened_total(), 2);
-        assert_eq!(perf.open_events(), 1);
     }
 
     #[test]

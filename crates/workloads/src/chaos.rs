@@ -10,13 +10,15 @@
 //! watchpoint path is down).
 
 use csod_core::{Csod, CsodConfig, RunSummary};
-use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_ctx::{CallingContext, FrameTable};
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
 use sim_machine::{
     FaultPlan, FaultStats, Machine, SiteToken, ThreadId, VirtAddr, VirtDuration, VirtInstant,
 };
 use std::sync::Arc;
+
+use crate::churn::contexts;
 
 /// Parameters of one chaos soak.
 #[derive(Debug, Clone)]
@@ -126,13 +128,7 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosOutcome {
         SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh machine has a heap region");
     let mut csod = Csod::new(cfg.csod.clone(), Arc::clone(&frames));
 
-    let contexts: Vec<(ContextKey, CallingContext)> = (0..cfg.sites.max(1))
-        .map(|i| {
-            let loc = format!("chaos.c:{}", 10 + i);
-            let ctx = CallingContext::from_locations(&frames, [loc.as_str(), "main.c:1"]);
-            (ContextKey::new(frames.intern(&loc), 0x40), ctx)
-        })
-        .collect();
+    let contexts = contexts(&frames, (0..cfg.sites.max(1)).map(|i| format!("chaos.c:{}", 10 + i)));
     let smash = SiteToken(0xC4A05);
     csod.register_site(
         smash,
@@ -140,7 +136,7 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosOutcome {
     );
 
     let mut rng = Arc4Random::from_seed(cfg.seed ^ 0x50A_C4A0, 7);
-    let mut ring: Vec<Option<(VirtAddr, u64)>> = vec![None; cfg.ring.max(1)];
+    let mut ring: Vec<Option<VirtAddr>> = vec![None; cfg.ring.max(1)];
     let mut workers: Vec<ThreadId> = Vec::new();
     let mut planted = 0u64;
     let mut failed_allocs = 0u64;
@@ -151,7 +147,7 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosOutcome {
 
     for i in 0..cfg.allocations {
         let slot = rng.next_u64() as usize % ring.len();
-        if let Some((addr, _)) = ring[slot].take() {
+        if let Some(addr) = ring[slot].take() {
             csod.free(&mut machine, &mut heap, ThreadId::MAIN, addr)
                 .expect("freeing a live soak object");
         }
@@ -166,7 +162,7 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosOutcome {
         };
         match csod.malloc(&mut machine, &mut heap, tid, size, *key, ctx) {
             Ok(p) => {
-                ring[slot] = Some((p, size));
+                ring[slot] = Some(p);
                 let boundary = p + size.div_ceil(8) * 8;
                 if planted < cfg.planted_overflows && i % plant_every == plant_every - 1 {
                     // Silent canary corruption: invisible to watchpoints
@@ -201,11 +197,9 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosOutcome {
         }
     }
 
-    for slot in &mut ring {
-        if let Some((addr, _)) = slot.take() {
-            csod.free(&mut machine, &mut heap, ThreadId::MAIN, addr)
-                .expect("freeing a live soak object");
-        }
+    for addr in ring.into_iter().flatten() {
+        csod.free(&mut machine, &mut heap, ThreadId::MAIN, addr)
+            .expect("freeing a live soak object");
     }
     for w in workers.drain(..) {
         csod.exit_thread(&mut machine, w).expect("worker is alive");
@@ -223,5 +217,36 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosOutcome {
         failed_allocs,
         detected: csod.detected(),
         wall_ms: started.elapsed().as_millis() as u64,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csod_fleet::par::run_parallel;
+
+    #[test]
+    fn fleet_member_matches_serial_soak_exactly() {
+        let configs: Vec<ChaosConfig> = (0..4)
+            .map(|i| ChaosConfig {
+                seed: 0xFEE7 + i,
+                allocations: 2_000,
+                sites: 8,
+                ring: 16,
+                thread_churn: 1,
+                ..ChaosConfig::default()
+            })
+            .collect();
+        let fleet = run_parallel(&configs, 4, run_chaos_soak);
+        assert_eq!(fleet.len(), configs.len());
+        for (cfg, parallel) in configs.iter().zip(&fleet) {
+            let serial = run_chaos_soak(cfg);
+            assert_eq!(
+                serial.summary, parallel.summary,
+                "a soak's outcome must not depend on scheduling"
+            );
+            assert_eq!(serial.detected, parallel.detected);
+            assert!(parallel.leak_free());
+        }
     }
 }

@@ -23,15 +23,16 @@
 //! B's `MitigationPolicy` from its first allocation in round N+1.
 
 use csod_core::{Csod, CsodConfig, RunSummary};
-use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_ctx::FrameTable;
+use csod_fleet::par::run_parallel;
 use csod_fleet::{ingest_parallel, FleetPlan, FleetStore, IngestOptions, IngestStats, SamplingBudget};
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId, VirtAddr, VirtDuration};
+use sim_machine::Machine;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::parallel::run_parallel;
+use crate::churn::{contexts, Churn};
 
 /// The calling-context signature of the fleet's planted bug — the same
 /// code ships to every process, so every buggy process confirms the
@@ -141,60 +142,20 @@ fn run_process(cfg: &FleetRoundConfig, index: usize, wal: &Path, plan: Option<&F
     let mut csod = Csod::new(config, Arc::clone(&frames));
 
     let buggy = cfg.buggy_every > 0 && index % cfg.buggy_every == cfg.buggy_offset % cfg.buggy_every;
-    let contexts: Vec<(ContextKey, CallingContext)> = (0..cfg.sites.max(2))
-        .map(|s| {
-            // Site 0 is the fleet-wide bug; the rest are per-process.
-            let loc = if s == 0 {
-                "fleetbug.c:7".to_owned()
-            } else {
-                format!("fleet-{index}.c:{}", 10 + s)
-            };
-            let ctx = CallingContext::from_locations(&frames, [loc.as_str(), "main.c:1"]);
-            (ContextKey::new(frames.intern(&loc), 0x40), ctx)
-        })
-        .collect();
-
-    let mut rng = Arc4Random::from_seed(cfg.seed + index as u64, 11);
-    let mut ring: Vec<Option<VirtAddr>> = vec![None; 24];
-    for i in 0..cfg.allocations {
-        let slot = rng.next_u64() as usize % ring.len();
-        if let Some(addr) = ring[slot].take() {
-            csod.free(&mut machine, &mut heap, ThreadId::MAIN, addr)
-                .expect("freeing a live fleet object");
-        }
-        // Allocation 0 always exercises the bug context, so even the
-        // shortest buggy process plants the bug at least once.
-        let site = if i == 0 {
-            0
-        } else {
-            rng.next_u64() as usize % contexts.len()
-        };
-        let (key, ctx) = &contexts[site];
-        let size = 16 + u64::from(rng.uniform(8)) * 8;
-        let p = csod
-            .malloc(&mut machine, &mut heap, ThreadId::MAIN, size, *key, ctx)
-            .expect("fleet workload fits in the heap");
-        ring[slot] = Some(p);
-        if buggy && site == 0 {
-            machine
-                .raw_store_u64(p + size.div_ceil(8) * 8, 0xF1EE_7B06)
-                .expect("boundary word is mapped");
-        }
-        if i % 64 == 63 {
-            machine.skip_time(VirtDuration::from_millis(1));
-            csod.poll(&mut machine);
-        }
+    // Site 0 is the fleet-wide bug; the rest are per-process.
+    let locations = (0..cfg.sites.max(2)).map(|s| match s {
+        0 => "fleetbug.c:7".to_owned(),
+        s => format!("fleet-{index}.c:{}", 10 + s),
+    });
+    let contexts = contexts(&frames, locations);
+    Churn {
+        contexts: &contexts,
+        rng: Arc4Random::from_seed(cfg.seed + index as u64, 11),
+        ring: 24,
+        allocations: cfg.allocations,
+        plant: buggy.then_some(0xF1EE_7B06),
     }
-    for slot in &mut ring {
-        if let Some(addr) = slot.take() {
-            csod.free(&mut machine, &mut heap, ThreadId::MAIN, addr)
-                .expect("freeing a live fleet object");
-        }
-    }
-    csod.poll(&mut machine);
-    csod.drain_quarantine(&mut machine, &mut heap)
-        .expect("quarantined objects are live");
-    csod.finish(&mut machine);
+    .run(&mut csod, &mut machine, &mut heap);
     ProcessResult {
         buggy,
         detected: csod.detected(),

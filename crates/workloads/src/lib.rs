@@ -13,10 +13,10 @@
 mod buggy;
 mod calls;
 mod chaos;
+mod churn;
 mod driver;
 mod fleet;
 mod fuzz;
-mod parallel;
 mod perf;
 mod restart;
 mod scenario;
@@ -25,10 +25,10 @@ mod trace;
 
 pub use buggy::{BuggyApp, OverflowKind};
 pub use calls::CallSensitiveApp;
+pub use csod_fleet::par::{run_parallel, run_parallel_chunked};
 pub use chaos::{run_chaos_soak, ChaosConfig, ChaosOutcome};
 pub use driver::{RunOutcome, ToolSpec, TraceRunner};
 pub use fleet::{run_fleet_round, FleetRoundConfig, FleetRoundOutcome, FLEET_BUG_SIGNATURE};
-pub use parallel::{run_parallel, run_parallel_batches, run_parallel_chunked, run_traces_parallel};
 pub use fuzz::{FuzzBug, FuzzWorkload};
 pub use perf::PerfApp;
 pub use restart::{run_restart_fleet, run_restart_scenario, RestartConfig, RestartOutcome};

@@ -194,12 +194,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// An I/O wait in milliseconds.
-    pub fn io_wait_ms(&mut self, ms: u64) -> &mut Self {
-        self.events.push(Event::IoWait { ns: ms * 1_000_000 });
-        self
-    }
-
     /// Finishes the scenario.
     pub fn build(self) -> (SiteRegistry, Vec<Event>) {
         (self.registry, self.events)

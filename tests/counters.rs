@@ -4,7 +4,7 @@
 //!
 //! One pinned run touches every counter family: static priors (with a
 //! falsified proven-safe claim), the WAL (recovered, torn tail skipped,
-//! batched read, mitigated contexts), a fault plan that drives the
+//! mitigated contexts), a fault plan that drives the
 //! degradation ladder down and back up, traps and canary evidence. Its
 //! summary text and metric values were captured before the counters
 //! were consolidated and must not change.
@@ -17,7 +17,6 @@ use csod::heap::{HeapConfig, SimHeap};
 use csod::machine::{FaultPlan, Machine, SiteToken, ThreadId, VirtAddr, VirtDuration, VirtInstant};
 use csod::rng::Arc4Random;
 use csod::trace::MetricsRegistry;
-use csod_persist::Wal;
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -43,8 +42,7 @@ const LIAR: usize = 7;
 
 /// One execution of the pinned workload against the WAL at `wal`.
 /// `chaos` adds the fault plan (perf failures plus a register-busy
-/// window, so the degradation ladder runs) and starts the runtime from
-/// a batched WAL recovery.
+/// window, so the degradation ladder runs).
 fn execute(wal: &Path, chaos: bool) -> (RunSummary, MetricsRegistry) {
     let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
@@ -84,11 +82,7 @@ fn execute(wal: &Path, chaos: bool) -> (RunSummary, MetricsRegistry) {
         },
         ..CsodConfig::with_priors(priors)
     };
-    let mut csod = if chaos {
-        Csod::with_recovered(config, Arc::clone(&frames), Wal::recover(wal))
-    } else {
-        Csod::new(config, Arc::clone(&frames))
-    };
+    let mut csod = Csod::new(config, Arc::clone(&frames));
     let smash = SiteToken(0x5A);
     csod.register_site(
         smash,
@@ -164,7 +158,7 @@ detections: 1 trap(s), 4 canary hit(s) at free, 0 at exit -> 3 report(s) (1 dupl
 evidence store: 3 context(s) with observed overflows\n\
 health: 46 failed install(s), 0 retried, 3 degradation(s), 2 recover(ies), 0 quarantined, mode: canary-only\n\
 free path: 5298 filtered free(s), 33 batched teardown(s), 0 stale trap(s) suppressed\n\
-durability: 3 context(s) mitigated, 1 WAL record(s) recovered (1 corrupt skipped, 1 read(s) batched), 0 report line(s) salvaged on drop\n\
+durability: 3 context(s) mitigated, 1 WAL record(s) recovered (1 corrupt skipped), 0 report line(s) salvaged on drop\n\
 priors: 2228 proven-safe alloc(s), 7 install(s) on proven-safe, 7 on suspicious, 1467 slot(s) saved, 1 soundness violation(s)\n\
 cost: 385 syscall(s), normalized overhead 1.820";
 
@@ -193,7 +187,6 @@ const PINNED_COUNTERS: &[(&str, u64)] = &[
     ("csod_teardowns_batched_total", 33),
     ("csod_trap_reports_total", 3),
     ("csod_traps_total", 1),
-    ("csod_wal_reads_batched_total", 1),
     ("csod_wal_records_recovered_total", 1),
     ("csod_wal_records_skipped_corrupt_total", 1),
     ("csod_watch_installs_total", 34),

@@ -4,7 +4,7 @@
 //! scenario driver reproducing serial runs exactly.
 
 use csod::core::{CsodConfig, FastPathParams};
-use csod::workloads::{run_traces_parallel, BuggyApp, ToolSpec, TraceRunner};
+use csod::workloads::{run_parallel, BuggyApp, ToolSpec, TraceRunner};
 
 fn config(fast_path: FastPathParams, seed: u64) -> CsodConfig {
     CsodConfig {
@@ -88,7 +88,9 @@ fn parallel_trace_driver_reproduces_serial_outcomes() {
     let registry = app.registry();
     let traces: Vec<Vec<_>> = (0..8).map(|seed| app.trace(seed)).collect();
     let tool = ToolSpec::Csod(CsodConfig::default());
-    let parallel = run_traces_parallel(&registry, &tool, &traces, 4);
+    let parallel = run_parallel(&traces, 4, |trace| {
+        TraceRunner::new(&registry, tool.clone()).run(trace.iter().cloned())
+    });
     for (trace, par) in traces.iter().zip(&parallel) {
         let serial =
             TraceRunner::new(&registry, tool.clone()).run(trace.iter().cloned());

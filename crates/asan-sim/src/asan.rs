@@ -4,9 +4,7 @@ use crate::quarantine::{Quarantine, QuarantinedBlock};
 use crate::report::{AsanReport, BugKind};
 use crate::shadow::{ShadowMemory, ShadowVerdict, GRANULE};
 use sim_heap::{HeapError, SimHeap};
-use sim_machine::{
-    AccessKind, CostDomain, Machine, SiteToken, ThreadId, VirtAddr,
-};
+use sim_machine::{AccessKind, CostDomain, Machine, SiteToken, ThreadId, VirtAddr};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -174,7 +172,10 @@ impl Asan {
     ) -> Result<VirtAddr, AsanError> {
         // Poisoning cost scales with how much redzone there is to paint.
         let poison_units = (self.config.redzone_size / 16).max(1);
-        machine.charge(CostDomain::Tool, machine.costs().redzone_poison * poison_units);
+        machine.charge(
+            CostDomain::Tool,
+            machine.costs().redzone_poison * poison_units,
+        );
         let left = self.config.redzone_size.max(GRANULE);
         let padded = size.max(1).div_ceil(GRANULE) * GRANULE;
         let right = self.config.redzone_size.max(GRANULE);
@@ -186,10 +187,8 @@ impl Asan {
         // The padding tail of the last granule is non-addressable via the
         // partial-granule encoding; poison from the padded edge onward.
         self.shadow.poison_redzone(user + padded, right);
-        self.records.insert(
-            user.as_u64(),
-            AsanRecord { real, size, total },
-        );
+        self.records
+            .insert(user.as_u64(), AsanRecord { real, size, total });
         self.stats.allocations += 1;
         self.redzone_bytes_live += total - size;
         self.redzone_bytes_peak = self.redzone_bytes_peak.max(self.redzone_bytes_live);
@@ -313,10 +312,18 @@ impl Asan {
         let padded = block.size.max(1).div_ceil(GRANULE) * GRANULE;
         let right = self.config.redzone_size.max(GRANULE);
         self.shadow.clear(block.real, left + padded + right);
-        heap.free(machine, block.real).expect("quarantined block is live");
+        heap.free(machine, block.real)
+            .expect("quarantined block is live");
     }
 
-    fn report(&mut self, bug: BugKind, access: AccessKind, addr: VirtAddr, thread: ThreadId, site: SiteToken) {
+    fn report(
+        &mut self,
+        bug: BugKind,
+        access: AccessKind,
+        addr: VirtAddr,
+        thread: ThreadId,
+        site: SiteToken,
+    ) {
         if !self.reported_sites.insert(site.0) {
             return;
         }
@@ -348,9 +355,7 @@ impl Asan {
     /// quarantined bytes plus the shadow entries themselves (one byte per
     /// granule, like the real 1/8 shadow) — Table V's comparison input.
     pub fn peak_extra_memory(&self) -> u64 {
-        self.redzone_bytes_peak
-            + self.quarantine.peak_bytes()
-            + self.shadow.peak_granules() as u64
+        self.redzone_bytes_peak + self.quarantine.peak_bytes() + self.shadow.peak_granules() as u64
     }
 
     /// Peak shadow bytes alone (one real byte per tracked granule).
@@ -377,8 +382,16 @@ mod tests {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 64).unwrap();
         for off in (0..64).step_by(8) {
-            a.access(&mut m, ThreadId::MAIN, p + off, 8, AccessKind::Write, "app", SiteToken(0))
-                .unwrap();
+            a.access(
+                &mut m,
+                ThreadId::MAIN,
+                p + off,
+                8,
+                AccessKind::Write,
+                "app",
+                SiteToken(0),
+            )
+            .unwrap();
         }
         assert!(!a.detected());
         assert_eq!(a.stats().checks, 8);
@@ -388,8 +401,16 @@ mod tests {
     fn overflow_into_redzone_detected() {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 64).unwrap();
-        a.access(&mut m, ThreadId::MAIN, p + 64, 1, AccessKind::Write, "app", SiteToken(1))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            p + 64,
+            1,
+            AccessKind::Write,
+            "app",
+            SiteToken(1),
+        )
+        .unwrap();
         assert!(a.detected());
         assert_eq!(a.reports()[0].bug, BugKind::HeapBufferOverflow);
     }
@@ -398,8 +419,16 @@ mod tests {
     fn underflow_into_left_redzone_detected() {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 64).unwrap();
-        a.access(&mut m, ThreadId::MAIN, p - 1, 1, AccessKind::Read, "app", SiteToken(2))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            p - 1,
+            1,
+            AccessKind::Read,
+            "app",
+            SiteToken(2),
+        )
+        .unwrap();
         assert!(a.detected());
     }
 
@@ -407,8 +436,16 @@ mod tests {
     fn sub_granule_overflow_detected_via_partial_encoding() {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 13).unwrap();
-        a.access(&mut m, ThreadId::MAIN, p + 13, 1, AccessKind::Read, "app", SiteToken(3))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            p + 13,
+            1,
+            AccessKind::Read,
+            "app",
+            SiteToken(3),
+        )
+        .unwrap();
         assert!(a.detected(), "redzone-adjacent byte inside last granule");
     }
 
@@ -418,8 +455,16 @@ mod tests {
         let p = a.malloc(&mut m, &mut h, 64).unwrap();
         // The overflowing access happens inside libtiff.so, which was
         // not compiled with ASan.
-        a.access(&mut m, ThreadId::MAIN, p + 64, 1, AccessKind::Write, "libtiff.so", SiteToken(4))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            p + 64,
+            1,
+            AccessKind::Write,
+            "libtiff.so",
+            SiteToken(4),
+        )
+        .unwrap();
         assert!(!a.detected());
         assert_eq!(a.stats().unchecked, 1);
     }
@@ -429,8 +474,16 @@ mod tests {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 32).unwrap();
         a.free(&mut m, &mut h, p).unwrap();
-        a.access(&mut m, ThreadId::MAIN, p, 8, AccessKind::Read, "app", SiteToken(5))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            p,
+            8,
+            AccessKind::Read,
+            "app",
+            SiteToken(5),
+        )
+        .unwrap();
         assert!(a.detected());
         assert_eq!(a.reports()[0].bug, BugKind::UseAfterFree);
     }
@@ -472,8 +525,16 @@ mod tests {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 8).unwrap();
         for _ in 0..3 {
-            a.access(&mut m, ThreadId::MAIN, p + 8, 1, AccessKind::Write, "app", SiteToken(7))
-                .unwrap();
+            a.access(
+                &mut m,
+                ThreadId::MAIN,
+                p + 8,
+                1,
+                AccessKind::Write,
+                "app",
+                SiteToken(7),
+            )
+            .unwrap();
         }
         assert_eq!(a.reports().len(), 1);
     }
@@ -487,11 +548,27 @@ mod tests {
         let global = data + 64;
         a.add_global(global, 40);
         // In-bounds is clean; one byte past is caught.
-        a.access(&mut m, ThreadId::MAIN, global, 40, AccessKind::Write, "app", SiteToken(20))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            global,
+            40,
+            AccessKind::Write,
+            "app",
+            SiteToken(20),
+        )
+        .unwrap();
         assert!(!a.detected());
-        a.access(&mut m, ThreadId::MAIN, global + 40, 1, AccessKind::Read, "app", SiteToken(21))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            global + 40,
+            1,
+            AccessKind::Read,
+            "app",
+            SiteToken(21),
+        )
+        .unwrap();
         assert!(a.detected());
     }
 
@@ -503,15 +580,31 @@ mod tests {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 64).unwrap();
         // Skip 8 bytes into the middle of the right redzone: caught.
-        a.access(&mut m, ThreadId::MAIN, p + 72, 4, AccessKind::Write, "app", SiteToken(22))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            p + 72,
+            4,
+            AccessKind::Write,
+            "app",
+            SiteToken(22),
+        )
+        .unwrap();
         assert!(a.detected());
         // A fresh instance: far beyond the redzone, into untracked
         // memory: missed.
         let (mut m2, mut h2, mut a2) = setup();
         let q = a2.malloc(&mut m2, &mut h2, 64).unwrap();
-        a2.access(&mut m2, ThreadId::MAIN, q + 4096, 8, AccessKind::Write, "app", SiteToken(23))
-            .unwrap();
+        a2.access(
+            &mut m2,
+            ThreadId::MAIN,
+            q + 4096,
+            8,
+            AccessKind::Write,
+            "app",
+            SiteToken(23),
+        )
+        .unwrap();
         assert!(!a2.detected());
     }
 
@@ -519,8 +612,16 @@ mod tests {
     fn tool_costs_and_memory_accounting() {
         let (mut m, mut h, mut a) = setup();
         let p = a.malloc(&mut m, &mut h, 64).unwrap();
-        a.access(&mut m, ThreadId::MAIN, p, 8, AccessKind::Read, "app", SiteToken(8))
-            .unwrap();
+        a.access(
+            &mut m,
+            ThreadId::MAIN,
+            p,
+            8,
+            AccessKind::Read,
+            "app",
+            SiteToken(8),
+        )
+        .unwrap();
         assert!(m.counter().tool_ns() > 0);
         assert!(a.peak_extra_memory() >= 32, "two 16-byte redzones at least");
         a.free(&mut m, &mut h, p).unwrap();
@@ -541,8 +642,16 @@ mod tests {
         // The block is recycled for a fresh allocation of the same size.
         let q = asan.malloc(&mut machine, &mut heap, 32).unwrap();
         assert_eq!(p, q, "allocator recycles the block");
-        asan.access(&mut machine, ThreadId::MAIN, q, 32, AccessKind::Write, "app", SiteToken(9))
-            .unwrap();
+        asan.access(
+            &mut machine,
+            ThreadId::MAIN,
+            q,
+            32,
+            AccessKind::Write,
+            "app",
+            SiteToken(9),
+        )
+        .unwrap();
         assert!(!asan.detected(), "no stale freed-poison on recycled memory");
     }
 }

@@ -81,11 +81,16 @@ impl ShadowMemory {
     /// Panics if `start` is not 8-byte aligned — the allocator guarantees
     /// 16-byte alignment, so a violation is an internal bug.
     pub fn unpoison_object(&mut self, start: VirtAddr, len: u64) {
-        assert!(start.is_aligned(GRANULE), "object start must be granule-aligned");
+        assert!(
+            start.is_aligned(GRANULE),
+            "object start must be granule-aligned"
+        );
         let full = len / GRANULE;
         for i in 0..full {
-            self.granules
-                .insert(Self::granule_of(start + i * GRANULE), ShadowState::Addressable(8));
+            self.granules.insert(
+                Self::granule_of(start + i * GRANULE),
+                ShadowState::Addressable(8),
+            );
         }
         let tail = (len % GRANULE) as u8;
         if tail > 0 {

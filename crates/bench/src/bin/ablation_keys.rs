@@ -10,9 +10,9 @@
 //! failure report still shows the correct overflow site.
 
 use csod_bench::{header, row, runs_arg};
+use csod_core::{ContextJudgment, SamplingUnit};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use csod_rng::Arc4Random;
-use csod_core::{ContextJudgment, SamplingUnit};
 use sim_machine::VirtInstant;
 use workloads::run_parallel;
 
@@ -36,24 +36,16 @@ fn decisive_probability(collide: bool, hot_allocs: u64, seed: u64) -> f64 {
     let sampling = SamplingUnit::new(Default::default());
     let mut rng = Arc4Random::from_seed(seed, 0);
     for _ in 0..hot_allocs {
-        let d = sampling.on_allocation(
-            hot_key,
-            VirtInstant::BOOT,
-            &mut rng,
-            &hot_ctx,
-            |_| ContextJudgment::clear(),
-        );
+        let d = sampling.on_allocation(hot_key, VirtInstant::BOOT, &mut rng, &hot_ctx, |_| {
+            ContextJudgment::clear()
+        });
         if d.wants_watch {
             sampling.on_watched(hot_key);
         }
     }
-    let decision = sampling.on_allocation(
-        bug_key,
-        VirtInstant::BOOT,
-        &mut rng,
-        &bug_ctx,
-        |_| ContextJudgment::clear(),
-    );
+    let decision = sampling.on_allocation(bug_key, VirtInstant::BOOT, &mut rng, &bug_ctx, |_| {
+        ContextJudgment::clear()
+    });
     f64::from(decision.probability_ppm) / 1e6
 }
 
@@ -77,9 +69,11 @@ fn main() {
     );
     for hot_allocs in [0u64, 10, 100, 1_000, 10_000] {
         let avg = |collide: bool| {
-            run_parallel(&seeds, threads, |&seed| decisive_probability(collide, hot_allocs, seed))
-                .iter()
-                .sum::<f64>()
+            run_parallel(&seeds, threads, |&seed| {
+                decisive_probability(collide, hot_allocs, seed)
+            })
+            .iter()
+            .sum::<f64>()
                 / runs as f64
         };
         let clean = avg(false);

@@ -73,11 +73,20 @@ fn main() {
     println!(
         "{}",
         row(
-            &["degradation/alloc".into(), "Heartbleed".into(), "MySQL".into()],
+            &[
+                "degradation/alloc".into(),
+                "Heartbleed".into(),
+                "MySQL".into()
+            ],
             &widths
         )
     );
-    for (label, ppm) in [("0", 0u32), ("0.001% (paper)", 10), ("0.01%", 100), ("0.1%", 1_000)] {
+    for (label, ppm) in [
+        ("0", 0u32),
+        ("0.001% (paper)", 10),
+        ("0.01%", 100),
+        ("0.1%", 1_000),
+    ] {
         let params = SamplingParams {
             degrade_per_alloc_ppm: ppm,
             ..SamplingParams::default()
@@ -100,7 +109,12 @@ fn main() {
             &widths
         )
     );
-    for (label, ppm) in [("0.0001%", 1u32), ("0.001% (paper)", 10), ("0.1%", 1_000), ("1%", 10_000)] {
+    for (label, ppm) in [
+        ("0.0001%", 1u32),
+        ("0.001% (paper)", 10),
+        ("0.1%", 1_000),
+        ("1%", 10_000),
+    ] {
         let params = SamplingParams {
             floor_ppm: ppm,
             ..SamplingParams::default()
@@ -119,7 +133,11 @@ fn main() {
     println!(
         "{}",
         row(
-            &["burst threshold".into(), "Heartbleed".into(), "MySQL".into()],
+            &[
+                "burst threshold".into(),
+                "Heartbleed".into(),
+                "MySQL".into()
+            ],
             &widths
         )
     );

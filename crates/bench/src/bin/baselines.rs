@@ -43,11 +43,8 @@ fn main() {
         let trace = app.trace(42);
 
         let csod_hits: usize = run_parallel(&seeds, threads, |&seed| {
-            let outcome = TraceRunner::new(
-                &registry,
-                ToolSpec::Csod(CsodConfig::with_seed(seed)),
-            )
-            .run(trace.iter().copied());
+            let outcome = TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::with_seed(seed)))
+                .run(trace.iter().copied());
             usize::from(outcome.watchpoint_detected)
         })
         .into_iter()
@@ -84,7 +81,11 @@ fn main() {
                     app.name.into(),
                     format!("{:.0}%", 100.0 * csod_hits as f64 / runs as f64),
                     format!("{:.0}%", 100.0 * sampler_hits as f64 / runs as f64),
-                    if asan.detected { "yes".into() } else { "MISS".into() },
+                    if asan.detected {
+                        "yes".into()
+                    } else {
+                        "MISS".into()
+                    },
                     app.overflow_extent.to_string(),
                 ],
                 &widths
@@ -98,7 +99,12 @@ fn main() {
     println!(
         "{}",
         row(
-            &["Application".into(), "CSOD".into(), "Sampler".into(), "ASan".into()],
+            &[
+                "Application".into(),
+                "CSOD".into(),
+                "Sampler".into(),
+                "ASan".into()
+            ],
             &widths
         )
     );

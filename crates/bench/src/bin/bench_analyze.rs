@@ -21,8 +21,8 @@
 //! precision gates fail (no unknown reduction, a certificate violation)
 //! or the sweep slowed to more than twice the committed baseline.
 
-use csod_bench::{BenchArgs, Metrics};
 use csod_analyze::{analyze_detailed, verify_certificates, DEFAULT_K};
+use csod_bench::{BenchArgs, Metrics};
 use csod_core::RiskClass;
 use std::time::Instant;
 use workloads::{BuggyApp, CallSensitiveApp, Event, FuzzWorkload, SiteRegistry};
@@ -188,9 +188,7 @@ fn main() {
         failed |= baseline.check(&results, &["analyze_ms_k2"]);
         let base_unknown = baseline.try_get("unknown_pct_k2").unwrap_or(100.0);
         let fresh_unknown = results.get("unknown_pct_k2");
-        println!(
-            "check unknown_pct_k2: {fresh_unknown:.2} vs baseline {base_unknown:.2}"
-        );
+        println!("check unknown_pct_k2: {fresh_unknown:.2} vs baseline {base_unknown:.2}");
         if !failed {
             println!("analyze precision gates passed");
         }

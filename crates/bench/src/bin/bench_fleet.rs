@@ -78,7 +78,10 @@ fn write_fleet(dir: &PathBuf) -> Vec<PathBuf> {
                 let sig = if r == 0 {
                     format!("proc{i}.c:1|main.c:1")
                 } else {
-                    format!("hot.c:{}|main.c:1", rng.next_u64() as usize % HOT_SIGNATURES)
+                    format!(
+                        "hot.c:{}|main.c:1",
+                        rng.next_u64() as usize % HOT_SIGNATURES
+                    )
                 };
                 let kind = match rng.next_u64() % 3 {
                     0 => RecordKind::CanaryEvidence,
@@ -175,9 +178,7 @@ fn fleet_round() -> (f64, f64, f64, f64) {
 
 fn measure() -> Metrics {
     let dir = scratch("merge");
-    eprintln!(
-        "fleet bench: writing {MERGE_PROCS} WALs x {RECORDS_PER_PROC} records..."
-    );
+    eprintln!("fleet bench: writing {MERGE_PROCS} WALs x {RECORDS_PER_PROC} records...");
     let paths = write_fleet(&dir);
     eprintln!("fleet bench: durable merge, serial journal vs group-commit...");
     let (durable_parallel, (durable_serial, records)) = best_of(ATTEMPTS, || {

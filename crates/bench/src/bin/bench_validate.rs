@@ -39,10 +39,7 @@ const REQUIRED: &[(&str, &[&str])] = &[
         "BENCH_tracing.json",
         &["traced_ns_per_alloc", "untraced_ns_per_alloc"],
     ),
-    (
-        "BENCH_fleet.json",
-        &["merge_parallel_ms", "fleet_round_ms"],
-    ),
+    ("BENCH_fleet.json", &["merge_parallel_ms", "fleet_round_ms"]),
     (
         "BENCH_backend.json",
         &["null_ns_per_alloc", "null_ns_per_free"],
@@ -51,8 +48,7 @@ const REQUIRED: &[(&str, &[&str])] = &[
 ];
 
 fn validate(path: &str) -> Result<usize, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let keys = parse_flat(&text)?;
     let file = Path::new(path)
         .file_name()
@@ -61,7 +57,9 @@ fn validate(path: &str) -> Result<usize, String> {
     if let Some((_, required)) = REQUIRED.iter().find(|(name, _)| *name == file) {
         for need in *required {
             if !keys.iter().any(|(k, _)| k == need) {
-                return Err(format!("missing required field {need:?} (its --check gate reads it)"));
+                return Err(format!(
+                    "missing required field {need:?} (its --check gate reads it)"
+                ));
             }
         }
     }

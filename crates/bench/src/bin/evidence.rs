@@ -46,8 +46,8 @@ fn main() {
             let _ = std::fs::remove_file(&path);
             let mut config = CsodConfig::with_seed(seed);
             config.persist_path = Some(path.clone());
-            let first =
-                TraceRunner::new(&registry, ToolSpec::Csod(config.clone())).run(trace.iter().copied());
+            let first = TraceRunner::new(&registry, ToolSpec::Csod(config.clone()))
+                .run(trace.iter().copied());
             if first.watchpoint_detected {
                 let _ = std::fs::remove_file(&path);
                 continue; // only misses are interesting here

@@ -100,7 +100,9 @@ fn contended_ns(refresh: u32) -> f64 {
         let mut cache = DecisionCache::new(refresh);
         for _ in 0..200 {
             for (key, ctx) in &sites {
-                cache.on_allocation(&unit, *key, VirtInstant::BOOT, &mut rng, ctx, |_| ContextJudgment::clear());
+                cache.on_allocation(&unit, *key, VirtInstant::BOOT, &mut rng, ctx, |_| {
+                    ContextJudgment::clear()
+                });
             }
         }
     }
@@ -114,14 +116,10 @@ fn contended_ns(refresh: u32) -> f64 {
                 let mut cache = DecisionCache::new(refresh);
                 for i in 0..CONTENDED_OPS {
                     let (key, ctx) = &sites[(i + t) % HOT_CONTEXTS];
-                    let d = cache.on_allocation(
-                        unit,
-                        *key,
-                        VirtInstant::BOOT,
-                        &mut rng,
-                        ctx,
-                        |_| ContextJudgment::clear(),
-                    );
+                    let d =
+                        cache.on_allocation(unit, *key, VirtInstant::BOOT, &mut rng, ctx, |_| {
+                            ContextJudgment::clear()
+                        });
                     std::hint::black_box(d.wants_watch);
                 }
                 cache.flush(unit);

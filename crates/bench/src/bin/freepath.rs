@@ -33,14 +33,12 @@
 use csod_bench::{
     alloc_free_rounds, best_of, BenchArgs, Metrics, REGRESSION_FACTOR, ROUNDS, ROUND_ALLOCS,
 };
-use csod_core::{
-    Csod, CsodConfig, CtxId, ReplacementPolicy, WatchCandidate, WatchpointManager,
-};
+use csod_core::{Csod, CsodConfig, CtxId, ReplacementPolicy, WatchCandidate, WatchpointManager};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId, VirtAddr, VirtDuration};
 use sim_machine::AccessKind;
+use sim_machine::{Machine, ThreadId, VirtAddr, VirtDuration};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workloads::{run_parallel_chunked, Event, SiteRegistry, ToolSpec, TraceRunner};
@@ -76,10 +74,8 @@ fn unwatched_free_ns() -> f64 {
     // Pin all four debug registers; naive never preempts, so everything
     // allocated afterwards is guaranteed unwatched.
     for i in 0..4 {
-        let ctx = CallingContext::from_locations(
-            &frames,
-            [format!("pin_{i}.c:1").as_str(), "main.c:1"],
-        );
+        let ctx =
+            CallingContext::from_locations(&frames, [format!("pin_{i}.c:1").as_str(), "main.c:1"]);
         let key = ContextKey::new(ctx.first_level().expect("non-empty"), 0x40);
         csod.malloc(&mut machine, &mut heap, ThreadId::MAIN, 16, key, &ctx)
             .expect("heap has room");
@@ -164,7 +160,12 @@ fn dispatch_pair() -> (f64, f64) {
     let mut w = WatchpointManager::new(ReplacementPolicy::Naive, VirtDuration::from_secs(10));
     w.configure_fast_path(true, true);
     for n in 0..4 {
-        w.consider(&mut machine, churn_candidate(&frames, base, n), &mut rng, |_| None);
+        w.consider(
+            &mut machine,
+            churn_candidate(&frames, base, n),
+            &mut rng,
+            |_| None,
+        );
     }
     let fds: Vec<_> = w
         .watched()

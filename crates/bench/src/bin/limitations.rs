@@ -168,7 +168,11 @@ fn main() {
 }
 
 fn yn(b: bool) -> String {
-    if b { "yes".into() } else { "no".into() }
+    if b {
+        "yes".into()
+    } else {
+        "no".into()
+    }
 }
 
 /// Runs one heap scenario: a 64-byte object, guaranteed watched under

@@ -54,8 +54,8 @@ fn main() {
                     CsodConfig::default()
                 };
                 config.seed = seed;
-                let outcome = TraceRunner::new(&registry, ToolSpec::Csod(config))
-                    .run(trace.iter().copied());
+                let outcome =
+                    TraceRunner::new(&registry, ToolSpec::Csod(config)).run(trace.iter().copied());
                 det[i] += u64::from(outcome.watchpoint_detected);
                 // Attribute installs to the analyzer's verdicts in both
                 // modes so the columns are comparable.
@@ -83,7 +83,11 @@ fn main() {
                     safe_installs[0].to_string(),
                     safe_installs[1].to_string(),
                     skips.to_string(),
-                    if violations == 0 { "ok".into() } else { format!("{violations}!") },
+                    if violations == 0 {
+                        "ok".into()
+                    } else {
+                        format!("{violations}!")
+                    },
                 ],
                 &widths
             )
@@ -94,8 +98,6 @@ fn main() {
     } else {
         0.0
     };
-    println!(
-        "\ninstalls on proven-safe contexts: {total_off} -> {total_on} ({saved:.1}% saved)"
-    );
+    println!("\ninstalls on proven-safe contexts: {total_off} -> {total_on} ({saved:.1}% saved)");
     println!("a nonzero 'sound' column would mean the static analysis is broken.");
 }

@@ -9,7 +9,11 @@ fn main() {
     println!(
         "{}",
         row(
-            &["Application".into(), "Vulnerability".into(), "Reference".into()],
+            &[
+                "Application".into(),
+                "Vulnerability".into(),
+                "Reference".into()
+            ],
             &widths
         )
     );

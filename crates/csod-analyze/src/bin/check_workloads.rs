@@ -45,9 +45,7 @@ impl Gate {
                     .rows_of(site)
                     .next()
                     .map_or_else(|| "?".to_owned(), |v| v.signature.clone());
-                eprintln!(
-                    "FAIL {label}: overflowed site {site} ({signature}) is proven-safe"
-                );
+                eprintln!("FAIL {label}: overflowed site {site} ({signature}) is proven-safe");
             }
         }
         for violation in analysis.report.verify(trace) {
@@ -73,9 +71,7 @@ impl Gate {
         if outcome.proven_safe_overflows > 0 {
             self.failures += 1;
             for signature in &outcome.proven_safe_overflow_signatures {
-                eprintln!(
-                    "FAIL {label}: runtime overflow in proven-safe context {signature}"
-                );
+                eprintln!("FAIL {label}: runtime overflow in proven-safe context {signature}");
             }
         }
     }

@@ -158,11 +158,8 @@ impl SlotState {
 /// worklist dataflow over `cfg`, consulting `slots` for escape facts.
 pub fn resolve_bindings(program: &Program, cfg: &Cfg, slots: &SlotTable) -> Bindings {
     let entry_state = vec![SlotState::empty(); program.slot_count];
-    let mut in_states: Vec<Vec<Option<Vec<SlotState>>>> = cfg
-        .blocks
-        .iter()
-        .map(|tb| vec![None; tb.len()])
-        .collect();
+    let mut in_states: Vec<Vec<Option<Vec<SlotState>>>> =
+        cfg.blocks.iter().map(|tb| vec![None; tb.len()]).collect();
     in_states[0][0] = Some(entry_state);
 
     let mut bindings = Bindings::default();

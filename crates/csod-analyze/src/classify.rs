@@ -361,7 +361,10 @@ mod tests {
             Event::free(0),
         ];
         for k in [0, 2] {
-            assert_eq!(site_class(&run_k(&reg, &trace, k), 0), RiskClass::ProvenSafe);
+            assert_eq!(
+                site_class(&run_k(&reg, &trace, k), 0),
+                RiskClass::ProvenSafe
+            );
         }
     }
 
@@ -376,7 +379,11 @@ mod tests {
         ];
         let c = run_k(&reg, &trace, 0);
         assert_eq!(site_class(&c, 0), RiskClass::Suspicious);
-        assert!(c.outcomes[0].witness.as_deref().unwrap().contains("exceeds"));
+        assert!(c.outcomes[0]
+            .witness
+            .as_deref()
+            .unwrap()
+            .contains("exceeds"));
     }
 
     #[test]
@@ -452,7 +459,11 @@ mod tests {
         let c = run_k(&reg, &widening_trace(false), 0);
         assert_eq!(site_class(&c, 0), RiskClass::Unknown);
         assert_eq!(site_class(&c, 1), RiskClass::Unknown);
-        assert!(c.outcomes[0].witness.as_deref().unwrap().contains("widened"));
+        assert!(c.outcomes[0]
+            .witness
+            .as_deref()
+            .unwrap()
+            .contains("widened"));
         assert_eq!(c.widened_summaries, 1);
     }
 

@@ -194,10 +194,7 @@ impl RiskReport {
         }
         for c in &self.certificates {
             if c.site < registry.alloc_site_count() {
-                priors.observe_certificate(
-                    registry.alloc_site(c.site).key,
-                    c.accesses as u64,
-                );
+                priors.observe_certificate(registry.alloc_site(c.site).key, c.accesses as u64);
             }
         }
         priors
@@ -283,9 +280,7 @@ impl RiskReport {
             [REPORT_MAGIC, "app", _, "k", k] => k
                 .parse::<usize>()
                 .map_err(|_| bad("unparseable k in CSODRPT2 header"))?,
-            [magic, ..] if *magic == REPORT_MAGIC => {
-                return Err(bad("malformed CSODRPT2 header"))
-            }
+            [magic, ..] if *magic == REPORT_MAGIC => return Err(bad("malformed CSODRPT2 header")),
             _ => {
                 return Err(bad(
                     "unknown risk-report version (expected a CSODRPT2 header)",

@@ -148,7 +148,10 @@ fn recursion_collapses_to_the_k_suffix_on_the_corpus() {
     // change: the recursive variant stays fully proven at every limit.
     for k in [1, 2, 3, 8] {
         let report = analyze_with_k(&recurse.registry(), &recurse.trace(1), k);
-        assert_eq!(report.class_of(recurse.buffer_site()), RiskClass::ProvenSafe);
+        assert_eq!(
+            report.class_of(recurse.buffer_site()),
+            RiskClass::ProvenSafe
+        );
         assert_eq!(report.class_of(recurse.arena_site()), RiskClass::ProvenSafe);
     }
 }

@@ -347,7 +347,12 @@ impl HeapBackend<Machine> for SimHeap {
         SimHeap::malloc(self, backend, size)
     }
 
-    fn memalign(&mut self, backend: &mut Machine, align: u64, size: u64) -> Result<VirtAddr, HeapError> {
+    fn memalign(
+        &mut self,
+        backend: &mut Machine,
+        align: u64,
+        size: u64,
+    ) -> Result<VirtAddr, HeapError> {
         SimHeap::memalign(self, backend, align, size)
     }
 
@@ -453,8 +458,10 @@ impl NullBackend {
         let key = addr & !7;
         let shift = (addr & 7) * 8;
         let word = self.mem.get(&key).copied().unwrap_or(0);
-        self.mem
-            .insert(key, (word & !(0xFFu64 << shift)) | (u64::from(byte) << shift));
+        self.mem.insert(
+            key,
+            (word & !(0xFFu64 << shift)) | (u64::from(byte) << shift),
+        );
     }
 
     fn load_byte(&self, addr: u64) -> u8 {
@@ -702,17 +709,28 @@ mod tests {
     #[test]
     fn null_memory_round_trips_words_and_bytes() {
         let mut b = NullBackend::new();
-        b.store_u64(VirtAddr::new(0x1000), 0xDEAD_BEEF_F00D_CAFE).unwrap();
-        assert_eq!(b.load_u64(VirtAddr::new(0x1000)).unwrap(), 0xDEAD_BEEF_F00D_CAFE);
+        b.store_u64(VirtAddr::new(0x1000), 0xDEAD_BEEF_F00D_CAFE)
+            .unwrap();
+        assert_eq!(
+            b.load_u64(VirtAddr::new(0x1000)).unwrap(),
+            0xDEAD_BEEF_F00D_CAFE
+        );
         // Unaligned store straddling two words.
-        b.store_u64(VirtAddr::new(0x2003), 0x0102_0304_0506_0708).unwrap();
-        assert_eq!(b.load_u64(VirtAddr::new(0x2003)).unwrap(), 0x0102_0304_0506_0708);
+        b.store_u64(VirtAddr::new(0x2003), 0x0102_0304_0506_0708)
+            .unwrap();
+        assert_eq!(
+            b.load_u64(VirtAddr::new(0x2003)).unwrap(),
+            0x0102_0304_0506_0708
+        );
         b.write_bytes(VirtAddr::new(0x3001), b"hello").unwrap();
         let mut buf = [0u8; 5];
         b.read_bytes(VirtAddr::new(0x3001), &mut buf).unwrap();
         assert_eq!(&buf, b"hello");
         b.fill(VirtAddr::new(0x4000), 9, 0xAB).unwrap();
-        assert_eq!(b.load_u64(VirtAddr::new(0x4000)).unwrap(), 0xABAB_ABAB_ABAB_ABAB);
+        assert_eq!(
+            b.load_u64(VirtAddr::new(0x4000)).unwrap(),
+            0xABAB_ABAB_ABAB_ABAB
+        );
         assert_eq!(b.load_byte(0x4008), 0xAB);
         assert_eq!(b.load_byte(0x4009), 0);
     }
@@ -721,7 +739,11 @@ mod tests {
     fn null_arm_disarm_bookkeeping() {
         let mut b = NullBackend::new();
         let fd = b
-            .arm_watch(WatchBackend::PerfEvent, VirtAddr::new(0x100), ThreadId::MAIN)
+            .arm_watch(
+                WatchBackend::PerfEvent,
+                VirtAddr::new(0x100),
+                ThreadId::MAIN,
+            )
             .unwrap();
         assert!(b.is_armed(fd));
         assert_eq!(b.armed_count(), 1);
@@ -743,7 +765,10 @@ mod tests {
         assert_eq!(fds.len(), 3);
         b.exit_thread(t1).unwrap();
         assert_eq!(b.exit_thread(t1), Err(ThreadError::NoSuchThread(t1)));
-        assert_eq!(b.exit_thread(ThreadId::MAIN), Err(ThreadError::MainThreadExit));
+        assert_eq!(
+            b.exit_thread(ThreadId::MAIN),
+            Err(ThreadError::MainThreadExit)
+        );
     }
 
     #[test]

@@ -186,16 +186,7 @@ fn open_breakpoint(addr: u64, tid: ThreadId) -> Result<i64, PerfError> {
 /// Reads the event count off a perf descriptor (0 if the read fails).
 fn read_count(fd: u64) -> u64 {
     let mut count: u64 = 0;
-    let rc = unsafe {
-        syscall5(
-            nr::READ,
-            fd,
-            std::ptr::addr_of_mut!(count) as u64,
-            8,
-            0,
-            0,
-        )
-    };
+    let rc = unsafe { syscall5(nr::READ, fd, std::ptr::addr_of_mut!(count) as u64, 8, 0, 0) };
     if rc == 8 {
         count
     } else {

@@ -40,7 +40,10 @@ pub struct ObjectLayout {
 impl ObjectLayout {
     /// Layout for a `requested`-byte object under the given mode.
     pub fn new(evidence: bool, requested: u64) -> Self {
-        ObjectLayout { evidence, requested }
+        ObjectLayout {
+            evidence,
+            requested,
+        }
     }
 
     /// Offset of the user object from the raw allocation start.
@@ -183,9 +186,7 @@ impl CanaryUnit {
             object_size: machine.load_u64(base + 8).ok()?,
             // A ctx index above u32::MAX cannot have been written by
             // us: treat it as a trampled header.
-            ctx_id: CtxId::from_index(
-                u32::try_from(machine.load_u64(base + 16).ok()?).ok()?,
-            ),
+            ctx_id: CtxId::from_index(u32::try_from(machine.load_u64(base + 16).ok()?).ok()?),
         })
     }
 
@@ -254,7 +255,8 @@ mod tests {
         let (mut m, base) = setup();
         let unit = CanaryUnit::new(0xDEAD_BEEF_F00D_CAFE);
         let layout = ObjectLayout::new(true, 40);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(7)).unwrap();
+        unit.imprint(&mut m, layout, base, CtxId::from_index(7))
+            .unwrap();
         let user = layout.user_ptr(base);
         let header = unit.read_header(&m, user).expect("valid header");
         assert_eq!(header.real_ptr, base);
@@ -271,7 +273,8 @@ mod tests {
         let (mut m, base) = setup();
         let unit = CanaryUnit::new(0x1111_2222_3333_4444);
         let layout = ObjectLayout::new(true, 16);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(0)).unwrap();
+        unit.imprint(&mut m, layout, base, CtxId::from_index(0))
+            .unwrap();
         let canary = layout.canary_addr(layout.user_ptr(base));
         // The program over-writes one word past its object.
         m.raw_store_u64(canary, 0x4242).unwrap();
@@ -286,7 +289,8 @@ mod tests {
         let (mut m, base) = setup();
         let unit = CanaryUnit::new(1);
         let layout = ObjectLayout::new(true, 16);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(0)).unwrap();
+        unit.imprint(&mut m, layout, base, CtxId::from_index(0))
+            .unwrap();
         m.raw_store_u64(base + 24, 0).unwrap();
         assert!(unit.read_header(&m, layout.user_ptr(base)).is_none());
     }
@@ -296,7 +300,8 @@ mod tests {
         let (mut m, base) = setup();
         let unit = CanaryUnit::new(0xABCD);
         let layout = ObjectLayout::new(false, 16);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(0)).unwrap();
+        unit.imprint(&mut m, layout, base, CtxId::from_index(0))
+            .unwrap();
         assert_eq!(m.raw_load_u64(base).unwrap(), 0, "memory untouched");
     }
 }

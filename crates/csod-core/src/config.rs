@@ -575,7 +575,10 @@ impl CsodConfig {
         }
         let s = &self.sampling;
         if s.initial_ppm > PPM_SCALE {
-            return Err(format!("initial probability {} ppm exceeds 100%", s.initial_ppm));
+            return Err(format!(
+                "initial probability {} ppm exceeds 100%",
+                s.initial_ppm
+            ));
         }
         if s.floor_ppm == 0 {
             return Err("floor probability must be positive or contexts die forever".into());
@@ -648,7 +651,10 @@ mod tests {
     fn backend_default_and_display() {
         assert_eq!(CsodConfig::default().backend, WatchBackend::PerfEvent);
         assert_eq!(WatchBackend::Ptrace.to_string(), "ptrace");
-        assert_eq!(WatchBackend::CombinedSyscall.to_string(), "combined-syscall");
+        assert_eq!(
+            WatchBackend::CombinedSyscall.to_string(),
+            "combined-syscall"
+        );
     }
 
     #[test]

@@ -233,7 +233,9 @@ mod tests {
         let mut cache = DecisionCache::new(4);
         let (k, c) = fixtures(&frames, "a");
         for _ in 0..12 {
-            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| ContextJudgment::clear());
+            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+                ContextJudgment::clear()
+            });
         }
         let stats = cache.stats();
         // Misses at allocations 1, 5, 9; hits in between.
@@ -252,7 +254,9 @@ mod tests {
         let mut cache = DecisionCache::new(1);
         let (k, c) = fixtures(&frames, "a");
         for _ in 0..10 {
-            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| ContextJudgment::clear());
+            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+                ContextJudgment::clear()
+            });
         }
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 10);
@@ -267,15 +271,23 @@ mod tests {
         let mut cache = DecisionCache::new(64);
         let (ka, ca) = fixtures(&frames, "a");
         let (kb, cb) = fixtures(&frames, "b");
-        cache.on_allocation(&u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| ContextJudgment::clear());
-        cache.on_allocation(&u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| ContextJudgment::clear());
-        cache.on_allocation(&u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| ContextJudgment::clear());
+        cache.on_allocation(&u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| {
+            ContextJudgment::clear()
+        });
+        cache.on_allocation(&u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| {
+            ContextJudgment::clear()
+        });
+        cache.on_allocation(&u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| {
+            ContextJudgment::clear()
+        });
         assert_eq!(cache.len(), 2);
         let inv_before = cache.stats().invalidations;
         // A watch on `a` bumps the epoch: the next use of *either* key
         // flushes the whole cache and re-reads the table.
         u.on_watched(ka);
-        let d = cache.on_allocation(&u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| ContextJudgment::clear());
+        let d = cache.on_allocation(&u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| {
+            ContextJudgment::clear()
+        });
         assert!(!d.first_seen);
         assert_eq!(cache.stats().invalidations, inv_before + 1);
         // The pending hit on `a` was absorbed during the invalidation.
@@ -289,11 +301,18 @@ mod tests {
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut cache = DecisionCache::new(64);
         let (k, c) = fixtures(&frames, "a");
-        cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| ContextJudgment::clear());
+        cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            ContextJudgment::clear()
+        });
         u.pin_certain(k); // bumps epoch → next decision refreshes
         for _ in 0..64 {
-            let d = cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| ContextJudgment::clear());
-            assert!(d.wants_watch, "pinned context always watched, cached or not");
+            let d = cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+                ContextJudgment::clear()
+            });
+            assert!(
+                d.wants_watch,
+                "pinned context always watched, cached or not"
+            );
             assert_eq!(d.probability_ppm, csod_rng::PPM_SCALE);
         }
     }
@@ -330,7 +349,9 @@ mod tests {
         let mut cache = DecisionCache::new(100);
         let (k, c) = fixtures(&frames, "a");
         for _ in 0..7 {
-            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| ContextJudgment::clear());
+            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+                ContextJudgment::clear()
+            });
         }
         // Only the miss reached the sampler so far.
         assert_eq!(u.state(k).unwrap().alloc_count, 1);

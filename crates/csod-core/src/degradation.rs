@@ -203,9 +203,7 @@ impl DegradationManager {
             }
         }
         match self.mode {
-            DetectionMode::Watchpoints => {
-                !matches!(self.backoff_until, Some(until) if now < until)
-            }
+            DetectionMode::Watchpoints => !matches!(self.backoff_until, Some(until) if now < until),
             DetectionMode::CanaryOnly => {
                 if now >= self.next_probe {
                     self.stats.probes += 1;
@@ -326,7 +324,8 @@ impl DegradationManager {
 
     /// Forgets a freed object's pending retry, if any.
     pub fn cancel_retry(&mut self, object_start: sim_machine::VirtAddr) {
-        self.retry_queue.retain(|r| r.candidate.object_start != object_start);
+        self.retry_queue
+            .retain(|r| r.candidate.object_start != object_start);
     }
 
     /// Number of install retries currently waiting out their backoff.
@@ -414,7 +413,7 @@ mod tests {
                 .min(p.max_backoff.as_nanos());
             assert!(!m.allows_install(now + VirtDuration::from_nanos(expected - 1), c.key));
             now = now + VirtDuration::from_secs(100); // outlive any quarantine
-            // Quarantine interferes with this test's purpose; clear it.
+                                                      // Quarantine interferes with this test's purpose; clear it.
             m.ctx_health.clear();
             m.mode = DetectionMode::Watchpoints;
         }

@@ -32,7 +32,11 @@
 #![warn(clippy::perf)]
 
 mod backend;
-#[cfg(all(feature = "linux-hw", target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(all(
+    feature = "linux-hw",
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 mod backend_linux;
 mod canary;
 mod config;
@@ -47,9 +51,16 @@ mod summary;
 mod watchpoints;
 
 pub use backend::{sim_heap, Backend, HeapBackend, NullBackend, NullHeap, ToolCosts};
-#[cfg(all(feature = "linux-hw", target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(all(
+    feature = "linux-hw",
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 pub use backend_linux::{CsodShimAlloc, LinuxHeap, LinuxHwBackend};
-pub use canary::{CanaryStatus, CanaryUnit, ObjectHeader, ObjectLayout, CANARY_SIZE, HEADER_SIZE, OBJECT_IDENTIFIER};
+pub use canary::{
+    CanaryStatus, CanaryUnit, ObjectHeader, ObjectLayout, CANARY_SIZE, HEADER_SIZE,
+    OBJECT_IDENTIFIER,
+};
 pub use config::{
     paper, AnalysisPriors, CsodConfig, FastPathParams, MitigationParams, ParseRiskClassError,
     RiskClass, SamplingParams, TraceParams, WatchBackend,

@@ -144,7 +144,10 @@ mod tests {
         assert_eq!(p.quarantine_push(VirtAddr::new(0x100)), None);
         assert_eq!(p.quarantine_push(VirtAddr::new(0x200)), None);
         // Third admission evicts the oldest.
-        assert_eq!(p.quarantine_push(VirtAddr::new(0x300)), Some(VirtAddr::new(0x100)));
+        assert_eq!(
+            p.quarantine_push(VirtAddr::new(0x300)),
+            Some(VirtAddr::new(0x100))
+        );
         assert_eq!(p.quarantined_objects(), 2);
         let drained = p.drain_quarantine();
         assert_eq!(drained, vec![VirtAddr::new(0x200), VirtAddr::new(0x300)]);
@@ -157,7 +160,10 @@ mod tests {
             quarantine_capacity: 0,
             ..MitigationParams::default()
         });
-        assert_eq!(p.quarantine_push(VirtAddr::new(0x42)), Some(VirtAddr::new(0x42)));
+        assert_eq!(
+            p.quarantine_push(VirtAddr::new(0x42)),
+            Some(VirtAddr::new(0x42))
+        );
         assert!(p.drain_quarantine().is_empty());
     }
 }

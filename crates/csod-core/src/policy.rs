@@ -78,7 +78,10 @@ mod tests {
         for p in ReplacementPolicy::ALL {
             assert_eq!(p.to_string().parse::<ReplacementPolicy>().unwrap(), p);
         }
-        assert_eq!("FIFO".parse::<ReplacementPolicy>().unwrap(), ReplacementPolicy::NearFifo);
+        assert_eq!(
+            "FIFO".parse::<ReplacementPolicy>().unwrap(),
+            ReplacementPolicy::NearFifo
+        );
         assert!("lru".parse::<ReplacementPolicy>().is_err());
     }
 

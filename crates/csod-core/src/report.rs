@@ -218,9 +218,8 @@ mod tests {
             access_addr: VirtAddr::new(0x1044),
             requested_size: 64,
             object_age_ns: 1_500,
-            overflow_site: matches!(method, DetectionMethod::Watchpoint).then(|| {
-                CallingContext::from_locations(frames, ["libhx/string.c:30", "app.c:9"])
-            }),
+            overflow_site: matches!(method, DetectionMethod::Watchpoint)
+                .then(|| CallingContext::from_locations(frames, ["libhx/string.c:30", "app.c:9"])),
             alloc_context: CallingContext::from_locations(frames, ["alloc.c:5", "main.c:2"]),
             ctx_id: CtxId::from_index(3),
             at: VirtInstant::BOOT + VirtDuration::from_nanos(9_000),

@@ -425,8 +425,7 @@ impl SamplingUnit {
                         match state.floor_since {
                             None => state.floor_since = Some(now),
                             Some(since)
-                                if now.saturating_duration_since(since)
-                                    >= paper::REVIVE_PERIOD
+                                if now.saturating_duration_since(since) >= paper::REVIVE_PERIOD
                                     && rng.chance_ppm(compound_chance_ppm(
                                         params.revive_chance_ppm,
                                         revive_trials,
@@ -446,8 +445,7 @@ impl SamplingUnit {
 
                 // 3. The decision itself, at the pre-degradation probability.
                 let probability_ppm = state.probability_ppm;
-                let wants_watch =
-                    state.pinned_certain || rng.chance_ppm(probability_ppm);
+                let wants_watch = state.pinned_certain || rng.chance_ppm(probability_ppm);
 
                 // 4. Degradation on each allocation, floor-bounded.
                 state.alloc_count += 1;
@@ -477,7 +475,8 @@ impl SamplingUnit {
         if count == 0 {
             return;
         }
-        self.table.with_existing(key, |state| state.absorb(count, &self.params));
+        self.table
+            .with_existing(key, |state| state.absorb(count, &self.params));
     }
 
     /// Records that an object of `key` was watched: halves the context's
@@ -608,7 +607,9 @@ mod tests {
         rng: &mut Arc4Random,
         frames: &FrameTable,
     ) -> AllocDecision {
-        unit.on_allocation(k, now, rng, &ctx(frames, "site"), |_| ContextJudgment::clear())
+        unit.on_allocation(k, now, rng, &ctx(frames, "site"), |_| {
+            ContextJudgment::clear()
+        })
     }
 
     #[test]
@@ -681,7 +682,9 @@ mod tests {
         assert_eq!(firsts, 1, "first_seen reported exactly once");
         assert_eq!(known_checks, 1, "evidence consulted exactly once");
         let nodes_after_five = u.tree().node_count();
-        u.on_allocation(k, VirtInstant::BOOT, &mut rng, &c, |_| ContextJudgment::clear());
+        u.on_allocation(k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            ContextJudgment::clear()
+        });
         assert_eq!(u.tree().node_count(), nodes_after_five, "no re-interning");
     }
 
@@ -762,10 +765,21 @@ mod tests {
         // Unit A: 10 individual allocations. Unit B: one allocation, then
         // one with 8 pending absorbed first, then one more — same totals.
         for _ in 0..10 {
-            a.on_allocation(k, VirtInstant::BOOT, &mut rng_a, &c, |_| ContextJudgment::clear());
+            a.on_allocation(k, VirtInstant::BOOT, &mut rng_a, &c, |_| {
+                ContextJudgment::clear()
+            });
         }
-        b.on_allocation(k, VirtInstant::BOOT, &mut rng_b, &c, |_| ContextJudgment::clear());
-        b.on_allocation_batched(k, VirtInstant::BOOT, &mut rng_b, &c, |_| ContextJudgment::clear(), 8);
+        b.on_allocation(k, VirtInstant::BOOT, &mut rng_b, &c, |_| {
+            ContextJudgment::clear()
+        });
+        b.on_allocation_batched(
+            k,
+            VirtInstant::BOOT,
+            &mut rng_b,
+            &c,
+            |_| ContextJudgment::clear(),
+            8,
+        );
         assert_eq!(
             a.state(k).unwrap().alloc_count,
             b.state(k).unwrap().alloc_count,

@@ -460,7 +460,11 @@ impl WatchpointManager {
     /// is vacated, the filter and fd index are purged (so a later trap
     /// from the still-armed hardware watchpoint is recognized as stale),
     /// and the Figure-4 syscalls are queued for the next batched drain.
-    pub fn remove_by_object<B: Backend>(&mut self, machine: &mut B, object_start: VirtAddr) -> bool {
+    pub fn remove_by_object<B: Backend>(
+        &mut self,
+        machine: &mut B,
+        object_start: VirtAddr,
+    ) -> bool {
         let Some(idx) = self
             .slots
             .iter()
@@ -653,8 +657,10 @@ impl WatchpointManager {
     /// resolves through a stale fd-index entry.
     fn unlink_slot(&mut self, idx: usize, now: VirtInstant) {
         let watched = self.slots[idx].take().expect("slot occupied");
-        self.watch_lifetime
-            .record(now.saturating_duration_since(watched.installed_at).as_nanos());
+        self.watch_lifetime.record(
+            now.saturating_duration_since(watched.installed_at)
+                .as_nanos(),
+        );
         self.filter.remove(watched.object_start);
         self.generations[idx] = self.generations[idx].wrapping_add(1);
         for (_tid, fd) in watched.fds {
@@ -744,7 +750,12 @@ mod tests {
         for i in 0..4 {
             w.consider(&mut m, candidate(&frames, base, i, 10), &mut rng, |_| None);
         }
-        let out = w.consider(&mut m, candidate(&frames, base, 9, 1_000_000), &mut rng, |_| None);
+        let out = w.consider(
+            &mut m,
+            candidate(&frames, base, 9, 1_000_000),
+            &mut rng,
+            |_| None,
+        );
         assert_eq!(out, InstallOutcome::Rejected);
         assert_eq!(w.stats().rejected, 1);
     }
@@ -759,11 +770,17 @@ mod tests {
             w.consider(&mut m, candidate(&frames, base, i, 100), &mut rng, |_| None);
         }
         let strong = candidate(&frames, base, 9, 500_000);
-        assert_eq!(w.consider(&mut m, strong, &mut rng, |_| None), InstallOutcome::Replaced);
+        assert_eq!(
+            w.consider(&mut m, strong, &mut rng, |_| None),
+            InstallOutcome::Replaced
+        );
         assert!(w.is_watched(strong.object_start));
         // A weaker candidate loses everywhere.
         let weak = candidate(&frames, base, 10, 50);
-        assert_eq!(w.consider(&mut m, weak, &mut rng, |_| None), InstallOutcome::Rejected);
+        assert_eq!(
+            w.consider(&mut m, weak, &mut rng, |_| None),
+            InstallOutcome::Rejected
+        );
     }
 
     #[test]
@@ -773,19 +790,33 @@ mod tests {
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut w = manager(ReplacementPolicy::NearFifo);
         // Slot 0 holds a strong watchpoint; slots 1..3 weak ones.
-        w.consider(&mut m, candidate(&frames, base, 0, 900_000), &mut rng, |_| None);
+        w.consider(
+            &mut m,
+            candidate(&frames, base, 0, 900_000),
+            &mut rng,
+            |_| None,
+        );
         for i in 1..4 {
             w.consider(&mut m, candidate(&frames, base, i, 10), &mut rng, |_| None);
         }
         // Candidate beats slots 1..3 but not slot 0 — the cursor points
         // at slot 0, so near-FIFO rejects.
         let mid = candidate(&frames, base, 9, 100_000);
-        assert_eq!(w.consider(&mut m, mid, &mut rng, |_| None), InstallOutcome::Rejected);
+        assert_eq!(
+            w.consider(&mut m, mid, &mut rng, |_| None),
+            InstallOutcome::Rejected
+        );
         // A candidate that beats slot 0 replaces it and advances the cursor.
         let strong = candidate(&frames, base, 10, 950_000);
-        assert_eq!(w.consider(&mut m, strong, &mut rng, |_| None), InstallOutcome::Replaced);
+        assert_eq!(
+            w.consider(&mut m, strong, &mut rng, |_| None),
+            InstallOutcome::Replaced
+        );
         // Now the cursor is at slot 1 (weak): mid-strength wins.
-        assert_eq!(w.consider(&mut m, mid, &mut rng, |_| None), InstallOutcome::Replaced);
+        assert_eq!(
+            w.consider(&mut m, mid, &mut rng, |_| None),
+            InstallOutcome::Replaced
+        );
     }
 
     #[test]
@@ -795,14 +826,25 @@ mod tests {
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut w = manager(ReplacementPolicy::NearFifo);
         for i in 0..4 {
-            w.consider(&mut m, candidate(&frames, base, i, 400_000), &mut rng, |_| None);
+            w.consider(
+                &mut m,
+                candidate(&frames, base, i, 400_000),
+                &mut rng,
+                |_| None,
+            );
         }
         // A 300k candidate loses against fresh 400k watchpoints...
         let c = candidate(&frames, base, 9, 300_000);
-        assert_eq!(w.consider(&mut m, c, &mut rng, |_| None), InstallOutcome::Rejected);
+        assert_eq!(
+            w.consider(&mut m, c, &mut rng, |_| None),
+            InstallOutcome::Rejected
+        );
         // ...but wins once they are 10+ seconds old (400k -> 200k).
         m.skip_time(VirtDuration::from_secs(10));
-        assert_eq!(w.consider(&mut m, c, &mut rng, |_| None), InstallOutcome::Replaced);
+        assert_eq!(
+            w.consider(&mut m, c, &mut rng, |_| None),
+            InstallOutcome::Replaced
+        );
     }
 
     #[test]
@@ -906,7 +948,9 @@ mod tests {
 
         let (mut m2, base2) = machine_with_heap();
         let mut w2 = manager(ReplacementPolicy::Naive);
-        w2.consider(&mut m2, candidate(&frames, base2, 0, 10), &mut rng, |_| None);
+        w2.consider(&mut m2, candidate(&frames, base2, 0, 10), &mut rng, |_| {
+            None
+        });
         assert!(ptrace_cost > 3 * m2.counter().tool_ns());
     }
 
@@ -923,7 +967,11 @@ mod tests {
         );
         let c = candidate(&frames, base, 0, 10);
         w.consider(&mut m, c, &mut rng, |_| None);
-        assert_eq!(m.counter().syscalls(), 1, "one kernel entry for both threads");
+        assert_eq!(
+            m.counter().syscalls(),
+            1,
+            "one kernel entry for both threads"
+        );
         m.app_write(worker, c.canary_addr, 8).unwrap();
         assert_eq!(m.take_signals().len(), 1);
         assert!(w.remove_by_object(&mut m, c.object_start));
@@ -963,14 +1011,22 @@ mod tests {
         let c = candidate(&frames, base, 0, 1_000_000);
         w.consider(&mut m, c, &mut rng, |_| None);
         let decay = VirtDuration::from_secs(10);
-        let watched = w.find_by_fd_scan(w.slots[0].as_ref().unwrap().fds[0].1).unwrap();
+        let watched = w
+            .find_by_fd_scan(w.slots[0].as_ref().unwrap().fds[0].1)
+            .unwrap();
         for secs in [320u64, 400, 100_000] {
             let now = m.now() + VirtDuration::from_secs(secs);
-            assert_eq!(watched.effective_probability_ppm(Some(1_000_000), now, decay), 0);
+            assert_eq!(
+                watched.effective_probability_ppm(Some(1_000_000), now, decay),
+                0
+            );
         }
         // Right at the clamp boundary: 31 periods of a full-scale ppm.
         let now = m.now() + VirtDuration::from_secs(310);
-        assert_eq!(watched.effective_probability_ppm(Some(1_000_000), now, decay), 0);
+        assert_eq!(
+            watched.effective_probability_ppm(Some(1_000_000), now, decay),
+            0
+        );
     }
 
     #[test]
@@ -1094,6 +1150,9 @@ mod tests {
         w.consider(&mut m, fresh, &mut rng, |_| None);
         assert!(w.find_by_fd(stale_fd).is_none());
         let fresh_fd = w.slots[0].as_ref().unwrap().fds[0].1;
-        assert_eq!(w.find_by_fd(fresh_fd).unwrap().object_start, fresh.object_start);
+        assert_eq!(
+            w.find_by_fd(fresh_fd).unwrap().object_start,
+            fresh.object_start
+        );
     }
 }

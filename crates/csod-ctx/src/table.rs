@@ -274,10 +274,14 @@ mod tests {
         let k = key(&frames, "a.c:1", 0);
         let fresh = table.with_entry_tracked(k, || 0, |_, fresh| fresh);
         assert!(fresh);
-        let fresh = table.with_entry_tracked(k, || 0, |v, fresh| {
-            *v += 5;
-            fresh
-        });
+        let fresh = table.with_entry_tracked(
+            k,
+            || 0,
+            |v, fresh| {
+                *v += 5;
+                fresh
+            },
+        );
         assert!(!fresh);
         assert_eq!(table.get_cloned(k), Some(5));
         assert_eq!(table.len(), 1);

@@ -76,12 +76,16 @@ impl SamplingBudget {
     /// to `[base.floor_ppm, min(budget, base.initial_ppm)]`.
     pub fn per_process_ppm(&self, processes: u64, base: &SamplingParams) -> u32 {
         let n = processes.max(1);
-        let target = f64::from(self.fleet_detection_target_ppm.min(PPM_SCALE - 1)) / f64::from(PPM_SCALE);
+        let target =
+            f64::from(self.fleet_detection_target_ppm.min(PPM_SCALE - 1)) / f64::from(PPM_SCALE);
         // p = 1 - (1 - T)^(1/N); exact at N = 1, monotically falling in N.
         let p = 1.0 - (1.0 - target).powf(1.0 / n as f64);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let ppm = (p * f64::from(PPM_SCALE)).ceil() as u32;
-        let ceiling = self.per_process_budget_ppm.min(base.initial_ppm).max(base.floor_ppm);
+        let ceiling = self
+            .per_process_budget_ppm
+            .min(base.initial_ppm)
+            .max(base.floor_ppm);
         ppm.clamp(base.floor_ppm, ceiling)
     }
 
@@ -202,7 +206,10 @@ mod tests {
             let p = budget.per_process_ppm(n, &base);
             assert!(p <= last, "monotone in fleet size (n = {n})");
             assert!(p >= base.floor_ppm, "never below the floor (n = {n})");
-            assert!(p <= budget.per_process_budget_ppm, "never above the budget (n = {n})");
+            assert!(
+                p <= budget.per_process_budget_ppm,
+                "never above the budget (n = {n})"
+            );
             last = p;
         }
         // Unclamped sizes actually meet the target.
@@ -215,14 +222,25 @@ mod tests {
                 );
             }
         }
-        assert_eq!(budget.per_process_ppm(0, &base), budget.per_process_ppm(1, &base));
+        assert_eq!(
+            budget.per_process_ppm(0, &base),
+            budget.per_process_ppm(1, &base)
+        );
     }
 
     #[test]
     fn plan_keeps_config_valid_and_priors_never_proven_safe() {
         let store = FleetStore::new();
-        store.insert_record(&WalRecord::new(RecordKind::TrapSignature, 1_000_000, "hot.c:7|main.c:1"));
-        store.insert_record(&WalRecord::new(RecordKind::CanaryEvidence, 650_000, "warm.c:2|main.c:1"));
+        store.insert_record(&WalRecord::new(
+            RecordKind::TrapSignature,
+            1_000_000,
+            "hot.c:7|main.c:1",
+        ));
+        store.insert_record(&WalRecord::new(
+            RecordKind::CanaryEvidence,
+            650_000,
+            "warm.c:2|main.c:1",
+        ));
         let budget = SamplingBudget::default();
         let mut config = CsodConfig::default();
         let plan = budget.plan(&store, 1_000, &config.sampling);
@@ -235,23 +253,35 @@ mod tests {
 
         let frames = FrameTable::new();
         let priors = plan.priors(|sig| {
-            sig.starts_with("hot").then(|| ContextKey::new(frames.intern(sig), 0x40))
+            sig.starts_with("hot")
+                .then(|| ContextKey::new(frames.intern(sig), 0x40))
         });
         let key = ContextKey::new(frames.intern("hot.c:7|main.c:1"), 0x40);
         assert_eq!(priors.class_of(key), Some(RiskClass::Suspicious));
-        assert_eq!(priors.classes.len(), 1, "unresolvable signatures are skipped");
+        assert_eq!(
+            priors.classes.len(),
+            1,
+            "unresolvable signatures are skipped"
+        );
         assert_eq!(priors.census(), (0, 1, 0), "(safe, suspicious, unknown)");
         for (_, class) in priors.classes.iter() {
             assert_ne!(*class, RiskClass::ProvenSafe);
         }
         // A second plan publishes nothing new.
-        assert_eq!(budget.plan(&store, 1_000, &config.sampling).newly_mitigated, 0);
+        assert_eq!(
+            budget.plan(&store, 1_000, &config.sampling).newly_mitigated,
+            0
+        );
     }
 
     #[test]
     fn seed_wal_round_trips_and_single_process_carries_full_budget() {
         let store = FleetStore::new();
-        store.insert_record(&WalRecord::new(RecordKind::Mitigated, 1_000_000, "m.c:1|main.c:1"));
+        store.insert_record(&WalRecord::new(
+            RecordKind::Mitigated,
+            1_000_000,
+            "m.c:1|main.c:1",
+        ));
         let budget = SamplingBudget::default();
         let base = base();
         let plan = budget.plan(&store, 1, &base);

@@ -70,7 +70,11 @@ pub struct IngestStats {
 /// in turn, inserts every record individually, and — when `checkpoint`
 /// is given — appends the process's records to one journal and syncs it
 /// once per process.
-pub fn ingest_serial(store: &FleetStore, paths: &[PathBuf], checkpoint: Option<&Path>) -> IngestStats {
+pub fn ingest_serial(
+    store: &FleetStore,
+    paths: &[PathBuf],
+    checkpoint: Option<&Path>,
+) -> IngestStats {
     let mut stats = IngestStats::default();
     let mut journal = checkpoint.map(Wal::open);
     for path in paths {
@@ -126,13 +130,15 @@ pub fn ingest_parallel(store: &FleetStore, paths: &[PathBuf], opts: &IngestOptio
         }
         stats
     });
-    let mut stats = chunk_stats.into_iter().fold(IngestStats::default(), |mut acc, s| {
-        acc.processes += s.processes;
-        acc.records += s.records;
-        acc.corrupt_skipped += s.corrupt_skipped;
-        acc.checkpoint_syncs += s.checkpoint_syncs;
-        acc
-    });
+    let mut stats = chunk_stats
+        .into_iter()
+        .fold(IngestStats::default(), |mut acc, s| {
+            acc.processes += s.processes;
+            acc.records += s.records;
+            acc.corrupt_skipped += s.corrupt_skipped;
+            acc.checkpoint_syncs += s.checkpoint_syncs;
+            acc
+        });
     if let Some(base) = opts.checkpoint.as_deref() {
         if store.checkpoint(base).is_ok() {
             stats.checkpoint_syncs += 1;
@@ -159,7 +165,8 @@ mod tests {
     use std::fs;
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("csod-fleet-ingest-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("csod-fleet-ingest-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
@@ -171,7 +178,10 @@ mod tests {
             wal.append(rec);
         }
         if torn {
-            wal.append_partial(&WalRecord::new(RecordKind::Mitigated, 1_000_000, "torn.c:0"), 5);
+            wal.append_partial(
+                &WalRecord::new(RecordKind::Mitigated, 1_000_000, "torn.c:0"),
+                5,
+            );
         }
         wal.sync();
     }
@@ -183,8 +193,16 @@ mod tests {
                 write_wal(
                     &path,
                     &[
-                        WalRecord::new(RecordKind::CanaryEvidence, 10_000 * (i as u32 % 10), "shared.c:1|main.c:1"),
-                        WalRecord::new(RecordKind::TrapSignature, 700_000, format!("own.c:{i}|main.c:1")),
+                        WalRecord::new(
+                            RecordKind::CanaryEvidence,
+                            10_000 * (i as u32 % 10),
+                            "shared.c:1|main.c:1",
+                        ),
+                        WalRecord::new(
+                            RecordKind::TrapSignature,
+                            700_000,
+                            format!("own.c:{i}|main.c:1"),
+                        ),
                     ],
                     i % 3 == 0,
                 );
@@ -260,7 +278,11 @@ mod tests {
         let stats = ingest_serial(&store, &paths, Some(&ckpt));
         assert_eq!(stats.checkpoint_syncs, 6);
         let recovered = Wal::recover(&ckpt);
-        assert_eq!(recovered.records.len() as u64, stats.records, "journal keeps raw records");
+        assert_eq!(
+            recovered.records.len() as u64,
+            stats.records,
+            "journal keeps raw records"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -137,7 +137,10 @@ mod tests {
             }
         }
         // chunk = 0 is treated as 1, not a spin loop.
-        assert_eq!(run_parallel_chunked(&inputs[..3], 2, 0, |&n| n), vec![0, 1, 2]);
+        assert_eq!(
+            run_parallel_chunked(&inputs[..3], 2, 0, |&n| n),
+            vec![0, 1, 2]
+        );
     }
 
     #[test]
@@ -145,10 +148,9 @@ mod tests {
         let inputs: Vec<u64> = (0..97).collect();
         for threads in [1, 4] {
             for chunk in [1, 5, 32, 97, 200] {
-                let batches =
-                    run_parallel_batches(&inputs, threads, chunk, |start, slice| {
-                        (start, slice.to_vec())
-                    });
+                let batches = run_parallel_batches(&inputs, threads, chunk, |start, slice| {
+                    (start, slice.to_vec())
+                });
                 let mut seen = Vec::new();
                 for (start, slice) in batches {
                     assert_eq!(seen.len(), start, "batches arrive in input order");

@@ -87,7 +87,14 @@ struct Shard {
 }
 
 impl Shard {
-    fn fold(&mut self, signature: &str, kind: RecordKind, boost_ppm: u32, records: u64, processes: u64) {
+    fn fold(
+        &mut self,
+        signature: &str,
+        kind: RecordKind,
+        boost_ppm: u32,
+        records: u64,
+        processes: u64,
+    ) {
         match self.entries.get_mut(signature) {
             Some(e) => {
                 e.kind = e.kind.max(kind);
@@ -250,7 +257,8 @@ impl FleetStore {
             drop(shard);
             self.shard_commits.fetch_add(1, Ordering::Relaxed);
         }
-        self.records_merged.fetch_add(raw_records, Ordering::Relaxed);
+        self.records_merged
+            .fetch_add(raw_records, Ordering::Relaxed);
         self.process_contributions
             .fetch_add(contributions.len() as u64, Ordering::Relaxed);
     }
@@ -385,7 +393,10 @@ mod tests {
         assert_eq!(naive.len(), 3);
         assert_eq!(naive.stats().single_inserts, 4);
         assert_eq!(batched.stats().process_contributions, 2);
-        assert!(batched.stats().shard_commits <= 4, "one lock per touched shard");
+        assert!(
+            batched.stats().shard_commits <= 4,
+            "one lock per touched shard"
+        );
     }
 
     #[test]
@@ -393,7 +404,11 @@ mod tests {
         let all: Vec<Strongest> = (0..10)
             .map(|i| {
                 contribution(&[
-                    rec(RecordKind::CanaryEvidence, 100_000 * (i % 7) as u32, "hot.c:1"),
+                    rec(
+                        RecordKind::CanaryEvidence,
+                        100_000 * (i % 7) as u32,
+                        "hot.c:1",
+                    ),
                     rec(RecordKind::TrapSignature, 650_000, &format!("cold.c:{i}")),
                 ])
             })
@@ -406,7 +421,10 @@ mod tests {
         }
         assert_eq!(one_chunk.evidence(), many_chunks.evidence());
         let hot = one_chunk.get("hot.c:1").unwrap();
-        assert_eq!(hot.processes, 10, "every contribution mentioned the hot context");
+        assert_eq!(
+            hot.processes, 10,
+            "every contribution mentioned the hot context"
+        );
         assert_eq!(many_chunks.get("hot.c:1").unwrap().processes, 10);
     }
 
@@ -418,14 +436,21 @@ mod tests {
         assert_eq!(store.mark_all_mitigated(), 0, "already marked");
         assert!(store.get("x.c:1").unwrap().mitigated);
         store.insert_record(&rec(RecordKind::CanaryEvidence, 1, "x.c:1"));
-        assert!(store.get("x.c:1").unwrap().mitigated, "weaker evidence does not unmark");
+        assert!(
+            store.get("x.c:1").unwrap().mitigated,
+            "weaker evidence does not unmark"
+        );
     }
 
     #[test]
     fn checkpoint_round_trips_through_wal_recovery() {
         let store = FleetStore::new();
         store.insert_record(&rec(RecordKind::TrapSignature, 800_000, "t.c:9|main.c:1"));
-        store.insert_record(&rec(RecordKind::CanaryEvidence, 1_000_000, "t.c:9|main.c:1"));
+        store.insert_record(&rec(
+            RecordKind::CanaryEvidence,
+            1_000_000,
+            "t.c:9|main.c:1",
+        ));
         let dir = std::env::temp_dir().join(format!("csod-fleet-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fleet.wal");

@@ -29,13 +29,15 @@ use std::path::PathBuf;
 /// fleets collide on signatures and the merge lattice actually joins.
 fn record(kind_tag: u8, boost: u32, site: u64) -> WalRecord {
     let kind = RecordKind::from_tag(kind_tag % 3 + 1).expect("tag in 1..=3");
-    WalRecord::new(kind, boost % 1_000_001, format!("s{}.c:7|main.c:1", site % 6))
+    WalRecord::new(
+        kind,
+        boost % 1_000_001,
+        format!("s{}.c:7|main.c:1", site % 6),
+    )
 }
 
 /// One sampled fleet: each inner vec is one process's record stream.
-fn fleet_strategy(
-    max_procs: usize,
-) -> impl Strategy<Value = Vec<Vec<(u8, u32, u64)>>> {
+fn fleet_strategy(max_procs: usize) -> impl Strategy<Value = Vec<Vec<(u8, u32, u64)>>> {
     proptest::collection::vec(
         proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u64>()), 0..10),
         1..max_procs,

@@ -630,7 +630,10 @@ mod tests {
         let _ = fs::remove_file(&path);
         let mut wal = Wal::open(&path);
         for i in 0..10 {
-            wal.append(&rec(RecordKind::CanaryEvidence, &format!("dup.c:{}", i % 2)));
+            wal.append(&rec(
+                RecordKind::CanaryEvidence,
+                &format!("dup.c:{}", i % 2),
+            ));
         }
         wal.append(&rec(RecordKind::TrapSignature, "dup.c:0"));
         drop(wal);
@@ -641,7 +644,10 @@ mod tests {
         assert_eq!(state.records, strongest);
         assert_eq!(state.skipped_corrupt, 0);
         let kinds: Vec<RecordKind> = state.records.iter().map(|r| r.kind).collect();
-        assert!(kinds.contains(&RecordKind::TrapSignature), "strongest kind kept");
+        assert!(
+            kinds.contains(&RecordKind::TrapSignature),
+            "strongest kind kept"
+        );
         fs::remove_file(&path).unwrap();
     }
 

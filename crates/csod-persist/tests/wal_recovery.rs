@@ -188,7 +188,10 @@ fn kill_mid_append_on_disk_round_trip() {
     let first = WalRecord::new(RecordKind::CanaryEvidence, 1_000_000, "boom.c:9|main.c:1");
     let mut wal = Wal::open(&path);
     wal.append(&first);
-    wal.append_partial(&WalRecord::new(RecordKind::TrapSignature, 1_000_000, "late.c:2"), 11);
+    wal.append_partial(
+        &WalRecord::new(RecordKind::TrapSignature, 1_000_000, "late.c:2"),
+        11,
+    );
     drop(wal); // the "kill"
 
     let state = Wal::recover(&path);

@@ -323,6 +323,9 @@ mod tests {
     fn capacity_rounds_to_power_of_two() {
         assert_eq!(Tracer::new(5).capacity(), 8);
         assert_eq!(Tracer::new(0).capacity(), 2);
-        assert_eq!(Tracer::with_default_capacity().capacity(), DEFAULT_RING_CAPACITY);
+        assert_eq!(
+            Tracer::with_default_capacity().capacity(),
+            DEFAULT_RING_CAPACITY
+        );
     }
 }

@@ -42,11 +42,7 @@ impl JsonlFileSink {
     /// Opens (creating or appending to) the file at `path`. The
     /// periodic-sync interval is read from [`FLUSH_EVERY_ENV`].
     pub fn new(path: &Path) -> JsonlFileSink {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .ok();
+        let file = OpenOptions::new().create(true).append(true).open(path).ok();
         let flush_every = std::env::var(FLUSH_EVERY_ENV)
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok())
@@ -135,10 +131,8 @@ mod tests {
 
     #[test]
     fn jsonl_sink_appends_lines() {
-        let path = std::env::temp_dir().join(format!(
-            "csod-trace-sink-test-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("csod-trace-sink-test-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
             let mut sink = JsonlFileSink::new(&path);
@@ -155,10 +149,8 @@ mod tests {
 
     #[test]
     fn dropping_a_sink_salvages_pending_lines_and_counts_them() {
-        let path = std::env::temp_dir().join(format!(
-            "csod-trace-sink-drop-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("csod-trace-sink-drop-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let counter = Arc::new(AtomicU64::new(0));
         {
@@ -188,7 +180,11 @@ mod tests {
             sink.flush();
             assert_eq!(sink.pending(), 0);
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 0, "clean exits count nothing");
+        assert_eq!(
+            counter.load(Ordering::Relaxed),
+            0,
+            "clean exits count nothing"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -201,8 +197,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let counter = Arc::new(AtomicU64::new(0));
         {
-            let mut sink = JsonlFileSink::with_drop_counter(&path, Arc::clone(&counter))
-                .with_flush_every(2);
+            let mut sink =
+                JsonlFileSink::with_drop_counter(&path, Arc::clone(&counter)).with_flush_every(2);
             sink.write_line("a");
             assert_eq!(sink.pending(), 1);
             sink.write_line("b"); // hits the interval → durable sync

@@ -338,7 +338,10 @@ mod tests {
         // One overflowing access among few: virtually never sampled.
         m.app_write(ThreadId::MAIN, p + 40, 8).unwrap();
         s.poll(&mut m);
-        assert!(!s.detected(), "the probabilistic miss CSOD avoids per-object");
+        assert!(
+            !s.detected(),
+            "the probabilistic miss CSOD avoids per-object"
+        );
     }
 
     #[test]
@@ -414,7 +417,11 @@ mod tests {
             let p = *ptrs.last().unwrap();
             s.free(&mut machine, &mut heap, p).unwrap();
         }
-        assert!(s.objects.len() <= 5, "metadata bounded: {}", s.objects.len());
+        assert!(
+            s.objects.len() <= 5,
+            "metadata bounded: {}",
+            s.objects.len()
+        );
     }
 
     #[test]

@@ -105,7 +105,10 @@ impl SimHeap {
     ///
     /// Propagates mapping failures (overlapping or invalid region) as
     /// [`HeapError::OutOfMemory`]-style mapping errors from the machine.
-    pub fn new(machine: &mut Machine, config: HeapConfig) -> Result<Self, sim_machine::MemoryError> {
+    pub fn new(
+        machine: &mut Machine,
+        config: HeapConfig,
+    ) -> Result<Self, sim_machine::MemoryError> {
         machine.map_region(config.base, config.size, "sim-heap")?;
         Ok(SimHeap {
             config,
@@ -188,8 +191,12 @@ impl SimHeap {
         let new_addr = self.malloc(machine, new_size)?;
         let copy_len = old.requested.min(new_size) as usize;
         let mut buf = vec![0u8; copy_len];
-        machine.raw_read_bytes(addr, &mut buf).expect("old object mapped");
-        machine.raw_write_bytes(new_addr, &buf).expect("new object mapped");
+        machine
+            .raw_read_bytes(addr, &mut buf)
+            .expect("old object mapped");
+        machine
+            .raw_write_bytes(new_addr, &buf)
+            .expect("new object mapped");
         self.free(machine, addr)?;
         Ok(new_addr)
     }
@@ -259,9 +266,7 @@ impl SimHeap {
     /// The caller-visible size of the live allocation at `addr`
     /// (`malloc_usable_size`): the full block size.
     pub fn usable_size(&self, addr: VirtAddr) -> Option<u64> {
-        self.live
-            .get(&addr.as_u64())
-            .map(|o| o.class.block_size())
+        self.live.get(&addr.as_u64()).map(|o| o.class.block_size())
     }
 
     /// The size originally requested for the live allocation at `addr`.
@@ -323,7 +328,9 @@ impl SimHeap {
 
     fn finish_alloc(&mut self, addr: VirtAddr, requested: u64, class: SizeClass) {
         self.stats.on_alloc(requested, class.block_size());
-        let prev = self.live.insert(addr.as_u64(), LiveObject { requested, class });
+        let prev = self
+            .live
+            .insert(addr.as_u64(), LiveObject { requested, class });
         debug_assert!(prev.is_none(), "allocator handed out a live address");
     }
 }
@@ -369,10 +376,7 @@ mod tests {
     fn wild_free_is_detected() {
         let (mut m, mut h) = setup();
         let a = h.malloc(&mut m, 8).unwrap();
-        assert_eq!(
-            h.free(&mut m, a + 8),
-            Err(HeapError::InvalidPointer(a + 8))
-        );
+        assert_eq!(h.free(&mut m, a + 8), Err(HeapError::InvalidPointer(a + 8)));
     }
 
     #[test]
@@ -426,10 +430,7 @@ mod tests {
         let a = h.memalign(&mut m, 4096, 100).unwrap();
         assert!(a.is_aligned(4096));
         assert!(h.usable_size(a).unwrap() >= 100);
-        assert_eq!(
-            h.memalign(&mut m, 48, 8),
-            Err(HeapError::BadAlignment(48))
-        );
+        assert_eq!(h.memalign(&mut m, 48, 8), Err(HeapError::BadAlignment(48)));
     }
 
     #[test]

@@ -227,7 +227,12 @@ impl AddrRange {
 
 impl fmt::Display for AddrRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:#x}, {:#x})", self.start.as_u64(), self.end().as_u64())
+        write!(
+            f,
+            "[{:#x}, {:#x})",
+            self.start.as_u64(),
+            self.end().as_u64()
+        )
     }
 }
 
@@ -260,10 +265,7 @@ mod tests {
     #[test]
     fn addr_checked_add_detects_overflow() {
         assert!(VirtAddr::new(u64::MAX).checked_add(1).is_none());
-        assert_eq!(
-            VirtAddr::new(10).checked_add(5),
-            Some(VirtAddr::new(15))
-        );
+        assert_eq!(VirtAddr::new(10).checked_add(5), Some(VirtAddr::new(15)));
     }
 
     #[test]

@@ -226,10 +226,7 @@ mod tests {
         let t0 = VirtInstant::BOOT;
         let t1 = t0 + VirtDuration::from_secs(2);
         assert_eq!(t1 - t0, VirtDuration::from_secs(2));
-        assert_eq!(
-            t0.saturating_duration_since(t1),
-            VirtDuration::ZERO
-        );
+        assert_eq!(t0.saturating_duration_since(t1), VirtDuration::ZERO);
     }
 
     #[test]

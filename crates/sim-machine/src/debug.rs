@@ -78,12 +78,7 @@ impl DebugRegisterFile {
         for slot in &mut self.slots {
             if slot.is_some_and(|(held, _)| held == fd) {
                 *slot = None;
-                self.bounds = self
-                    .slots
-                    .iter()
-                    .flatten()
-                    .map(|&(_, r)| r)
-                    .reduce(hull);
+                self.bounds = self.slots.iter().flatten().map(|&(_, r)| r).reduce(hull);
                 return true;
             }
         }
@@ -114,7 +109,9 @@ impl DebugRegisterFile {
 
     /// Returns `true` if `fd` holds one of the registers.
     pub fn holds(&self, fd: Fd) -> bool {
-        self.slots.iter().any(|s| s.is_some_and(|(held, _)| held == fd))
+        self.slots
+            .iter()
+            .any(|s| s.is_some_and(|(held, _)| held == fd))
     }
 }
 

@@ -328,7 +328,10 @@ mod tests {
             p.fail_open(from, ThreadId::MAIN),
             Some(PerfError::DeviceBusy(ThreadId::MAIN))
         );
-        assert!(p.fail_open(until, ThreadId::MAIN).is_none(), "window is half-open");
+        assert!(
+            p.fail_open(until, ThreadId::MAIN).is_none(),
+            "window is half-open"
+        );
         assert_eq!(p.stats().busy_rejections, 1);
         assert!(p.registers_busy_at(from));
         assert!(!p.registers_busy_at(until));

@@ -71,7 +71,7 @@ pub use fxhash::{AddrHasher, FxBuild};
 pub use machine::{Machine, PmuSample};
 pub use memory::{AddressSpace, MemoryError};
 pub use perf::{
-    BpType, Fd, FcntlCmd, FiredWatchpoint, IoctlCmd, PerfError, PerfEventAttr, PerfSubsystem,
+    BpType, FcntlCmd, Fd, FiredWatchpoint, IoctlCmd, PerfError, PerfEventAttr, PerfSubsystem,
 };
 pub use signal::{Signal, SignalInfo, SiteToken};
 pub use thread::{ThreadError, ThreadId, ThreadRegistry};

@@ -6,7 +6,7 @@ use crate::clock::{Clock, VirtDuration, VirtInstant};
 use crate::cost::{CostDomain, CostModel, CycleCounter};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::memory::{AddressSpace, MemoryError};
-use crate::perf::{Fd, FcntlCmd, IoctlCmd, PerfError, PerfEventAttr, PerfSubsystem};
+use crate::perf::{FcntlCmd, Fd, IoctlCmd, PerfError, PerfEventAttr, PerfSubsystem};
 use crate::signal::{Signal, SignalInfo, SiteToken};
 use crate::thread::{ThreadError, ThreadId, ThreadRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -313,7 +313,12 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] when the access faults.
-    pub fn app_write(&mut self, tid: ThreadId, addr: VirtAddr, len: u64) -> Result<(), MemoryError> {
+    pub fn app_write(
+        &mut self,
+        tid: ThreadId,
+        addr: VirtAddr,
+        len: u64,
+    ) -> Result<(), MemoryError> {
         self.app_access(tid, addr, len, AccessKind::Write)
     }
 
@@ -452,15 +457,10 @@ impl Machine {
     /// sampling period; when one or more sampling points fall inside the
     /// batch, the per-sample cost is charged for each and one
     /// representative sample is queued.
-    fn pmu_observe_n(
-        &mut self,
-        tid: ThreadId,
-        addr: VirtAddr,
-        len: u64,
-        kind: AccessKind,
-        n: u64,
-    ) {
-        let Some(period) = self.pmu_period else { return };
+    fn pmu_observe_n(&mut self, tid: ThreadId, addr: VirtAddr, len: u64, kind: AccessKind, n: u64) {
+        let Some(period) = self.pmu_period else {
+            return;
+        };
         if n == 0 {
             return;
         }
@@ -658,8 +658,7 @@ impl Machine {
     ) -> Result<Vec<(ThreadId, Fd)>, PerfError> {
         let threads: Vec<ThreadId> = self.threads.alive().collect();
         self.syscall_cost(
-            self.cost.combined_watch
-                + self.cost.combined_watch_per_thread * threads.len() as u64,
+            self.cost.combined_watch + self.cost.combined_watch_per_thread * threads.len() as u64,
         );
         let mut fds = Vec::with_capacity(threads.len());
         for tid in &threads {
@@ -694,8 +693,7 @@ impl Machine {
     /// all given descriptors.
     pub fn sys_unwatch_all(&mut self, fds: &[Fd]) {
         self.syscall_cost(
-            self.cost.combined_watch
-                + self.cost.combined_watch_per_thread * fds.len() as u64,
+            self.cost.combined_watch + self.cost.combined_watch_per_thread * fds.len() as u64,
         );
         for fd in fds {
             let _ = self.perf.close(*fd);
@@ -783,7 +781,9 @@ mod tests {
     use super::*;
 
     fn configured_watch(m: &mut Machine, addr: VirtAddr, tid: ThreadId) -> Fd {
-        let fd = m.sys_perf_event_open(PerfEventAttr::rw_word(addr), tid).unwrap();
+        let fd = m
+            .sys_perf_event_open(PerfEventAttr::rw_word(addr), tid)
+            .unwrap();
         m.sys_fcntl(fd, FcntlCmd::SetFlAsync).unwrap();
         m.sys_fcntl(fd, FcntlCmd::SetSig(Signal::Trap)).unwrap();
         m.sys_fcntl(fd, FcntlCmd::SetOwn(tid)).unwrap();
@@ -874,7 +874,10 @@ mod tests {
         m.wait_io(VirtDuration::from_millis(1));
         let c = m.counter();
         assert_eq!(c.accesses(), 1);
-        assert_eq!(c.app_ns(), m.costs().mem_access + 10 * m.costs().app_compute);
+        assert_eq!(
+            c.app_ns(),
+            m.costs().mem_access + 10 * m.costs().app_compute
+        );
         assert_eq!(c.io_ns(), 1_000_000);
         assert_eq!((m.now() - t0).as_nanos(), c.total_ns());
     }
@@ -927,7 +930,9 @@ mod tests {
     #[test]
     fn ptrace_watch_behaves_like_perf_but_costs_more() {
         let (mut m, base) = machine_with_heap();
-        let fd = m.sys_ptrace_watch(PerfEventAttr::rw_word(base + 64), ThreadId::MAIN).unwrap();
+        let fd = m
+            .sys_ptrace_watch(PerfEventAttr::rw_word(base + 64), ThreadId::MAIN)
+            .unwrap();
         let ptrace_cost = m.counter().tool_ns();
         m.app_write(ThreadId::MAIN, base + 64, 8).unwrap();
         let sigs = m.take_signals();
@@ -963,7 +968,9 @@ mod tests {
     fn combined_syscall_covers_all_threads_in_one_entry() {
         let (mut m, base) = machine_with_heap();
         let worker = m.spawn_thread();
-        let fds = m.sys_watch_all_threads(PerfEventAttr::rw_word(base + 64)).unwrap();
+        let fds = m
+            .sys_watch_all_threads(PerfEventAttr::rw_word(base + 64))
+            .unwrap();
         assert_eq!(fds.len(), 2);
         assert_eq!(m.counter().syscalls(), 1, "one kernel entry");
         m.app_write(worker, base + 64, 8).unwrap();
@@ -1057,7 +1064,8 @@ mod tests {
     #[test]
     fn resident_bytes_track_touched_pages() {
         let mut m = Machine::new();
-        m.map_region(VirtAddr::new(0x10_0000), 256 << 20, "heap").unwrap();
+        m.map_region(VirtAddr::new(0x10_0000), 256 << 20, "heap")
+            .unwrap();
         assert_eq!(m.mapped_bytes(), 256 << 20);
         assert_eq!(m.resident_bytes(), 0, "mapping alone touches nothing");
         m.raw_store_u64(VirtAddr::new(0x10_0000), 1).unwrap();

@@ -55,8 +55,14 @@ impl fmt::Display for MemoryError {
             MemoryError::Unmapped { addr, len } => {
                 write!(f, "access to unmapped memory at {addr} (len {len})")
             }
-            MemoryError::MappingOverlap { requested, existing } => {
-                write!(f, "mapping {requested} overlaps existing region `{existing}`")
+            MemoryError::MappingOverlap {
+                requested,
+                existing,
+            } => {
+                write!(
+                    f,
+                    "mapping {requested} overlaps existing region `{existing}`"
+                )
             }
             MemoryError::InvalidMapping { addr, len } => {
                 write!(f, "invalid mapping request at {addr} (len {len})")
@@ -103,7 +109,12 @@ impl Region {
     fn for_pieces(
         offset: u64,
         len: u64,
-        mut f: impl FnMut(u64 /*chunk*/, usize /*start in chunk*/, usize /*len*/, usize /*progress*/),
+        mut f: impl FnMut(
+            u64,   /*chunk*/
+            usize, /*start in chunk*/
+            usize, /*len*/
+            usize, /*progress*/
+        ),
     ) {
         let mut done = 0u64;
         while done < len {
@@ -125,13 +136,16 @@ impl Region {
             }
             return;
         }
-        Region::for_pieces(offset, buf.len() as u64, |chunk, start, take, progress| {
-            match &self.chunks[chunk as usize] {
-                Some(bytes) => buf[progress..progress + take]
-                    .copy_from_slice(&bytes[start..start + take]),
+        Region::for_pieces(
+            offset,
+            buf.len() as u64,
+            |chunk, start, take, progress| match &self.chunks[chunk as usize] {
+                Some(bytes) => {
+                    buf[progress..progress + take].copy_from_slice(&bytes[start..start + take])
+                }
                 None => buf[progress..progress + take].fill(0),
-            }
-        });
+            },
+        );
     }
 
     #[inline]
@@ -233,12 +247,7 @@ impl AddressSpace {
     /// Returns [`MemoryError::InvalidMapping`] for zero-length or wrapping
     /// requests and [`MemoryError::MappingOverlap`] if the range intersects
     /// an existing region.
-    pub fn map_region(
-        &mut self,
-        base: VirtAddr,
-        len: u64,
-        name: &str,
-    ) -> Result<(), MemoryError> {
+    pub fn map_region(&mut self, base: VirtAddr, len: u64, name: &str) -> Result<(), MemoryError> {
         if len == 0 || base.checked_add(len).is_none() || base.is_null() {
             return Err(MemoryError::InvalidMapping { addr: base, len });
         }
@@ -257,7 +266,10 @@ impl AddressSpace {
     /// Removes the region based exactly at `base`, returning whether a
     /// region was removed.
     pub fn unmap_region(&mut self, base: VirtAddr) -> bool {
-        match self.regions.binary_search_by_key(&base, |r| r.range.start()) {
+        match self
+            .regions
+            .binary_search_by_key(&base, |r| r.range.start())
+        {
             Ok(at) => {
                 self.regions.remove(at);
                 true
@@ -363,7 +375,10 @@ impl AddressSpace {
     #[inline]
     fn index_containing(&self, addr: VirtAddr, len: u64) -> Option<usize> {
         let end = addr.checked_add(len)?;
-        let at = self.regions.partition_point(|r| r.range.start() <= addr).checked_sub(1)?;
+        let at = self
+            .regions
+            .partition_point(|r| r.range.start() <= addr)
+            .checked_sub(1)?;
         let range = &self.regions[at].range;
         (range.contains(addr) && end <= range.end() && len > 0).then_some(at)
     }
@@ -375,7 +390,8 @@ impl AddressSpace {
 
     #[inline]
     fn region_containing_mut(&mut self, addr: VirtAddr, len: u64) -> Option<&mut Region> {
-        self.index_containing(addr, len).map(|at| &mut self.regions[at])
+        self.index_containing(addr, len)
+            .map(|at| &mut self.regions[at])
     }
 
     #[inline]
@@ -547,7 +563,10 @@ mod tests {
             mem.store_u64(at, i as u64 + 1).unwrap();
         }
         assert!(mem.unmap_region(base + 0x1000));
-        assert!(!mem.unmap_region(base + 0x1008), "unmap needs the exact base");
+        assert!(
+            !mem.unmap_region(base + 0x1008),
+            "unmap needs the exact base"
+        );
         assert_eq!(mem.load_u64(base).unwrap(), 1);
         assert_eq!(mem.load_u64(base + 0x2000).unwrap(), 3);
         assert_eq!(mem.load_u64(base + 0xff8).unwrap(), 0, "last word of `a`");
@@ -555,7 +574,11 @@ mod tests {
         assert!(mem.load_u64(base + 0xffc).is_err(), "spills into the hole");
         assert_eq!(mem.mapped_bytes(), 0x2000);
         mem.map_region(base + 0x1000, 0x1000, "b2").unwrap();
-        assert_eq!(mem.load_u64(base + 0x1000).unwrap(), 0, "a fresh mapping is zeroed");
+        assert_eq!(
+            mem.load_u64(base + 0x1000).unwrap(),
+            0,
+            "a fresh mapping is zeroed"
+        );
     }
 
     #[test]

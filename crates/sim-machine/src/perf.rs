@@ -253,8 +253,7 @@ impl PerfSubsystem {
         if self.registers.len() <= idx {
             self.registers.resize_with(idx + 1, || None);
         }
-        let regs = self.registers[idx]
-            .get_or_insert_with(|| DebugRegisterFile::with_registers(n));
+        let regs = self.registers[idx].get_or_insert_with(|| DebugRegisterFile::with_registers(n));
         if regs.claim(fd, attr.range()).is_none() {
             return Err(PerfError::NoFreeRegister(tid));
         }
@@ -357,8 +356,7 @@ impl PerfSubsystem {
                     return None;
                 }
                 let event = self.events.get(&fd.0)?;
-                let fires =
-                    event.enabled && event.async_notify && event.attr.bp_type.matches(kind);
+                let fires = event.enabled && event.async_notify && event.attr.bp_type.matches(kind);
                 fires.then_some(FiredWatchpoint {
                     fd,
                     watched,
@@ -556,9 +554,12 @@ mod tests {
         perf.fcntl(fd, FcntlCmd::SetFlAsync).unwrap();
         perf.ioctl(fd, IoctlCmd::Enable).unwrap();
         let range = AddrRange::new(VirtAddr::new(0x1000), 1);
-        assert!(perf.check_access(ThreadId::MAIN, range, AccessKind::Read).is_empty());
+        assert!(perf
+            .check_access(ThreadId::MAIN, range, AccessKind::Read)
+            .is_empty());
         assert_eq!(
-            perf.check_access(ThreadId::MAIN, range, AccessKind::Write).len(),
+            perf.check_access(ThreadId::MAIN, range, AccessKind::Write)
+                .len(),
             1
         );
     }

@@ -33,7 +33,10 @@ impl Model {
             .find(|&(start, size)| {
                 len > 0 && addr >= start && addr.checked_add(len).is_some_and(|e| e <= start + size)
             })
-            .ok_or(MemoryError::Unmapped { addr: VirtAddr::new(addr), len })
+            .ok_or(MemoryError::Unmapped {
+                addr: VirtAddr::new(addr),
+                len,
+            })
     }
 
     fn slice(&mut self, addr: u64, len: u64) -> &mut [u8] {
@@ -46,7 +49,8 @@ impl Model {
     fn back(&mut self, start: u64, addr: u64, len: u64) {
         let first = (addr - start) / CHUNK;
         let last = (addr + len - 1 - start) / CHUNK;
-        self.backed.extend((first..=last).map(|chunk| (start, chunk)));
+        self.backed
+            .extend((first..=last).map(|chunk| (start, chunk)));
     }
 
     fn resident(&self) -> u64 {

@@ -83,7 +83,9 @@ fn per_thread_install_cost_scales_with_threads() {
     m.map_region(addr, 4096, "heap").unwrap();
     let worker = m.spawn_thread();
     for tid in [ThreadId::MAIN, worker] {
-        let fd = m.sys_perf_event_open(PerfEventAttr::rw_word(addr), tid).unwrap();
+        let fd = m
+            .sys_perf_event_open(PerfEventAttr::rw_word(addr), tid)
+            .unwrap();
         m.sys_fcntl(fd, FcntlCmd::GetFl).unwrap();
         m.sys_fcntl(fd, FcntlCmd::SetFlAsync).unwrap();
         m.sys_fcntl(fd, FcntlCmd::SetSig(Signal::Trap)).unwrap();

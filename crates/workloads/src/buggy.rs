@@ -343,13 +343,17 @@ impl BuggyApp {
         // `prior` allocations from the bug context spread over the middle,
         // the rest drawn from already-introduced contexts, and finally the
         // bug allocation itself.
-        let non_bug: Vec<usize> = (0..self.contexts_before).filter(|&c| c != bug_ctx).collect();
+        let non_bug: Vec<usize> = (0..self.contexts_before)
+            .filter(|&c| c != bug_ctx)
+            .collect();
         let mut sequence: Vec<usize> = Vec::with_capacity(n_pre as usize);
         sequence.extend(non_bug.iter().copied());
         let filler = n_pre.saturating_sub(1 + prior + non_bug.len() as u64);
         for _ in 0..filler {
             // Weighted towards earlier contexts (long-lived arenas etc.).
-            let pick = non_bug[rng.gen_range(0..non_bug.len().max(1)).min(non_bug.len() - 1)];
+            let pick = non_bug[rng
+                .gen_range(0..non_bug.len().max(1))
+                .min(non_bug.len() - 1)];
             sequence.push(pick);
         }
         // Keep introductions early but shuffle the tail for realism.
@@ -380,14 +384,14 @@ impl BuggyApp {
         let mut prefix_slots: Vec<usize> = Vec::new();
 
         let emit_alloc = |events: &mut Vec<Event>,
-                              rng: &mut StdRng,
-                              pending: &mut VecDeque<(u64, usize)>,
-                              prefix_slots: &mut Vec<usize>,
-                              emitted: &mut u64,
-                              next_slot: &mut usize,
-                              ctx: usize,
-                              long_lived_prefix: bool,
-                              accesses: u32| {
+                          rng: &mut StdRng,
+                          pending: &mut VecDeque<(u64, usize)>,
+                          prefix_slots: &mut Vec<usize>,
+                          emitted: &mut u64,
+                          next_slot: &mut usize,
+                          ctx: usize,
+                          long_lived_prefix: bool,
+                          accesses: u32| {
             // Release objects whose lifetime ended.
             while pending.front().is_some_and(|&(due, _)| due <= *emitted) {
                 let (_, slot) = pending.pop_front().expect("front exists");
@@ -498,7 +502,8 @@ impl BuggyApp {
 
         // --- Post-overflow tail --------------------------------------------
         let allocs_after = self.total_allocs - self.allocs_before;
-        let contexts_after = (self.total_contexts - self.contexts_before).min(allocs_after as usize);
+        let contexts_after =
+            (self.total_contexts - self.contexts_before).min(allocs_after as usize);
         for i in 0..allocs_after {
             let ctx = if (i as usize) < contexts_after {
                 self.contexts_before + i as usize
@@ -542,7 +547,10 @@ mod tests {
             .filter(|a| a.vulnerability == OverflowKind::OverRead)
             .map(|a| a.name)
             .collect();
-        assert_eq!(reads, vec!["Heartbleed", "Libdwarf-20161021", "Zziplib-0.13.62"]);
+        assert_eq!(
+            reads,
+            vec!["Heartbleed", "Libdwarf-20161021", "Zziplib-0.13.62"]
+        );
         // The three in-library bugs ASan misses.
         let missed: Vec<&str> = apps
             .iter()
@@ -585,8 +593,16 @@ mod tests {
             }
             assert!(seen_overflow, "{}: trace contains the bug", app.name);
             assert_eq!(total_allocs, app.total_allocs, "{}: total allocs", app.name);
-            assert_eq!(allocs_before, app.allocs_before, "{}: allocs before", app.name);
-            assert_eq!(ctx_before, app.contexts_before, "{}: contexts before", app.name);
+            assert_eq!(
+                allocs_before, app.allocs_before,
+                "{}: allocs before",
+                app.name
+            );
+            assert_eq!(
+                ctx_before, app.contexts_before,
+                "{}: contexts before",
+                app.name
+            );
             assert!(
                 ctx_seen.len() <= app.total_contexts,
                 "{}: at most the declared contexts",
@@ -611,8 +627,8 @@ mod tests {
             for policy in ReplacementPolicy::ALL {
                 let mut config = CsodConfig::with_policy(policy);
                 config.seed = 99;
-                let outcome = TraceRunner::new(&reg, ToolSpec::Csod(config))
-                    .run(trace.iter().copied());
+                let outcome =
+                    TraceRunner::new(&reg, ToolSpec::Csod(config)).run(trace.iter().copied());
                 assert!(
                     outcome.watchpoint_detected,
                     "{name} under {policy} must detect"
@@ -649,8 +665,7 @@ mod tests {
         for seed in 0..20 {
             let mut config = CsodConfig::with_policy(ReplacementPolicy::Naive);
             config.seed = seed;
-            let outcome =
-                TraceRunner::new(&reg, ToolSpec::Csod(config)).run(trace.iter().copied());
+            let outcome = TraceRunner::new(&reg, ToolSpec::Csod(config)).run(trace.iter().copied());
             assert!(outcome.watchpoint_detected, "libdwarf naive seed {seed}");
         }
     }

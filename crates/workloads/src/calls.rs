@@ -283,8 +283,8 @@ mod tests {
                 continue;
             }
             let reg = app.registry();
-            let outcome = TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::with_seed(5)))
-                .run(app.trace(1));
+            let outcome =
+                TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::with_seed(5))).run(app.trace(1));
             assert!(!outcome.detected, "{}: clean run must stay clean", app.name);
         }
     }

@@ -128,7 +128,10 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosOutcome {
         SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh machine has a heap region");
     let mut csod = Csod::new(cfg.csod.clone(), Arc::clone(&frames));
 
-    let contexts = contexts(&frames, (0..cfg.sites.max(1)).map(|i| format!("chaos.c:{}", 10 + i)));
+    let contexts = contexts(
+        &frames,
+        (0..cfg.sites.max(1)).map(|i| format!("chaos.c:{}", 10 + i)),
+    );
     let smash = SiteToken(0xC4A05);
     csod.register_site(
         smash,

@@ -422,7 +422,8 @@ impl<'r> TraceRunner<'r> {
                 self.machine.app_compute(ops);
             }
             Event::IoWait { ns } => {
-                self.machine.wait_io(sim_machine::VirtDuration::from_nanos(ns));
+                self.machine
+                    .wait_io(sim_machine::VirtDuration::from_nanos(ns));
             }
         }
     }
@@ -481,16 +482,8 @@ impl<'r> TraceRunner<'r> {
             }
             ToolState::Asan(asan) => {
                 let module = &self.registry.access_site(site).module;
-                let _ = asan.access_burst(
-                    &mut self.machine,
-                    tid,
-                    addr,
-                    len,
-                    kind,
-                    module,
-                    site,
-                    count,
-                );
+                let _ =
+                    asan.access_burst(&mut self.machine, tid, addr, len, kind, module, site, count);
             }
             ToolState::Sampler(sampler) => {
                 let _ = self.machine.app_access_bulk(tid, addr, len, kind, count);
@@ -532,8 +525,7 @@ impl<'r> TraceRunner<'r> {
                 let stats = csod.stats();
                 outcome.detected = csod.detected();
                 outcome.watchpoint_detected = csod.detected_by_watchpoint();
-                outcome.evidence_detected =
-                    stats.canary_free_hits + stats.canary_exit_hits > 0;
+                outcome.evidence_detected = stats.canary_free_hits + stats.canary_exit_hits > 0;
                 outcome.allocations = stats.allocations;
                 outcome.distinct_contexts = csod.distinct_contexts();
                 outcome.watched_times = stats.watch.installs;
@@ -621,8 +613,8 @@ mod tests {
     #[test]
     fn baseline_detects_nothing_and_has_unit_overhead() {
         let reg = registry();
-        let outcome =
-            TraceRunner::new(&reg, ToolSpec::Baseline).run(bug_trace(SiteToken(0), AccessKind::Write));
+        let outcome = TraceRunner::new(&reg, ToolSpec::Baseline)
+            .run(bug_trace(SiteToken(0), AccessKind::Write));
         assert!(!outcome.detected);
         assert_eq!(outcome.overhead, 1.0);
         assert_eq!(outcome.tool_ns, 0);
@@ -650,10 +642,12 @@ mod tests {
             instrumented: vec!["demo".into()],
         };
         // Overflow from instrumented module: detected.
-        let outcome = TraceRunner::new(&reg, spec()).run(bug_trace(SiteToken(0), AccessKind::Write));
+        let outcome =
+            TraceRunner::new(&reg, spec()).run(bug_trace(SiteToken(0), AccessKind::Write));
         assert!(outcome.detected);
         // Same overflow performed inside libfoo.so: missed.
-        let outcome = TraceRunner::new(&reg, spec()).run(bug_trace(SiteToken(1), AccessKind::Write));
+        let outcome =
+            TraceRunner::new(&reg, spec()).run(bug_trace(SiteToken(1), AccessKind::Write));
         assert!(!outcome.detected);
     }
 
@@ -827,9 +821,11 @@ mod tests {
         .run(uaf_trace());
         assert!(sampler.detected, "Sampler sees the UAF");
         // CSOD: watchpoint removed at free; UAF is out of scope.
-        let csod = TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::default()))
-            .run(uaf_trace());
-        assert!(!csod.detected, "UAF is outside CSOD's scope (paper Section I)");
+        let csod = TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::default())).run(uaf_trace());
+        assert!(
+            !csod.detected,
+            "UAF is outside CSOD's scope (paper Section I)"
+        );
     }
 
     #[test]

@@ -25,7 +25,9 @@
 use csod_core::{Csod, CsodConfig, RunSummary};
 use csod_ctx::FrameTable;
 use csod_fleet::par::run_parallel;
-use csod_fleet::{ingest_parallel, FleetPlan, FleetStore, IngestOptions, IngestStats, SamplingBudget};
+use csod_fleet::{
+    ingest_parallel, FleetPlan, FleetStore, IngestOptions, IngestStats, SamplingBudget,
+};
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
 use sim_machine::Machine;
@@ -125,7 +127,12 @@ impl FleetRoundOutcome {
 }
 
 /// Runs one process of the round: seed (optional), churn, finish.
-fn run_process(cfg: &FleetRoundConfig, index: usize, wal: &Path, plan: Option<&FleetPlan>) -> ProcessResult {
+fn run_process(
+    cfg: &FleetRoundConfig,
+    index: usize,
+    wal: &Path,
+    plan: Option<&FleetPlan>,
+) -> ProcessResult {
     let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
     let mut heap =
@@ -141,7 +148,8 @@ fn run_process(cfg: &FleetRoundConfig, index: usize, wal: &Path, plan: Option<&F
     }
     let mut csod = Csod::new(config, Arc::clone(&frames));
 
-    let buggy = cfg.buggy_every > 0 && index % cfg.buggy_every == cfg.buggy_offset % cfg.buggy_every;
+    let buggy =
+        cfg.buggy_every > 0 && index % cfg.buggy_every == cfg.buggy_offset % cfg.buggy_every;
     // Site 0 is the fleet-wide bug; the rest are per-process.
     let locations = (0..cfg.sites.max(2)).map(|s| match s {
         0 => "fleetbug.c:7".to_owned(),
@@ -167,7 +175,11 @@ fn run_process(cfg: &FleetRoundConfig, index: usize, wal: &Path, plan: Option<&F
 /// callers can chain or inspect; remove the directory when done).
 /// `plan`, when present, is the previous round's output and seeds every
 /// process before launch.
-pub fn run_fleet_round(cfg: &FleetRoundConfig, dir: &Path, plan: Option<&FleetPlan>) -> FleetRoundOutcome {
+pub fn run_fleet_round(
+    cfg: &FleetRoundConfig,
+    dir: &Path,
+    plan: Option<&FleetPlan>,
+) -> FleetRoundOutcome {
     std::fs::create_dir_all(dir).expect("fleet scratch dir is creatable");
     let wals: Vec<PathBuf> = (0..cfg.processes)
         .map(|i| dir.join(format!("proc-{i}.wal")))
@@ -191,7 +203,9 @@ pub fn run_fleet_round(cfg: &FleetRoundConfig, dir: &Path, plan: Option<&FleetPl
     );
 
     // Budget: the next generation's launch plan.
-    let plan = cfg.budget.plan(&store, cfg.processes as u64, &cfg.csod.sampling);
+    let plan = cfg
+        .budget
+        .plan(&store, cfg.processes as u64, &cfg.csod.sampling);
 
     let buggy = results.iter().filter(|r| r.buggy).count() as u64;
     let detections = results.iter().filter(|r| r.buggy && r.detected).count() as u64;
@@ -231,7 +245,8 @@ mod tests {
     use super::*;
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("csod-fleet-round-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("csod-fleet-round-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -253,7 +268,10 @@ mod tests {
         let round1 = run_fleet_round(&cfg, &dir, None);
         assert_eq!(round1.buggy, 2);
         assert_eq!(round1.detections, 2, "canary detection is deterministic");
-        assert!(round1.store.get(FLEET_BUG_SIGNATURE).is_some(), "bug signature merged");
+        assert!(
+            round1.store.get(FLEET_BUG_SIGNATURE).is_some(),
+            "bug signature merged"
+        );
         assert_eq!(round1.mitigated_at_start, 0);
         assert!(round1.plan.initial_ppm < cfg.csod.sampling.initial_ppm);
 
@@ -264,8 +282,14 @@ mod tests {
             ..cfg.clone()
         };
         let round2 = run_fleet_round(&cfg2, &dir, Some(&round1.plan));
-        assert_eq!(round2.mitigated_at_start, round2.processes, "every process was seeded");
-        assert_eq!(round2.clean_buggy, round2.buggy, "fan-out absorbed the bug everywhere");
+        assert_eq!(
+            round2.mitigated_at_start, round2.processes,
+            "every process was seeded"
+        );
+        assert_eq!(
+            round2.clean_buggy, round2.buggy,
+            "fan-out absorbed the bug everywhere"
+        );
         assert!(round2.all_buggy_accounted());
         let _ = std::fs::remove_dir_all(&dir);
     }

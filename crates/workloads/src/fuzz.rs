@@ -256,11 +256,8 @@ mod tests {
             if bug.kind != AccessKind::Write {
                 continue;
             }
-            let outcome = TraceRunner::new(
-                &w.registry,
-                ToolSpec::Csod(CsodConfig::with_seed(1)),
-            )
-            .run(w.trace.iter().copied());
+            let outcome = TraceRunner::new(&w.registry, ToolSpec::Csod(CsodConfig::with_seed(1)))
+                .run(w.trace.iter().copied());
             assert!(
                 outcome.detected,
                 "seed {seed}: over-writes always leave trap or canary evidence"

@@ -90,25 +90,147 @@ impl PerfApp {
             uninstrumented_access_fraction,
         };
         vec![
-            app("Blackscholes", 479, 4, 4, 4, 16, 613, 0, 0, 10_000_000, 20_000_000, 0, 0.0),
-            app("Bodytrack", 11_938, 81, 431_022, 325, 16, 34, 400, 2, 0, 0, 0, 0.0),
-            app("Canneal", 4_530, 10, 30_728_172, 79, 16, 940, 80, 0, 0, 0, 0, 0.0),
-            app("Dedup", 37_307, 93, 4_074_135, 182, 16, 1_599, 250, 4, 0, 0, 20, 0.0),
-            app("Facesim", 45_748, 109, 4_746_070, 369, 16, 2_422, 300, 4, 0, 0, 0, 0.0),
-            app("Ferret", 40_997, 118, 139_246, 346, 16, 68, 60, 2, 0, 0, 0, 0.0),
-            app("Fluidanimate", 880, 2, 229_910, 5, 16, 408, 800, 2, 0, 0, 0, 0.0),
-            app("Freqmine", 2_709, 125, 4_255, 218, 16, 1_241, 50, 2, 50_000_000, 100_000_000, 0, 0.0),
-            app("Raytrace", 36_871, 63, 45_037_327, 561, 16, 1_135, 120, 0, 0, 0, 0, 0.0),
-            app("Streamcluster", 2_043, 21, 8_861, 30, 16, 111, 100, 2, 20_000_000, 25_000_000, 0, 0.0),
-            app("Swaptions", 1_631, 10, 48_001_795, 370, 16, 9, 400, 3, 0, 0, 0, 0.0),
-            app("Vips", 206_059, 400, 1_425_257, 259, 16, 59, 600, 4, 0, 0, 0, 0.0),
-            app("X264", 33_817, 60, 35_753, 37, 16, 486, 600, 4, 5_000_000, 10_000_000, 0, 0.0),
-            app("Aget", 1_205, 14, 46, 16, 4, 7, 20, 2, 1_000_000, 1_000_000, 3_000, 0.0),
-            app("Apache", 269_126, 56, 357, 27, 16, 5, 30, 2, 20_000_000, 20_000_000, 30, 0.0),
-            app("Memcached", 14_748, 85, 468, 79, 8, 7, 30, 2, 10_000_000, 20_000_000, 50, 0.0),
-            app("Mysql", 1_290_401, 1_186, 1_565_311, 1_362, 16, 124, 2_500, 1, 0, 0, 20, 0.0),
-            app("Pbzip2", 12_108, 13, 57_746, 58, 8, 128, 200, 2, 0, 0, 0, 0.9),
-            app("Pfscan", 1_091, 6, 6, 5, 4, 4_044, 20, 1, 30_000_000, 30_000_000, 2_000, 0.0),
+            app(
+                "Blackscholes",
+                479,
+                4,
+                4,
+                4,
+                16,
+                613,
+                0,
+                0,
+                10_000_000,
+                20_000_000,
+                0,
+                0.0,
+            ),
+            app(
+                "Bodytrack",
+                11_938,
+                81,
+                431_022,
+                325,
+                16,
+                34,
+                400,
+                2,
+                0,
+                0,
+                0,
+                0.0,
+            ),
+            app(
+                "Canneal", 4_530, 10, 30_728_172, 79, 16, 940, 80, 0, 0, 0, 0, 0.0,
+            ),
+            app(
+                "Dedup", 37_307, 93, 4_074_135, 182, 16, 1_599, 250, 4, 0, 0, 20, 0.0,
+            ),
+            app(
+                "Facesim", 45_748, 109, 4_746_070, 369, 16, 2_422, 300, 4, 0, 0, 0, 0.0,
+            ),
+            app(
+                "Ferret", 40_997, 118, 139_246, 346, 16, 68, 60, 2, 0, 0, 0, 0.0,
+            ),
+            app(
+                "Fluidanimate",
+                880,
+                2,
+                229_910,
+                5,
+                16,
+                408,
+                800,
+                2,
+                0,
+                0,
+                0,
+                0.0,
+            ),
+            app(
+                "Freqmine",
+                2_709,
+                125,
+                4_255,
+                218,
+                16,
+                1_241,
+                50,
+                2,
+                50_000_000,
+                100_000_000,
+                0,
+                0.0,
+            ),
+            app(
+                "Raytrace", 36_871, 63, 45_037_327, 561, 16, 1_135, 120, 0, 0, 0, 0, 0.0,
+            ),
+            app(
+                "Streamcluster",
+                2_043,
+                21,
+                8_861,
+                30,
+                16,
+                111,
+                100,
+                2,
+                20_000_000,
+                25_000_000,
+                0,
+                0.0,
+            ),
+            app(
+                "Swaptions",
+                1_631,
+                10,
+                48_001_795,
+                370,
+                16,
+                9,
+                400,
+                3,
+                0,
+                0,
+                0,
+                0.0,
+            ),
+            app(
+                "Vips", 206_059, 400, 1_425_257, 259, 16, 59, 600, 4, 0, 0, 0, 0.0,
+            ),
+            app(
+                "X264", 33_817, 60, 35_753, 37, 16, 486, 600, 4, 5_000_000, 10_000_000, 0, 0.0,
+            ),
+            app(
+                "Aget", 1_205, 14, 46, 16, 4, 7, 20, 2, 1_000_000, 1_000_000, 3_000, 0.0,
+            ),
+            app(
+                "Apache", 269_126, 56, 357, 27, 16, 5, 30, 2, 20_000_000, 20_000_000, 30, 0.0,
+            ),
+            app(
+                "Memcached",
+                14_748,
+                85,
+                468,
+                79,
+                8,
+                7,
+                30,
+                2,
+                10_000_000,
+                20_000_000,
+                50,
+                0.0,
+            ),
+            app(
+                "Mysql", 1_290_401, 1_186, 1_565_311, 1_362, 16, 124, 2_500, 1, 0, 0, 20, 0.0,
+            ),
+            app(
+                "Pbzip2", 12_108, 13, 57_746, 58, 8, 128, 200, 2, 0, 0, 0, 0.9,
+            ),
+            app(
+                "Pfscan", 1_091, 6, 6, 5, 4, 4_044, 20, 1, 30_000_000, 30_000_000, 2_000, 0.0,
+            ),
         ]
     }
 
@@ -212,7 +334,11 @@ impl PerfApp {
             if per_chunk_accesses > 0 {
                 let uninstr =
                     (per_chunk_accesses as f64 * self.uninstrumented_access_fraction) as u64;
-                let site = if rng.gen_bool(0.5) { 0 } else { (n_base - 1) as usize };
+                let site = if rng.gen_bool(0.5) {
+                    0
+                } else {
+                    (n_base - 1) as usize
+                };
                 runner.step(&Event::AccessBurst {
                     thread: (chunk % self.sim_threads() as u64) as u8,
                     slot: site,
@@ -340,7 +466,10 @@ mod tests {
         assert_eq!(base.overhead, 1.0);
         assert!(!csod.detected && !asan.detected, "no bug in perf runs");
         assert!(csod.overhead > 1.0);
-        assert!(asan.overhead > csod.overhead, "access-heavy: ASan costs more");
+        assert!(
+            asan.overhead > csod.overhead,
+            "access-heavy: ASan costs more"
+        );
         // The same application work was modelled in all three runs.
         assert_eq!(base.app_ns, csod.app_ns);
         assert_eq!(base.app_ns, asan.app_ns);
@@ -351,7 +480,10 @@ mod tests {
         let app = PerfApp::by_name("freqmine").unwrap();
         let reg = app.registry();
         let out = app.run(&reg, ToolSpec::Csod(CsodConfig::default()), 2);
-        assert_eq!(out.distinct_contexts, app.contexts.min(out.allocations as usize));
+        assert_eq!(
+            out.distinct_contexts,
+            app.contexts.min(out.allocations as usize)
+        );
         assert!(out.watched_times >= 4, "at least the four free registers");
         assert_eq!(out.allocations, app.executed_allocs());
     }

@@ -150,7 +150,8 @@ fn run_once(cfg: &RestartConfig, wal_path: &Path, trap_log: &Path, kill: bool) -
     let frames = Arc::new(FrameTable::new());
     let mut machine = Machine::new();
     if kill {
-        machine.install_fault_plan(FaultPlan::new(cfg.seed ^ 0x0DEAD).process_kills_ppm(cfg.kill_ppm));
+        machine
+            .install_fault_plan(FaultPlan::new(cfg.seed ^ 0x0DEAD).process_kills_ppm(cfg.kill_ppm));
     }
     let mut heap =
         SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh machine has a heap region");
@@ -160,7 +161,10 @@ fn run_once(cfg: &RestartConfig, wal_path: &Path, trap_log: &Path, kill: bool) -
     let mut csod = Csod::new(config, Arc::clone(&frames));
     let salvage = csod.flushed_on_drop_handle();
 
-    let contexts = contexts(&frames, (0..cfg.sites.max(1)).map(|i| format!("restart.c:{}", 10 + i)));
+    let contexts = contexts(
+        &frames,
+        (0..cfg.sites.max(1)).map(|i| format!("restart.c:{}", 10 + i)),
+    );
     // The workload stream is seeded independently of the kill plan, so
     // all three executions replay the same allocations and overwrites.
     let killed_at = Churn {
@@ -235,7 +239,11 @@ pub fn run_restart_scenario(cfg: &RestartConfig) -> RestartOutcome {
 /// (all three executions) per job. Scenario `i` gets seed
 /// `base_seed + i` and plants a torn WAL tail on every other kill, so a
 /// fleet of any size covers both recovery shapes.
-pub fn run_restart_fleet(base: &RestartConfig, scenarios: u64, threads: usize) -> Vec<RestartOutcome> {
+pub fn run_restart_fleet(
+    base: &RestartConfig,
+    scenarios: u64,
+    threads: usize,
+) -> Vec<RestartOutcome> {
     let configs: Vec<RestartConfig> = (0..scenarios)
         .map(|i| RestartConfig {
             seed: base.seed + i,
@@ -247,10 +255,7 @@ pub fn run_restart_fleet(base: &RestartConfig, scenarios: u64, threads: usize) -
 }
 
 fn scenario_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "csod-restart-{}-{seed:x}",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("csod-restart-{}-{seed:x}", std::process::id()))
 }
 
 #[cfg(test)]

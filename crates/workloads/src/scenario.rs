@@ -103,13 +103,7 @@ impl ScenarioBuilder {
 
     /// `count` in-bounds accesses to the named object from a statement
     /// in `module` (the module decides ASan instrumentation coverage).
-    pub fn touch(
-        &mut self,
-        object: &str,
-        module: &str,
-        kind: AccessKind,
-        count: u64,
-    ) -> &mut Self {
+    pub fn touch(&mut self, object: &str, module: &str, kind: AccessKind, count: u64) -> &mut Self {
         let slot = self.slot(object);
         let site = self.access_site(module, "use");
         self.events.push(Event::AccessBurst {
@@ -235,8 +229,7 @@ mod tests {
             .overflow("buf", "app", AccessKind::Write, 4)
             .free("buf");
         let (registry, trace) = b.build();
-        let outcome =
-            TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::default())).run(trace);
+        let outcome = TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::default())).run(trace);
         assert!(outcome.detected);
     }
 

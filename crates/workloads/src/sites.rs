@@ -133,7 +133,11 @@ impl SiteRegistry {
             &self.frames,
             [
                 format!("{module}/{label}"),
-                format!("{}/logic/driver.c:{}", self.app, 200 + self.access_sites.len()),
+                format!(
+                    "{}/logic/driver.c:{}",
+                    self.app,
+                    200 + self.access_sites.len()
+                ),
                 format!("{}/main.c:42", self.app),
             ]
             .iter()

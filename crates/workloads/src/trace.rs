@@ -238,7 +238,14 @@ mod tests {
         );
         assert_eq!(Event::free(2), Event::Free { thread: 0, slot: 2 });
         let a = Event::access(1, 8, 4, AccessKind::Read, SiteToken(5));
-        assert!(matches!(a, Event::Access { offset: 8, len: 4, .. }));
+        assert!(matches!(
+            a,
+            Event::Access {
+                offset: 8,
+                len: 4,
+                ..
+            }
+        ));
         let o = Event::overflow(1, AccessKind::Write, SiteToken(6));
         assert!(matches!(o, Event::OverflowAccess { slot: 1, .. }));
     }

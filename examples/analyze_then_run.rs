@@ -52,7 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run(trace.iter().copied());
 
     // 4. What the priors bought.
-    println!("\nunprimed: {} installs, detected: {}", unprimed.watched_times, unprimed.detected);
+    println!(
+        "\nunprimed: {} installs, detected: {}",
+        unprimed.watched_times, unprimed.detected
+    );
     println!(
         "primed:   {} installs ({} on proven-safe, {} on suspicious), detected: {}",
         primed.watched_times,

@@ -83,7 +83,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(2);
     };
 
-    println!("== chaos drill: {name} ({} allocations) ==", cfg.allocations);
+    println!(
+        "== chaos drill: {name} ({} allocations) ==",
+        cfg.allocations
+    );
     let out = run_chaos_soak(&cfg);
 
     println!(
@@ -102,7 +105,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.open_events,
         out.free_registers,
         out.total_registers,
-        if out.leak_free() { "LEAK-FREE" } else { "LEAKED" },
+        if out.leak_free() {
+            "LEAK-FREE"
+        } else {
+            "LEAKED"
+        },
     );
     if !out.detected {
         eprintln!("warning: planted overflows went undetected");

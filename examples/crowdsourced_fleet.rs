@@ -28,11 +28,8 @@ fn main() {
     let users: u64 = 40;
     let mut detectors = Vec::new();
     for user in 0..users {
-        let outcome = TraceRunner::new(
-            &registry,
-            ToolSpec::Csod(CsodConfig::with_seed(user)),
-        )
-        .run(trace.iter().copied());
+        let outcome = TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::with_seed(user)))
+            .run(trace.iter().copied());
         if outcome.watchpoint_detected {
             detectors.push(user);
         }
@@ -63,8 +60,8 @@ fn main() {
     let _ = std::fs::remove_file(&path);
     let mut config = CsodConfig::with_seed(missed_seed);
     config.persist_path = Some(path.clone());
-    let first = TraceRunner::new(&registry, ToolSpec::Csod(config.clone()))
-        .run(trace.iter().copied());
+    let first =
+        TraceRunner::new(&registry, ToolSpec::Csod(config.clone())).run(trace.iter().copied());
     println!(
         "a host that missed (seed {missed_seed}): watchpoint {}, canary evidence {}",
         first.watchpoint_detected, first.evidence_detected
@@ -74,8 +71,7 @@ fn main() {
     let mut config2 = CsodConfig::with_seed(missed_seed + 1);
     config2.persist_path = Some(path.clone());
     config2.mitigation = MitigationParams::disabled();
-    let second = TraceRunner::new(&registry, ToolSpec::Csod(config2))
-        .run(trace.iter().copied());
+    let second = TraceRunner::new(&registry, ToolSpec::Csod(config2)).run(trace.iter().copied());
     println!(
         "the same host, second execution: watchpoint detection = {} (paper V-A2: always)",
         second.watchpoint_detected

@@ -32,10 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut ring = Vec::new();
     for i in 0..4 {
-        let ctx = CallingContext::from_locations(
-            &frames,
-            ["ring/push.c:31", "producer.c:main_loop:8"],
-        );
+        let ctx =
+            CallingContext::from_locations(&frames, ["ring/push.c:31", "producer.c:main_loop:8"]);
         let key = ContextKey::new(frames.intern("ring/push.c:31"), 0x40 + i * 0x10);
         ring.push(csod.malloc(&mut machine, &mut heap, ThreadId::MAIN, 48, key, &ctx)?);
     }
@@ -56,7 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", csod.reports()[0].render(&frames));
 
     let trace = csod.drain_trace();
-    println!("--- trace: {} events up to the trap ---\n", trace.events.len());
+    println!(
+        "--- trace: {} events up to the trap ---\n",
+        trace.events.len()
+    );
     for event in &trace.events {
         println!("{event}");
     }

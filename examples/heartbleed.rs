@@ -16,10 +16,7 @@ use csod::workloads::{BuggyApp, ToolSpec, TraceRunner};
 
 fn main() {
     let app = BuggyApp::by_name("heartbleed").expect("model exists");
-    println!(
-        "{}: {} ({})",
-        app.name, app.vulnerability, app.reference
-    );
+    println!("{}: {} ({})", app.name, app.vulnerability, app.reference);
     println!(
         "{} contexts / {} allocations, {} / {} before the overflow\n",
         app.total_contexts, app.total_allocs, app.contexts_before, app.allocs_before
@@ -66,6 +63,10 @@ fn main() {
     .run(trace.iter().copied());
     println!(
         "canary evidence for this over-read: {} (expected: none — reads corrupt nothing)",
-        if outcome.evidence_detected { "found" } else { "none" }
+        if outcome.evidence_detected {
+            "found"
+        } else {
+            "none"
+        }
     );
 }

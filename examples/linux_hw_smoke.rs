@@ -54,7 +54,8 @@ fn try_hardware_watchpoint() -> Result<bool, String> {
         .iter()
         .any(|s| s.fd == Some(fd) && s.fault_addr == canary);
     backend.disarm_watch(WatchBackend::PerfEvent, fd);
-    heap.free(&mut backend, p).map_err(|e| format!("free: {e}"))?;
+    heap.free(&mut backend, p)
+        .map_err(|e| format!("free: {e}"))?;
     Ok(trapped)
 }
 

@@ -16,10 +16,7 @@ use csod::workloads::{BuggyApp, ToolSpec, TraceRunner};
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "libdwarf".into());
-    let runs: u64 = args
-        .next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+    let runs: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(200);
     let Some(app) = BuggyApp::by_name(&name) else {
         eprintln!("unknown application `{name}`; known:");
         for a in BuggyApp::all() {

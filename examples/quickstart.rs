@@ -32,7 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let key = ContextKey::new(alloc_ctx.first_level().expect("non-empty"), 0x40);
     let buffer = csod.malloc(&mut machine, &mut heap, ThreadId::MAIN, 64, key, &alloc_ctx)?;
     println!("allocated 64-byte buffer at {buffer}");
-    println!("watched by a hardware watchpoint: {}", csod.is_watched(buffer));
+    println!(
+        "watched by a hardware watchpoint: {}",
+        csod.is_watched(buffer)
+    );
 
     // ...fills it correctly...
     let copy_site = SiteToken(0);

@@ -28,12 +28,12 @@
 
 pub use asan_sim as asan;
 pub use csod_analyze as analyze;
-pub use sampler_sim as sampler;
 pub use csod_core as core;
 pub use csod_ctx as ctx;
 pub use csod_fleet as fleet;
 pub use csod_rng as rng;
 pub use csod_trace as trace;
+pub use sampler_sim as sampler;
 pub use sim_heap as heap;
 pub use sim_machine as machine;
 pub use workloads;

@@ -19,9 +19,7 @@
 
 use std::sync::Arc;
 
-use csod::core::{
-    Backend, Csod, CsodConfig, NullBackend, NullHeap, RunSummary, WatchBackend,
-};
+use csod::core::{Backend, Csod, CsodConfig, NullBackend, NullHeap, RunSummary, WatchBackend};
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
 use csod::heap::{HeapConfig, SimHeap};
 use csod::machine::{Fd, Machine, ThreadId, VirtAddr};
@@ -145,8 +143,7 @@ fn assert_parity(mode: &str, check: impl Fn(&str, &RunOutcome)) {
     for app in BuggyApp::all() {
         let registry = app.registry();
         let trace = app.trace(0xC50D);
-        let outcome =
-            TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::default())).run(trace);
+        let outcome = TraceRunner::new(&registry, ToolSpec::Csod(CsodConfig::default())).run(trace);
         check(app.name, &outcome);
         let what = format!("{} ({mode} replay)", app.name);
         assert_goldens(
@@ -181,7 +178,10 @@ fn parity_with_pre_refactor_goldens_cached_replay() {
             outcome.replay_segments_compiled,
             outcome.replay_accesses,
         ];
-        assert_eq!(replay, [0; 5], "{app}: replay counters must stay 0 without a trace cache");
+        assert_eq!(
+            replay, [0; 5],
+            "{app}: replay counters must stay 0 without a trace cache"
+        );
     });
 }
 
@@ -368,7 +368,11 @@ fn parity_of_the_robustness_harnesses() {
     ];
     assert_eq!(
         digests,
-        [0x6512_d530_1458_442c, 0x28e9_7681_a2a4_883b, 0x11e6_880e_62f8_727d],
+        [
+            0x6512_d530_1458_442c,
+            0x28e9_7681_a2a4_883b,
+            0x11e6_880e_62f8_727d
+        ],
         "harness outcomes diverged (got {digests:#018x?})\n{fleet}{restart}{chaos}"
     );
 }
@@ -399,11 +403,7 @@ fn check_arm_disarm_idempotence<B: Backend>(b: &mut B, addr: VirtAddr) {
 /// that descriptor's live trap. `trigger` performs the overflowing
 /// access in whatever way the backend supports (a no-op for backends
 /// that cannot synthesize accesses).
-fn check_trap_after_disarm<B: Backend>(
-    b: &mut B,
-    addr: VirtAddr,
-    trigger: impl Fn(&mut B),
-) {
+fn check_trap_after_disarm<B: Backend>(b: &mut B, addr: VirtAddr, trigger: impl Fn(&mut B)) {
     let fd = b
         .arm_watch(WatchBackend::PerfEvent, addr, ThreadId::MAIN)
         .expect("arm");
@@ -488,7 +488,11 @@ fn null_backend_never_delivers_traps() {
     // Even while armed, the null backend never traps — that is its
     // entire point as the ceiling substrate.
     let _fd = b
-        .arm_watch(WatchBackend::PerfEvent, VirtAddr::new(0x200), ThreadId::MAIN)
+        .arm_watch(
+            WatchBackend::PerfEvent,
+            VirtAddr::new(0x200),
+            ThreadId::MAIN,
+        )
         .unwrap();
     assert!(b.take_signals().is_empty());
 }

@@ -41,7 +41,14 @@ impl World {
         let key = self.key(site);
         let ctx = self.ctx(site);
         self.csod
-            .malloc(&mut self.machine, &mut self.heap, ThreadId::MAIN, size, key, &ctx)
+            .malloc(
+                &mut self.machine,
+                &mut self.heap,
+                ThreadId::MAIN,
+                size,
+                key,
+                &ctx,
+            )
             .unwrap()
     }
 }
@@ -248,7 +255,10 @@ fn finish_reports_leaked_overflows_and_persists() {
     w.csod.finish(&mut w.machine);
     assert_eq!(w.csod.stats().canary_exit_hits, 1);
     let saved = Wal::recover(&path);
-    assert!(saved.records.iter().any(|r| r.signature.contains("leak.c:2")));
+    assert!(saved
+        .records
+        .iter()
+        .any(|r| r.signature.contains("leak.c:2")));
     std::fs::remove_file(&path).unwrap();
 }
 
@@ -267,7 +277,10 @@ fn overhead_accounting_separates_app_and_tool() {
     w.csod.finish(&mut w.machine);
     let counter = w.machine.counter();
     assert!(counter.tool_ns() > 0);
-    assert!(counter.app_ns() > counter.tool_ns() / 100, "app work exists");
+    assert!(
+        counter.app_ns() > counter.tool_ns() / 100,
+        "app work exists"
+    );
     assert!(counter.normalized_overhead() > 1.0);
     assert_eq!(counter.accesses(), 800);
 }

@@ -26,7 +26,8 @@ fn every_backend_detects_and_costs_are_ordered() {
             backend,
             ..CsodConfig::default()
         };
-        let outcome = TraceRunner::new(&registry, ToolSpec::Csod(config)).run(trace.iter().copied());
+        let outcome =
+            TraceRunner::new(&registry, ToolSpec::Csod(config)).run(trace.iter().copied());
         assert!(
             outcome.watchpoint_detected,
             "{backend}: detection is backend-independent"
@@ -157,7 +158,8 @@ fn allocator_exhaustion_is_reported_and_recoverable() {
     ));
     // The tool stays consistent: the first object is still managed.
     assert!(csod.is_watched(first));
-    csod.free(&mut machine, &mut heap, ThreadId::MAIN, first).unwrap();
+    csod.free(&mut machine, &mut heap, ThreadId::MAIN, first)
+        .unwrap();
     // And the same-sized allocation now succeeds by recycling the block
     // (the freelist allocator does not split size classes).
     let again = csod
@@ -188,7 +190,8 @@ fn backends_compose_with_thread_spawning() {
         machine.app_write(worker, p + 64, 8).unwrap();
         csod.poll(&mut machine);
         assert!(csod.detected(), "{backend}: late threads are covered");
-        csod.free(&mut machine, &mut heap, ThreadId::MAIN, p).unwrap();
+        csod.free(&mut machine, &mut heap, ThreadId::MAIN, p)
+            .unwrap();
         csod.finish(&mut machine);
         assert_eq!(machine.open_events(), 0, "{backend}: no leaked events");
     }

@@ -5,8 +5,8 @@
 //! behaviour kept as a comparison mode).
 
 use csod::core::{
-    paper, AnalysisPriors, ContextJudgment, CsodConfig, DecisionCache, RiskClass,
-    SamplingParams, SamplingUnit,
+    paper, AnalysisPriors, ContextJudgment, CsodConfig, DecisionCache, RiskClass, SamplingParams,
+    SamplingUnit,
 };
 use csod::ctx::{CallingContext, ContextKey, FrameTable};
 use csod::machine::{VirtDuration, VirtInstant};
@@ -15,7 +15,10 @@ use csod::workloads::{BuggyApp, ToolSpec, TraceRunner};
 
 fn fixture(frames: &FrameTable, name: &str) -> (ContextKey, CallingContext) {
     let ctx = CallingContext::from_locations(frames, [name, "main.c:1"]);
-    (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
+    (
+        ContextKey::new(ctx.first_level().expect("non-empty"), 0x40),
+        ctx,
+    )
 }
 
 fn prob(unit: &SamplingUnit, key: ContextKey) -> u32 {
@@ -30,12 +33,16 @@ fn watch_install_invalidates_the_cache() {
     let mut cache = DecisionCache::new(64);
     let (key, ctx) = fixture(&frames, "watched.c:1");
     for _ in 0..8 {
-        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
+        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+            ContextJudgment::clear()
+        });
     }
     let before = cache.stats().invalidations;
     let p_before = prob(&unit, key);
     unit.on_watched(key); // halves the probability and bumps the epoch
-    let d = cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
+    let d = cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+        ContextJudgment::clear()
+    });
     assert_eq!(cache.stats().invalidations, before + 1);
     assert!(
         d.probability_ppm < p_before,
@@ -58,10 +65,16 @@ fn burst_entry_and_exit_invalidate_the_cache() {
     // burst check when their batch is absorbed, so the throttle can lag
     // by up to `refresh` allocations (the documented convergence bound).
     for _ in 0..params.burst_threshold + 2 * 64 {
-        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
+        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+            ContextJudgment::clear()
+        });
     }
     cache.flush(&unit);
-    assert_eq!(prob(&unit, key), paper::BURST_THROTTLE_PPM, "throttled to 0.0001%");
+    assert_eq!(
+        prob(&unit, key),
+        paper::BURST_THROTTLE_PPM,
+        "throttled to 0.0001%"
+    );
     assert!(
         cache.stats().invalidations > start,
         "burst entry must flush cached verdicts"
@@ -71,7 +84,9 @@ fn burst_entry_and_exit_invalidate_the_cache() {
     // deciding at the throttled probability.
     let later = VirtInstant::BOOT + VirtDuration::from_secs(11);
     let mid = cache.stats().invalidations;
-    cache.on_allocation(&unit, key, later, &mut rng, &ctx, |_| ContextJudgment::clear());
+    cache.on_allocation(&unit, key, later, &mut rng, &ctx, |_| {
+        ContextJudgment::clear()
+    });
     cache.flush(&unit);
     assert_eq!(prob(&unit, key), params.floor_ppm, "recovered to the floor");
     assert!(
@@ -91,16 +106,22 @@ fn revive_invalidates_the_cache() {
     let mut rng = Arc4Random::from_seed(9, 0);
     let mut cache = DecisionCache::new(64);
     let (key, ctx) = fixture(&frames, "quiet.c:1");
-    cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
+    cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+        ContextJudgment::clear()
+    });
     for _ in 0..32 {
         unit.on_watched(key); // halve down to the floor
     }
     // Mark the floor, wait out the quiet period, allocate once more.
-    cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
+    cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+        ContextJudgment::clear()
+    });
     assert_eq!(prob(&unit, key), params.floor_ppm);
     let later = VirtInstant::BOOT + paper::REVIVE_PERIOD + VirtDuration::from_secs(1);
     let before = cache.stats().invalidations;
-    let d = cache.on_allocation(&unit, key, later, &mut rng, &ctx, |_| ContextJudgment::clear());
+    let d = cache.on_allocation(&unit, key, later, &mut rng, &ctx, |_| {
+        ContextJudgment::clear()
+    });
     assert_eq!(d.probability_ppm, paper::REVIVE_PPM, "revived to 0.01%");
     assert!(
         cache.stats().invalidations > before,
@@ -116,12 +137,16 @@ fn priors_update_invalidates_the_cache() {
     let mut cache = DecisionCache::new(64);
     let (key, ctx) = fixture(&frames, "risky.c:1");
     for _ in 0..8 {
-        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
+        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+            ContextJudgment::clear()
+        });
     }
     cache.flush(&unit); // absorb pending so the re-based value reads exactly
     let before = cache.stats().invalidations;
     unit.update_priors(AnalysisPriors::from_classes([(key, RiskClass::Suspicious)]));
-    let d = cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| ContextJudgment::clear());
+    let d = cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+        ContextJudgment::clear()
+    });
     assert_eq!(cache.stats().invalidations, before + 1);
     assert_eq!(
         d.probability_ppm,

@@ -50,7 +50,10 @@ fn bug_confirmed_on_process_a_protects_process_b_from_its_first_subsequent_run()
         .store
         .get(FLEET_BUG_SIGNATURE)
         .expect("A's confirmation reached the fleet store");
-    assert!(entry.mitigated, "planning enrolled the signature for fan-out");
+    assert!(
+        entry.mitigated,
+        "planning enrolled the signature for fan-out"
+    );
 
     // The plan respects the global overhead bound and lowers the
     // per-process probability below the solo default.

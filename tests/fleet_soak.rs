@@ -40,7 +40,10 @@ fn fleet_soak_closes_the_loop_at_scale() {
     let gen1 = run_fleet_round(&cfg, &dir.join("gen-1"), None);
     assert_eq!(gen1.processes, processes as u64);
     assert!(gen1.buggy > 0, "the soak must actually exercise the bug");
-    assert_eq!(gen1.detections, gen1.buggy, "cold detection is deterministic");
+    assert_eq!(
+        gen1.detections, gen1.buggy,
+        "cold detection is deterministic"
+    );
     assert_eq!(gen1.ingest.processes, processes as u64);
     assert!(gen1.ingest.records > 0);
     assert!(gen1.store.get(FLEET_BUG_SIGNATURE).is_some());
@@ -58,7 +61,10 @@ fn fleet_soak_closes_the_loop_at_scale() {
     };
     let gen2 = run_fleet_round(&cfg2, &dir.join("gen-2"), Some(&gen1.plan));
     assert_eq!(gen2.mitigated_at_start, gen2.processes);
-    assert_eq!(gen2.clean_buggy, gen2.buggy, "fan-out protected every buggy process");
+    assert_eq!(
+        gen2.clean_buggy, gen2.buggy,
+        "fan-out protected every buggy process"
+    );
     assert!(gen2.all_buggy_accounted());
     assert_eq!(gen2.plan.newly_mitigated, 0, "fleet knowledge is stable");
     let _ = std::fs::remove_dir_all(&dir);

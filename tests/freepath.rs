@@ -92,8 +92,7 @@ fn parallel_trace_driver_reproduces_serial_outcomes() {
         TraceRunner::new(&registry, tool.clone()).run(trace.iter().cloned())
     });
     for (trace, par) in traces.iter().zip(&parallel) {
-        let serial =
-            TraceRunner::new(&registry, tool.clone()).run(trace.iter().cloned());
+        let serial = TraceRunner::new(&registry, tool.clone()).run(trace.iter().cloned());
         assert_eq!(serial.reports, par.reports);
         assert_eq!(serial.detected, par.detected);
         assert_eq!(serial.syscalls, par.syscalls);

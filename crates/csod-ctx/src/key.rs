@@ -61,12 +61,7 @@ impl ContextKey {
     /// allocation fast path; the distribution only needs to spread keys
     /// across buckets.
     pub fn hash64(&self) -> u64 {
-        let mut x = (u64::from(self.first_level.as_u32()) << 32) ^ self.stack_offset;
-        // splitmix64 finalizer.
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        x
+        mix64((u64::from(self.first_level.as_u32()) << 32) ^ self.stack_offset)
     }
 
     /// The bucket index of this key in a table of `buckets` buckets.
@@ -74,6 +69,13 @@ impl ContextKey {
         debug_assert!(buckets > 0);
         (self.hash64() % buckets as u64) as usize
     }
+}
+
+/// The splitmix64 finalizer: a cheap, well-spread 64-bit integer mix.
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 impl fmt::Display for ContextKey {

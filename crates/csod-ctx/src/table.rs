@@ -18,6 +18,11 @@
 //! memory tracks the number of live contexts instead of a pre-sized
 //! bucket array.
 //!
+//! An owner holding the table as `&mut` skips the lock altogether: the
+//! `_mut` twins ([`ContextTable::with_entry_tracked_mut`],
+//! [`ContextTable::with_existing_mut`]) reach the stripe through
+//! `Mutex::get_mut` and run the same probe body as the locked methods.
+//!
 //! The table is generic over the per-context payload `V`; the CSOD core
 //! instantiates it with its sampling state, and tests instantiate it
 //! with counters.
@@ -85,6 +90,42 @@ impl<V> Stripe<V> {
     fn needs_growth(&self) -> bool {
         self.slots.is_empty() || (self.len + 1) * 8 > self.slots.len() * 7
     }
+
+    /// The body of [`ContextTable::with_entry_tracked`] and its
+    /// exclusive twin.
+    fn entry_tracked<R>(
+        &mut self,
+        key: ContextKey,
+        init: impl FnOnce() -> V,
+        f: impl FnOnce(&mut V, bool) -> R,
+    ) -> R {
+        if !self.slots.is_empty() {
+            if let Ok(at) = self.probe(key) {
+                let (_, v) = self.slots[at].as_mut().expect("occupied slot");
+                return f(v, false);
+            }
+        }
+        if self.needs_growth() {
+            self.grow();
+        }
+        let at = self
+            .probe(key)
+            .expect_err("key was absent before insertion");
+        self.slots[at] = Some((key, init()));
+        self.len += 1;
+        let (_, v) = self.slots[at].as_mut().expect("just inserted");
+        f(v, true)
+    }
+
+    /// The body of [`ContextTable::with_existing`] and its exclusive twin.
+    fn existing<R>(&mut self, key: ContextKey, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let at = self.probe(key).ok()?;
+        let (_, v) = self.slots[at].as_mut().expect("occupied slot");
+        Some(f(v))
+    }
 }
 
 /// A striped open-addressed hash table keyed by [`ContextKey`].
@@ -141,6 +182,11 @@ impl<V> ContextTable<V> {
         &self.stripes[key.bucket(self.stripes.len())]
     }
 
+    fn stripe_mut(&mut self, key: ContextKey) -> &mut Stripe<V> {
+        let at = key.bucket(self.stripes.len());
+        self.stripes[at].get_mut()
+    }
+
     /// Runs `f` on the entry for `key`, inserting `init()` first if the
     /// key is new. Returns `f`'s result together with whether the entry
     /// was newly created (CSOD captures the full backtrace exactly when
@@ -162,38 +208,33 @@ impl<V> ContextTable<V> {
         init: impl FnOnce() -> V,
         f: impl FnOnce(&mut V, bool) -> R,
     ) -> R {
-        let mut stripe = self.stripe(key).lock();
-        if !stripe.slots.is_empty() {
-            if let Ok(at) = stripe.probe(key) {
-                let (_, v) = stripe.slots[at].as_mut().expect("occupied slot");
-                return f(v, false);
-            }
-        }
-        if stripe.needs_growth() {
-            stripe.grow();
-        }
-        let at = stripe
-            .probe(key)
-            .expect_err("key was absent before insertion");
-        stripe.slots[at] = Some((key, init()));
-        stripe.len += 1;
-        let (_, v) = stripe.slots[at].as_mut().expect("just inserted");
-        f(v, true)
+        self.stripe(key).lock().entry_tracked(key, init, f)
+    }
+
+    /// [`ContextTable::with_entry_tracked`] through exclusive access:
+    /// the stripe is reached with `Mutex::get_mut`, so no lock is taken.
+    pub fn with_entry_tracked_mut<R>(
+        &mut self,
+        key: ContextKey,
+        init: impl FnOnce() -> V,
+        f: impl FnOnce(&mut V, bool) -> R,
+    ) -> R {
+        self.stripe_mut(key).entry_tracked(key, init, f)
     }
 
     /// Runs `f` on the entry for `key` if present.
     pub fn with_existing<R>(&self, key: ContextKey, f: impl FnOnce(&mut V) -> R) -> Option<R> {
-        let mut stripe = self.stripe(key).lock();
-        if stripe.slots.is_empty() {
-            return None;
-        }
-        match stripe.probe(key) {
-            Ok(at) => {
-                let (_, v) = stripe.slots[at].as_mut().expect("occupied slot");
-                Some(f(v))
-            }
-            Err(_) => None,
-        }
+        self.stripe(key).lock().existing(key, f)
+    }
+
+    /// [`ContextTable::with_existing`] through exclusive access, taking
+    /// no lock.
+    pub fn with_existing_mut<R>(
+        &mut self,
+        key: ContextKey,
+        f: impl FnOnce(&mut V) -> R,
+    ) -> Option<R> {
+        self.stripe_mut(key).existing(key, f)
     }
 
     /// Whether `key` has an entry.
@@ -250,10 +291,14 @@ impl<V: Clone> ContextTable<V> {
         self.with_existing(key, |v| v.clone())
     }
 
-    /// Snapshots all entries into a vector.
+    /// Snapshots all entries into a vector, locking each stripe once.
     pub fn snapshot(&self) -> Vec<(ContextKey, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each(|k, v| out.push((k, v.clone())));
+        let mut out = Vec::new();
+        for stripe in &self.stripes {
+            let stripe = stripe.lock();
+            out.reserve(stripe.len);
+            out.extend(stripe.slots.iter().flatten().cloned());
+        }
         out
     }
 }
@@ -347,6 +392,25 @@ mod tests {
         assert_eq!(sum, (0..50).sum::<u64>());
         table.for_each_mut(|_, v| *v = 0);
         assert!(table.snapshot().iter().all(|(_, v)| *v == 0));
+    }
+
+    #[test]
+    fn exclusive_twins_match_the_locked_methods() {
+        let frames = FrameTable::new();
+        let shared: ContextTable<u64> = ContextTable::with_buckets(4);
+        let mut exclusive: ContextTable<u64> = ContextTable::with_buckets(4);
+        for i in 0..300u64 {
+            let k = key(&frames, &format!("x{}", i % 40), i % 3);
+            let a = shared.with_entry_tracked(k, || i, |v, fresh| (*v, fresh));
+            let b = exclusive.with_entry_tracked_mut(k, || i, |v, fresh| (*v, fresh));
+            assert_eq!(a, b);
+            let a = shared.with_existing(k, |v| std::mem::replace(v, i));
+            let b = exclusive.with_existing_mut(k, |v| std::mem::replace(v, i));
+            assert_eq!(a, b);
+        }
+        let absent = key(&frames, "never", 0);
+        assert_eq!(exclusive.with_existing_mut(absent, |v| *v), None);
+        assert_eq!(shared.snapshot(), exclusive.snapshot());
     }
 
     #[test]

@@ -89,7 +89,11 @@ impl fmt::Display for DetectionMode {
 /// Health and transition counters of the degradation ladder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationStats {
-    /// Install attempts that failed at the backend.
+    /// Failed installs of a sampled candidate, first tries and retries
+    /// alike, as reported through
+    /// [`DegradationManager::on_install_failure`]. A failed extension of
+    /// a live watch onto a new thread is not one of them: it is counted
+    /// only in `WatchpointStats::install_failures`.
     pub install_failures: u64,
     /// Retry attempts performed.
     pub retries: u64,

@@ -186,8 +186,11 @@ pub struct WatchpointStats {
     pub removals_on_free: u64,
     /// Candidates rejected by the policy.
     pub rejected: u64,
-    /// Installs the backend refused (fault injection or a co-resident
-    /// debugger holding the registers).
+    /// Arm calls the backend refused (fault injection or a co-resident
+    /// debugger holding the registers): failed free-slot installs and
+    /// replacements, which the runtime also reports to the degradation
+    /// ladder, plus failed extensions of a live watch onto a new thread
+    /// ([`WatchpointManager::install_on_thread`]), which it does not.
     pub install_failures: u64,
     /// Descriptors torn down through deferred batched drains (as opposed
     /// to the synchronous per-fd Figure-4 sequence).

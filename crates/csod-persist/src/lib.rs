@@ -322,7 +322,9 @@ fn parse_record(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
         return None;
     }
     let len = usize::from(u16::from_le_bytes([b[2], b[3]]));
-    if len < PAYLOAD_FIXED {
+    // No writer frames a signature longer than `MAX_SIGNATURE_BYTES`,
+    // so a longer frame is damage, not a record.
+    if !(PAYLOAD_FIXED..=PAYLOAD_FIXED + MAX_SIGNATURE_BYTES).contains(&len) {
         return None;
     }
     let total = FRAME_OVERHEAD + len;
@@ -348,6 +350,23 @@ fn parse_record(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
         },
         total,
     ))
+}
+
+/// The log image [`Wal::compact`] writes for `records`: the versioned
+/// header, then each record's frame in order.
+///
+/// The framing is canonical: for any non-empty `bytes` whose [`scan`]
+/// skips nothing, `snapshot(&scan(bytes).records) == bytes`. So two logs
+/// that recover the same records cleanly hold the same bytes. (The
+/// empty file scans clean too, but its snapshot is the bare header.)
+pub fn snapshot(records: &[WalRecord]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + records.len() * 64);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    for rec in records {
+        out.extend_from_slice(&encode_record(rec));
+    }
+    out
 }
 
 /// Scans raw log bytes, salvaging every valid record. Pure function of
@@ -484,7 +503,7 @@ impl Wal {
         }
     }
 
-    /// Atomically replaces the log at `path` with a fresh snapshot
+    /// Atomically replaces the log at `path` with a fresh [`snapshot`]
     /// holding exactly `records`: the snapshot is written to a sibling
     /// temp file, synced, and `rename`d over the log, so a crash at any
     /// point leaves a complete old or new log.
@@ -499,13 +518,7 @@ impl Wal {
         let tmp = PathBuf::from(tmp_name);
         {
             let mut file = File::create(&tmp)?;
-            let mut out = Vec::with_capacity(HEADER_LEN + records.len() * 64);
-            out.extend_from_slice(&MAGIC);
-            out.extend_from_slice(&VERSION.to_le_bytes());
-            for rec in records {
-                out.extend_from_slice(&encode_record(rec));
-            }
-            file.write_all(&out)?;
+            file.write_all(&snapshot(records))?;
             file.sync_all()?;
         }
         fs::rename(&tmp, path)
@@ -722,6 +735,32 @@ mod tests {
         let state = scan(&encoded);
         assert_eq!(state.records.len(), 1);
         assert_eq!(state.records[0].signature.len(), MAX_SIGNATURE_BYTES);
+    }
+
+    #[test]
+    fn frame_longer_than_any_writer_makes_is_damage() {
+        // A well-checksummed frame whose signature exceeds the append
+        // cap: recovery skips and counts it, so every clean log stays
+        // its own snapshot.
+        let sig = "y".repeat(MAX_SIGNATURE_BYTES + 1);
+        let mut payload = vec![RecordKind::Mitigated.tag()];
+        payload.extend_from_slice(&PPM_SCALE.to_le_bytes());
+        payload.extend_from_slice(sig.as_bytes());
+        let mut bytes = snapshot(&[]);
+        bytes.extend_from_slice(&MARKER);
+        bytes.extend_from_slice(&u16::try_from(payload.len()).unwrap().to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let state = scan(&bytes);
+        assert!(state.records.is_empty());
+        assert_eq!(state.skipped_corrupt, 1);
+        // The longest signature a writer does frame still round-trips.
+        let longest = rec(RecordKind::Mitigated, &"y".repeat(MAX_SIGNATURE_BYTES));
+        let image = snapshot(std::slice::from_ref(&longest));
+        assert_eq!(scan(&image).records, vec![longest]);
+        // The one clean input that is not its own snapshot.
+        assert_eq!(scan(&[]), RecoveredState::default());
+        assert_eq!(snapshot(&[]).len(), HEADER_LEN);
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //!    invents or mutates them.
 //! 4. **Resynchronization**: records appended *after* a torn write are
 //!    still recovered, and the damage is counted.
+//! 5. **Canonical framing**: any non-empty image that scans clean is
+//!    the snapshot of the records it recovers, so equal records mean
+//!    equal bytes.
 
-use csod_persist::{encode_record, scan, RecordKind, Wal, WalRecord, HEADER_LEN, MAGIC, VERSION};
+use csod_persist::{encode_record, scan, snapshot, RecordKind, Wal, WalRecord, HEADER_LEN};
 use proptest::prelude::*;
 
 /// Deterministically builds a record from sampled integers.
@@ -27,17 +30,6 @@ fn record(kind_tag: u8, boost: u32, site: u64, depth: usize) -> WalRecord {
     WalRecord::new(kind, boost % 1_000_001, sig)
 }
 
-/// Encodes a full log image (header + records) in memory.
-fn log_image(records: &[WalRecord]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    for rec in records {
-        bytes.extend_from_slice(&encode_record(rec));
-    }
-    bytes
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -50,7 +42,7 @@ proptest! {
     ) {
         let records: Vec<WalRecord> =
             specs.iter().map(|&(k, b, s, d)| record(k, b, s, d)).collect();
-        let state = scan(&log_image(&records));
+        let state = scan(&snapshot(&records));
         prop_assert_eq!(&state.records, &records);
         prop_assert_eq!(state.recovered, records.len() as u64);
         prop_assert_eq!(state.skipped_corrupt, 0);
@@ -66,7 +58,7 @@ proptest! {
     ) {
         let records: Vec<WalRecord> =
             specs.iter().map(|&(k, b, s, d)| record(k, b, s, d)).collect();
-        let bytes = log_image(&records);
+        let bytes = snapshot(&records);
         let cut = (cut as usize) % (bytes.len() + 1);
         let state = scan(&bytes[..cut]);
         // Nothing invented: the survivors are a prefix of the appends.
@@ -99,7 +91,7 @@ proptest! {
     ) {
         let records: Vec<WalRecord> =
             specs.iter().map(|&(k, b, s, d)| record(k, b, s, d)).collect();
-        let mut bytes = log_image(&records);
+        let mut bytes = snapshot(&records);
         let pos = (pos as usize) % bytes.len();
         bytes[pos] ^= flip;
         let state = scan(&bytes);
@@ -140,7 +132,7 @@ proptest! {
         // Keep a strict prefix of the torn record: 0..len bytes.
         let keep = (keep as usize) % torn_bytes.len();
 
-        let mut bytes = log_image(&before);
+        let mut bytes = snapshot(&before);
         bytes.extend_from_slice(&torn_bytes[..keep]);
         for rec in &after {
             bytes.extend_from_slice(&encode_record(rec));
@@ -162,6 +154,33 @@ proptest! {
             let extras = state.records.len() - (before.len() + after.len());
             prop_assert!(extras == 0, "torn prefix decoded as {} record(s)", extras);
             prop_assert!(state.skipped_corrupt >= 1);
+        }
+    }
+
+    #[test]
+    fn clean_scans_are_their_own_snapshot(
+        specs in proptest::collection::vec(
+            (any::<u8>(), any::<u32>(), any::<u64>(), 0usize..8),
+            0..10,
+        ),
+        edits in proptest::collection::vec((any::<u64>(), any::<u8>()), 0..3),
+        cut in any::<u64>(),
+    ) {
+        // Unsorted, duplicate and weaker records alike: the snapshot
+        // keeps whatever order it is given.
+        let records: Vec<WalRecord> =
+            specs.iter().map(|&(k, b, s, d)| record(k, b, s, d)).collect();
+        let mut bytes = snapshot(&records);
+        for &(pos, value) in &edits {
+            let pos = (pos as usize) % bytes.len();
+            bytes[pos] = value;
+        }
+        // Truncate about two times in three, anywhere, to nothing too.
+        let cut = (cut as usize) % (bytes.len() * 3 / 2 + 1);
+        bytes.truncate(cut);
+        let state = scan(&bytes);
+        if !bytes.is_empty() && state.skipped_corrupt == 0 {
+            prop_assert_eq!(snapshot(&state.records), bytes);
         }
     }
 

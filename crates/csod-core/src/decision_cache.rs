@@ -88,6 +88,14 @@ pub struct DecisionCacheStats {
     pub invalidations: u64,
 }
 
+impl std::ops::AddAssign for DecisionCacheStats {
+    fn add_assign(&mut self, other: DecisionCacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
+    }
+}
+
 /// How a cache reaches its sampling unit: shared through stripe locks,
 /// or exclusively with none.
 trait SamplerAccess {

@@ -371,7 +371,7 @@ fn parity_of_the_robustness_harnesses() {
         [
             0x6512_d530_1458_442c,
             0x28e9_7681_a2a4_883b,
-            0x11e6_880e_62f8_727d
+            0x5dec_0338_6662_2281
         ],
         "harness outcomes diverged (got {digests:#018x?})\n{fleet}{restart}{chaos}"
     );

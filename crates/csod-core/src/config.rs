@@ -479,7 +479,12 @@ pub struct CsodConfig {
     /// its own overflow still leaves the boost behind for the second
     /// execution. Recovered records seed the sampler and the mitigation
     /// policy at startup; with [`MitigationParams::disabled`] they only
-    /// pin. `None` keeps the evidence in memory only.
+    /// pin. A missing file recovers as empty. The file is created by
+    /// the first confirmation, so a run that confirms nothing leaves no
+    /// file; a clean exit compacts the log to one `Mitigated` record per
+    /// confirmed context, and skips that rewrite when the log already
+    /// holds exactly those records and nothing was appended. `None`
+    /// keeps the evidence in memory only.
     pub persist_path: Option<PathBuf>,
     /// Closed-loop hardening of confirmed-overflowing contexts.
     pub mitigation: MitigationParams,

@@ -56,7 +56,8 @@ impl Default for IngestOptions {
 /// What one ingest pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Per-process WALs read.
+    /// Per-process WALs read. A missing log counts as read and empty:
+    /// a process that confirmed nothing leaves no file.
     pub processes: u64,
     /// Valid records recovered and merged.
     pub records: u64,

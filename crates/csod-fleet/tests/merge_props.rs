@@ -15,11 +15,16 @@
 //! 3. **Budget soundness** — a plan derived from merged evidence never
 //!    marks a trapped signature proven-safe, and the per-process
 //!    probability it hands out stays inside the configured bounds.
+//! 4. **What the planner reads** — after a checkpointed ingest the
+//!    store, its checkpoint and its mitigation state all agree with the
+//!    reference join: only signatures that arrived `Mitigated` count as
+//!    mitigated before the first plan, and that plan publishes exactly
+//!    the rest.
 
 use csod_core::{CsodConfig, RiskClass, SamplingParams};
 use csod_ctx::ContextKey;
 use csod_fleet::{ingest_parallel, ingest_serial, FleetStore, IngestOptions, SamplingBudget};
-use csod_persist::{encode_record, RecordKind, Strongest, WalRecord, MAGIC, VERSION};
+use csod_persist::{encode_record, RecordKind, Strongest, Wal, WalRecord, MAGIC, VERSION};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -264,5 +269,61 @@ proptest! {
         plan.apply(&mut config);
         config.priors = priors;
         prop_assert!(config.validate().is_ok(), "planned config must validate");
+    }
+
+    /// The store tells the planner exactly the reference join: the
+    /// evidence map, the checkpoint on disk, which signatures already
+    /// arrived `Mitigated`, and how many the first plan newly publishes
+    /// (every other one). After that plan everything is mitigated and a
+    /// second plan publishes nothing.
+    #[test]
+    fn the_planner_reads_the_join_and_prior_mitigation(
+        fleet in fleet_strategy(10),
+        case in any::<u64>(),
+        chunk in 1usize..4,
+        processes in 1u64..20_000,
+    ) {
+        let dir = scratch("plan", case);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let paths: Vec<PathBuf> = fleet
+            .iter()
+            .enumerate()
+            .map(|(i, specs)| {
+                let records: Vec<WalRecord> =
+                    specs.iter().map(|&(k, b, s)| record(k, b, s)).collect();
+                let path = dir.join(format!("proc-{i}.wal"));
+                std::fs::write(&path, log_image(&records, None, &[])).expect("log image written");
+                path
+            })
+            .collect();
+        let checkpoint = dir.join("fleet.wal");
+        let store = FleetStore::new();
+        ingest_parallel(
+            &store,
+            &paths,
+            &IngestOptions { threads: 4, chunk, checkpoint: Some(checkpoint.clone()) },
+        );
+
+        let want = reference(&fleet);
+        prop_assert_eq!(store.evidence(), want.clone());
+        prop_assert_eq!(Wal::recover(&checkpoint).records, store.strongest_records());
+        for (sig, &(kind, _)) in &want {
+            let entry = store.get(sig).expect("every joined signature is in the store");
+            prop_assert_eq!(entry.mitigated, kind == RecordKind::Mitigated, "{}", sig);
+        }
+
+        let fresh = want
+            .values()
+            .filter(|&&(kind, _)| kind != RecordKind::Mitigated)
+            .count() as u64;
+        let base = CsodConfig::default().sampling;
+        let budget = SamplingBudget::default();
+        prop_assert_eq!(budget.plan(&store, processes, &base).newly_mitigated, fresh);
+        for sig in want.keys() {
+            prop_assert!(store.get(sig).expect("still known").mitigated, "{} unpublished", sig);
+        }
+        prop_assert_eq!(budget.plan(&store, processes, &base).newly_mitigated, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
-//! Fleet aggregation benchmark: what the sharded, batched, parallel
-//! ingest pipeline buys over naive record-at-a-time aggregation
+//! Fleet aggregation benchmark: what the chunked, parallel ingest
+//! pipeline buys over naive record-at-a-time aggregation
 //! (DESIGN.md §15).
 //!
 //! Two layers are measured:
@@ -8,8 +8,8 @@
 //!    WALs ingested into a `FleetStore` twice — once through
 //!    `ingest_serial` (the naive discipline: one record at a time, one
 //!    journal fsync per process) and once through `ingest_parallel`
-//!    (chunked fan-out parse, shard-local batched commits, one
-//!    group-commit fsync per chunk). Both sides are durable; the
+//!    (chunked fan-out parse, one store merge and one group-commit
+//!    fsync per chunk). Both sides are durable; the
 //!    speedup is the pipeline's group-commit + fan-out win, and the
 //!    two stores are asserted to hold identical evidence on every
 //!    round. The in-memory variant of the same pair isolates the CPU

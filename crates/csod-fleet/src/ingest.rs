@@ -14,15 +14,14 @@
 //! [`crate::par`]:
 //!
 //! 1. **Fan-out** — each worker reads and checksums its claimed chunk's
-//!    WALs and collapses every process to a strongest-per-signature
-//!    [`Strongest`] contribution, all without touching a lock.
-//! 2. **Shard-local commit** — the chunk's contributions are k-way
-//!    merged and folded into the store one shard lock per touched
-//!    shard ([`FleetStore::commit_chunk`]).
-//! 3. **Group commit** — the chunk's collapsed evidence is written as
-//!    one atomic checkpoint segment with a *single* fsync, and
-//!    segment syncs from different workers overlap in the kernel
-//!    instead of queuing behind one journal handle.
+//!    WALs and absorbs every record into one strongest-per-signature
+//!    [`Strongest`] for the whole chunk, all without touching a lock.
+//! 2. **Merge** — that chunk evidence is joined into the store with one
+//!    lock acquisition ([`FleetStore::merge`]).
+//! 3. **Group commit** — the same chunk evidence is written as one
+//!    atomic checkpoint segment with a *single* fsync, and segment
+//!    syncs from different workers overlap in the kernel instead of
+//!    queuing behind one journal handle.
 //!
 //! Steps 1–3 for one chunk never wait on another chunk; because the
 //! merge is a lattice join, any interleaving commits the same store.
@@ -97,8 +96,8 @@ pub fn ingest_serial(
     stats
 }
 
-/// Chunked parallel ingest: fan-out parse, shard-local batched merge,
-/// and group-commit durability as described in the module docs.
+/// Chunked parallel ingest: fan-out parse, one merge per chunk, and
+/// group-commit durability as described in the module docs.
 ///
 /// When `opts.checkpoint` is set, each chunk persists one atomic
 /// segment (`<checkpoint>.seg<start>`) with a single fsync; after the
@@ -109,23 +108,17 @@ pub fn ingest_serial(
 pub fn ingest_parallel(store: &FleetStore, paths: &[PathBuf], opts: &IngestOptions) -> IngestStats {
     let chunk_stats = run_parallel_batches(paths, opts.threads, opts.chunk, |start, slice| {
         let mut stats = IngestStats::default();
-        let mut contributions: Vec<Strongest> = Vec::with_capacity(slice.len());
+        let mut evidence = Strongest::new();
         for path in slice {
             let state = Wal::recover(path);
             stats.processes += 1;
             stats.records += state.records.len() as u64;
             stats.corrupt_skipped += state.skipped_corrupt;
-            let mut acc = Strongest::new();
-            acc.absorb_all(&state.records);
-            contributions.push(acc);
+            evidence.absorb_all(&state.records);
         }
-        store.commit_chunk(&contributions);
+        store.merge(&evidence);
         if let Some(base) = opts.checkpoint.as_deref() {
-            let mut collapsed = Strongest::new();
-            for c in &contributions {
-                collapsed.merge(c);
-            }
-            if Wal::compact(&segment_path(base, start), &collapsed.into_records()).is_ok() {
+            if Wal::compact(&segment_path(base, start), &evidence.into_records()).is_ok() {
                 stats.checkpoint_syncs += 1;
             }
         }

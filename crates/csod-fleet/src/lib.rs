@@ -7,15 +7,13 @@
 //! detection probability stays high. This crate is that aggregation
 //! tier for the CSOD reproduction:
 //!
-//! * [`FleetStore`] — a signature-sharded store of
-//!   strongest-per-signature evidence, trap counts and mitigation
-//!   state (the 64-stripe locking pattern from `csod-ctx`'s
-//!   `ContextTable`), committed to by batched k-way merge rather than
-//!   record-at-a-time insertion;
+//! * [`FleetStore`] — the strongest-per-signature evidence join and
+//!   the mitigation state, behind one lock, joined a whole chunk at a
+//!   time rather than record by record;
 //! * [`ingest_parallel`] — the chunked ingest pipeline: WAL reads and
 //!   checksum scans fan out over the work-stealing driver in [`par`],
-//!   merge commits stay shard-local, and durability is group-committed
-//!   one fsync per chunk instead of one per process
+//!   each chunk merges into the store once, and durability is
+//!   group-committed one fsync per chunk instead of one per process
 //!   ([`ingest_serial`] keeps the naive discipline as the measured
 //!   baseline);
 //! * [`SamplingBudget`] — converts fleet size and a global overhead
@@ -32,7 +30,7 @@
 //! and idempotent: workers may claim and commit chunks in any order and
 //! the fleet's knowledge comes out identical. That algebra, proved by
 //! the proptests in `tests/`, is what lets the whole pipeline run
-//! without coordination beyond per-shard locks.
+//! without coordination beyond one lock taken once per chunk.
 //!
 //! ```
 //! use csod_fleet::{FleetStore, SamplingBudget};
@@ -66,4 +64,4 @@ mod store;
 
 pub use budget::{FleetPlan, SamplingBudget};
 pub use ingest::{ingest_parallel, ingest_serial, IngestOptions, IngestStats};
-pub use store::{FleetEntry, FleetRecord, FleetStore, MergeStats, DEFAULT_SHARDS};
+pub use store::{FleetEntry, FleetStore};

@@ -1,41 +1,30 @@
-//! The sharded fleet-wide priors store.
+//! The fleet-wide priors store.
 //!
 //! One process's WAL holds what *it* confirmed; the fleet's knowledge
 //! is the strongest-per-signature join over every process's log. The
-//! [`FleetStore`] holds that join concurrently: signatures hash to one
-//! of a fixed set of lock shards (the same stripe pattern as
-//! `csod-ctx::ContextTable`, which PR 3 showed spreads fast-path
-//! contention well), and each shard guards a plain hash map from
-//! signature to the strongest evidence seen fleet-wide.
+//! [`FleetStore`] holds that join as one [`Strongest`] — the same
+//! accumulator WAL compaction uses, so the fleet and a single process
+//! can never disagree on what "strongest" means — plus the set of
+//! signatures published for mitigation, both behind one lock.
 //!
-//! Two ingestion disciplines exist, and the difference between them is
-//! the whole performance story of this crate:
+//! Two ingestion disciplines exist:
 //!
 //! * **Record-at-a-time** ([`FleetStore::insert_record`]) — the naive
-//!   loop: every record pays a shard lock, a string hash and a map
-//!   probe, and a durable store checkpoints after every process. This
-//!   is the comparison baseline `bench_fleet` measures.
-//! * **Batched k-way merge** ([`FleetStore::commit_chunk`]) — each
-//!   process's records are first collapsed locally (strongest per
-//!   signature, no lock held), a chunk of processes is then k-way
-//!   merged into per-shard runs, and each shard is locked **once per
-//!   chunk** to absorb its run. Group-commit checkpointing rides the
-//!   same granularity. Because the merge is a lattice join
-//!   (commutative, associative, idempotent — see
-//!   [`csod_persist::Strongest`]), chunk boundaries and worker
-//!   scheduling cannot change the result.
+//!   loop: every record pays the lock and a map probe, and a durable
+//!   store checkpoints after every process. It is the comparison
+//!   baseline `bench_fleet` measures and the oracle the merge property
+//!   suite checks against.
+//! * **Merge** ([`FleetStore::merge`]) — a caller collapses a whole
+//!   chunk of processes into one [`Strongest`] without holding the
+//!   lock, then joins it into the store with one lock acquisition.
+//!   Because the join is commutative, associative and idempotent,
+//!   chunk boundaries and worker scheduling cannot change the result.
 
-use csod_persist::{fnv1a, RecordKind, Strongest, Wal, WalRecord};
+use csod_persist::{RecordKind, Strongest, Wal, WalRecord};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Default shard count, matching `csod-ctx::ContextTable`'s stripe
-/// count: enough independent locks that ingest workers rarely collide,
-/// few enough that a full-store sweep stays cheap.
-pub const DEFAULT_SHARDS: usize = 64;
 
 /// The fleet's knowledge about one context signature.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,83 +34,23 @@ pub struct FleetEntry {
     pub kind: RecordKind,
     /// Highest next-run watch probability any process recorded, in ppm.
     pub boost_ppm: u32,
-    /// Raw WAL records folded into this entry across the fleet — the
-    /// per-signature detection count the sampling budget reads.
-    pub records: u64,
-    /// Process-level contributions that included this signature (each
-    /// batched contribution counts once; record-at-a-time insertion
-    /// cannot tell processes apart and leaves this at zero).
-    pub processes: u64,
-    /// Whether this signature has been published in a mitigation
-    /// fan-out plan: every process launched from that plan's seed WAL
-    /// hardens the context from its first allocation.
+    /// Whether the context is already mitigated fleet-wide: some
+    /// process recorded it `Mitigated`, or a mitigation fan-out plan
+    /// published it, so every process launched from that plan's seed
+    /// WAL hardens the context from its first allocation.
     pub mitigated: bool,
 }
 
-/// One signature's entry together with its signature, as returned by
-/// [`FleetStore::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetRecord {
-    /// The canonical context signature.
-    pub signature: String,
-    /// The fleet-wide entry.
-    pub entry: FleetEntry,
+#[derive(Debug, Default)]
+struct Inner {
+    evidence: Strongest,
+    /// Signatures a plan published that no process had recorded
+    /// `Mitigated` at the time (those are mitigated by their kind).
+    published: BTreeSet<String>,
 }
 
-/// Monotonic merge counters, readable while ingest runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Raw records folded in (both disciplines).
-    pub records_merged: u64,
-    /// Process-level contributions committed through the batched path.
-    pub process_contributions: u64,
-    /// Shard lock acquisitions spent committing batched runs.
-    pub shard_commits: u64,
-    /// Record-at-a-time insertions (each paid its own lock).
-    pub single_inserts: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<String, FleetEntry>,
-}
-
-impl Shard {
-    fn fold(
-        &mut self,
-        signature: &str,
-        kind: RecordKind,
-        boost_ppm: u32,
-        records: u64,
-        processes: u64,
-    ) {
-        match self.entries.get_mut(signature) {
-            Some(e) => {
-                e.kind = e.kind.max(kind);
-                e.boost_ppm = e.boost_ppm.max(boost_ppm);
-                e.records += records;
-                e.processes += processes;
-                // A Mitigated record is proof some process already
-                // enrolled this context — it is not *newly* mitigated.
-                e.mitigated |= kind == RecordKind::Mitigated;
-            }
-            None => {
-                self.entries.insert(
-                    signature.to_owned(),
-                    FleetEntry {
-                        kind,
-                        boost_ppm,
-                        records,
-                        processes,
-                        mitigated: kind == RecordKind::Mitigated,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// The signature-sharded fleet-wide evidence store.
+/// The fleet-wide evidence store: one strongest-per-signature join
+/// behind one lock.
 ///
 /// # Examples
 ///
@@ -132,148 +61,53 @@ impl Shard {
 /// let store = FleetStore::new();
 /// // Process A confirmed a trap; process B saw the same context's
 /// // canary corrupted. The fleet keeps the strongest of both.
-/// let mut a = Strongest::new();
-/// a.absorb(&WalRecord::new(RecordKind::TrapSignature, 1_000_000, "buf.c:3|main.c:1"));
-/// let mut b = Strongest::new();
-/// b.absorb(&WalRecord::new(RecordKind::CanaryEvidence, 900_000, "buf.c:3|main.c:1"));
-/// store.commit_chunk(&[a, b]);
+/// let mut chunk = Strongest::new();
+/// chunk.absorb(&WalRecord::new(RecordKind::TrapSignature, 1_000_000, "buf.c:3|main.c:1"));
+/// chunk.absorb(&WalRecord::new(RecordKind::CanaryEvidence, 900_000, "buf.c:3|main.c:1"));
+/// store.merge(&chunk);
 /// let entry = store.get("buf.c:3|main.c:1").unwrap();
 /// assert_eq!(entry.kind, RecordKind::TrapSignature);
 /// assert_eq!(entry.boost_ppm, 1_000_000);
-/// assert_eq!(entry.processes, 2);
+/// assert!(!entry.mitigated);
 /// ```
+#[derive(Debug, Default)]
 pub struct FleetStore {
-    shards: Vec<Mutex<Shard>>,
-    records_merged: AtomicU64,
-    process_contributions: AtomicU64,
-    shard_commits: AtomicU64,
-    single_inserts: AtomicU64,
-}
-
-impl std::fmt::Debug for FleetStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetStore")
-            .field("shards", &self.shards.len())
-            .field("signatures", &self.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl Default for FleetStore {
-    fn default() -> Self {
-        FleetStore::new()
-    }
+    inner: Mutex<Inner>,
 }
 
 impl FleetStore {
-    /// A store with [`DEFAULT_SHARDS`] lock shards.
+    /// An empty store.
     pub fn new() -> FleetStore {
-        FleetStore::with_shards(DEFAULT_SHARDS)
+        FleetStore::default()
     }
 
-    /// A store with `shards` lock shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(shards: usize) -> FleetStore {
-        assert!(shards > 0, "fleet store needs at least one shard");
-        FleetStore {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            records_merged: AtomicU64::new(0),
-            process_contributions: AtomicU64::new(0),
-            shard_commits: AtomicU64::new(0),
-            single_inserts: AtomicU64::new(0),
-        }
-    }
-
-    /// The shard a signature hashes to. High bits of the FNV-1a hash
-    /// pick the shard so the map probe (which uses the low bits via the
-    /// hasher) stays decorrelated from shard selection.
-    pub fn shard_of(&self, signature: &str) -> usize {
-        ((fnv1a(signature.as_bytes()) >> 48) as usize) % self.shards.len()
-    }
-
-    /// Record-at-a-time insertion: one shard lock, one string hash and
-    /// one map probe per record. The naive ingest loop — kept as the
-    /// benchmark baseline and for incremental single-record updates.
+    /// Record-at-a-time insertion: one lock and one map probe per
+    /// record. The naive ingest loop, kept as the benchmark baseline.
     pub fn insert_record(&self, rec: &WalRecord) {
-        let mut shard = self.shards[self.shard_of(&rec.signature)].lock();
-        shard.fold(&rec.signature, rec.kind, rec.boost_ppm, 1, 0);
-        drop(shard);
-        self.records_merged.fetch_add(1, Ordering::Relaxed);
-        self.single_inserts.fetch_add(1, Ordering::Relaxed);
+        self.inner.lock().evidence.absorb(rec);
     }
 
-    /// Batched k-way merge commit: takes one pre-collapsed
-    /// [`Strongest`] contribution per process, merges the whole chunk
-    /// into per-shard runs *outside* any lock, then locks each touched
-    /// shard exactly once to absorb its run.
-    ///
-    /// Per-signature accounting: `records` grows by the number of raw
-    /// records each contribution had absorbed for that signature
-    /// (approximated as contributions × their collapse is lossless for
-    /// evidence, so the count folded here is one per contributing
-    /// process per signature), and `processes` grows by the number of
-    /// distinct contributions that mentioned the signature.
-    pub fn commit_chunk(&self, contributions: &[Strongest]) {
-        if contributions.is_empty() {
-            return;
-        }
-        // k-way merge of the chunk: signature -> (kind, boost, procs).
-        let mut merged: BTreeMap<&str, (RecordKind, u32, u64)> = BTreeMap::new();
-        let mut raw_records = 0u64;
-        for acc in contributions {
-            raw_records += acc.absorbed();
-            for (sig, kind, boost) in acc.iter() {
-                match merged.get_mut(sig) {
-                    Some(e) => {
-                        e.0 = e.0.max(kind);
-                        e.1 = e.1.max(boost);
-                        e.2 += 1;
-                    }
-                    None => {
-                        merged.insert(sig, (kind, boost, 1));
-                    }
-                }
-            }
-        }
-        // Group by shard, preserving signature order within each run.
-        type ShardRun<'a> = Vec<(&'a str, (RecordKind, u32, u64))>;
-        let mut runs: Vec<ShardRun> = vec![Vec::new(); self.shards.len()];
-        for (sig, entry) in merged {
-            runs[self.shard_of(sig)].push((sig, entry));
-        }
-        // Shard-local commits: one lock per touched shard per chunk.
-        for (i, run) in runs.into_iter().enumerate() {
-            if run.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[i].lock();
-            for (sig, (kind, boost, procs)) in run {
-                shard.fold(sig, kind, boost, procs, procs);
-            }
-            drop(shard);
-            self.shard_commits.fetch_add(1, Ordering::Relaxed);
-        }
-        self.records_merged
-            .fetch_add(raw_records, Ordering::Relaxed);
-        self.process_contributions
-            .fetch_add(contributions.len() as u64, Ordering::Relaxed);
+    /// Joins pre-collapsed evidence (typically a whole ingest chunk)
+    /// into the store with one lock acquisition.
+    pub fn merge(&self, evidence: &Strongest) {
+        self.inner.lock().evidence.merge(evidence);
     }
 
     /// Marks every signature currently in the store as published for
-    /// mitigation fan-out and returns how many were newly marked.
+    /// mitigation fan-out and returns how many were newly marked. A
+    /// signature recorded `Mitigated` is proof some process already
+    /// enrolled the context, so it is never *newly* mitigated.
     pub fn mark_all_mitigated(&self) -> u64 {
+        let mut inner = self.inner.lock();
+        let Inner {
+            evidence,
+            published,
+        } = &mut *inner;
         let mut newly = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for entry in shard.entries.values_mut() {
-                if !entry.mitigated {
-                    entry.mitigated = true;
-                    newly += 1;
-                }
+        for (sig, kind, _) in evidence.iter() {
+            if kind != RecordKind::Mitigated && !published.contains(sig) {
+                published.insert(sig.to_owned());
+                newly += 1;
             }
         }
         newly
@@ -281,16 +115,18 @@ impl FleetStore {
 
     /// The entry for `signature`, if the fleet knows it.
     pub fn get(&self, signature: &str) -> Option<FleetEntry> {
-        self.shards[self.shard_of(signature)]
-            .lock()
-            .entries
-            .get(signature)
-            .cloned()
+        let inner = self.inner.lock();
+        let (kind, boost_ppm) = inner.evidence.get(signature)?;
+        Some(FleetEntry {
+            kind,
+            boost_ppm,
+            mitigated: kind == RecordKind::Mitigated || inner.published.contains(signature),
+        })
     }
 
     /// Distinct signatures known fleet-wide.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.inner.lock().evidence.len()
     }
 
     /// `true` when no signature has been merged yet.
@@ -298,54 +134,22 @@ impl FleetStore {
         self.len() == 0
     }
 
-    /// Monotonic merge counters.
-    pub fn stats(&self) -> MergeStats {
-        MergeStats {
-            records_merged: self.records_merged.load(Ordering::Relaxed),
-            process_contributions: self.process_contributions.load(Ordering::Relaxed),
-            shard_commits: self.shard_commits.load(Ordering::Relaxed),
-            single_inserts: self.single_inserts.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Every entry, sorted by signature (a consistent snapshot per
-    /// shard; concurrent merges may land between shards).
-    pub fn snapshot(&self) -> Vec<FleetRecord> {
-        let mut out: Vec<FleetRecord> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            out.extend(shard.entries.iter().map(|(signature, entry)| FleetRecord {
-                signature: signature.clone(),
-                entry: entry.clone(),
-            }));
-        }
-        out.sort_by(|a, b| a.signature.cmp(&b.signature));
-        out
-    }
-
     /// The collapsed evidence state — one strongest [`WalRecord`] per
     /// signature in signature order — ready for a seed WAL or a
-    /// checkpoint compaction. Built through the same shared
-    /// [`Strongest`] accumulator the WAL compactor uses.
+    /// checkpoint compaction.
     pub fn strongest_records(&self) -> Vec<WalRecord> {
-        let mut acc = Strongest::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (sig, entry) in &shard.entries {
-                acc.absorb_parts(entry.kind, entry.boost_ppm, sig);
-            }
-        }
-        acc.into_records()
+        self.inner.lock().evidence.clone().into_records()
     }
 
     /// The evidence state as a map, for equivalence checks: two stores
-    /// that merged the same records in any order/grouping compare equal
-    /// here (counters intentionally excluded — they record *work*, not
-    /// knowledge).
+    /// that merged the same records in any order or grouping compare
+    /// equal here.
     pub fn evidence(&self) -> BTreeMap<String, (RecordKind, u32)> {
-        self.strongest_records()
-            .into_iter()
-            .map(|r| (r.signature, (r.kind, r.boost_ppm)))
+        self.inner
+            .lock()
+            .evidence
+            .iter()
+            .map(|(sig, kind, boost)| (sig.to_owned(), (kind, boost)))
             .collect()
     }
 
@@ -387,16 +191,12 @@ mod tests {
         for r in &records {
             naive.insert_record(r);
         }
-        let batched = FleetStore::with_shards(4);
-        batched.commit_chunk(&[contribution(&records[..2]), contribution(&records[2..])]);
+        let batched = FleetStore::new();
+        batched.merge(&contribution(&records[..2]));
+        batched.merge(&contribution(&records[2..]));
         assert_eq!(naive.evidence(), batched.evidence());
         assert_eq!(naive.len(), 3);
-        assert_eq!(naive.stats().single_inserts, 4);
-        assert_eq!(batched.stats().process_contributions, 2);
-        assert!(
-            batched.stats().shard_commits <= 4,
-            "one lock per touched shard"
-        );
+        assert_eq!(batched.strongest_records(), naive.strongest_records());
     }
 
     #[test]
@@ -414,25 +214,29 @@ mod tests {
             })
             .collect();
         let one_chunk = FleetStore::new();
-        one_chunk.commit_chunk(&all);
+        let mut whole = Strongest::new();
+        for c in &all {
+            whole.merge(c);
+        }
+        one_chunk.merge(&whole);
         let many_chunks = FleetStore::new();
-        for c in all.chunks(3) {
-            many_chunks.commit_chunk(c);
+        for c in &all {
+            many_chunks.merge(c);
         }
         assert_eq!(one_chunk.evidence(), many_chunks.evidence());
         let hot = one_chunk.get("hot.c:1").unwrap();
-        assert_eq!(
-            hot.processes, 10,
-            "every contribution mentioned the hot context"
-        );
-        assert_eq!(many_chunks.get("hot.c:1").unwrap().processes, 10);
+        assert_eq!(hot.kind, RecordKind::CanaryEvidence);
+        assert_eq!(hot.boost_ppm, 600_000, "the highest boost any chunk saw");
+        assert_eq!(one_chunk.len(), 11);
     }
 
     #[test]
     fn mitigation_marking_is_sticky_and_counted() {
         let store = FleetStore::new();
         store.insert_record(&rec(RecordKind::TrapSignature, 1_000_000, "x.c:1"));
-        assert_eq!(store.mark_all_mitigated(), 1);
+        store.insert_record(&rec(RecordKind::Mitigated, 1_000_000, "m.c:1"));
+        assert!(store.get("m.c:1").unwrap().mitigated, "arrived mitigated");
+        assert_eq!(store.mark_all_mitigated(), 1, "only x.c:1 is new");
         assert_eq!(store.mark_all_mitigated(), 0, "already marked");
         assert!(store.get("x.c:1").unwrap().mitigated);
         store.insert_record(&rec(RecordKind::CanaryEvidence, 1, "x.c:1"));

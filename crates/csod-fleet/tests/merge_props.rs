@@ -49,7 +49,7 @@ fn fleet_strategy(max_procs: usize) -> impl Strategy<Value = Vec<Vec<(u8, u32, u
     )
 }
 
-/// Per-process strongest accumulators for `commit_chunk`.
+/// Per-process strongest accumulators for `merge`.
 fn contributions(fleet: &[Vec<(u8, u32, u64)>]) -> Vec<Strongest> {
     fleet
         .iter()
@@ -62,6 +62,16 @@ fn contributions(fleet: &[Vec<(u8, u32, u64)>]) -> Vec<Strongest> {
             acc
         })
         .collect()
+}
+
+/// One chunk's contributions collapsed into the single accumulator
+/// `FleetStore::merge` takes.
+fn joined(chunk: &[Strongest]) -> Strongest {
+    let mut acc = Strongest::new();
+    for c in chunk {
+        acc.merge(c);
+    }
+    acc
 }
 
 /// Reference semantics: a flat strongest-per-signature map.
@@ -124,7 +134,7 @@ proptest! {
         // Original order, one chunking.
         let store_a = FleetStore::new();
         for chunk in contribs.chunks(chunk_a) {
-            store_a.commit_chunk(chunk);
+            store_a.merge(&joined(chunk));
         }
         prop_assert_eq!(store_a.evidence(), want.clone());
 
@@ -138,8 +148,8 @@ proptest! {
         }
         let store_b = FleetStore::new();
         for chunk in permuted.chunks(chunk_b) {
-            store_b.commit_chunk(chunk);
-            store_b.commit_chunk(chunk);
+            store_b.merge(&joined(chunk));
+            store_b.merge(&joined(chunk));
         }
         prop_assert_eq!(store_b.evidence(), want.clone());
 
@@ -231,7 +241,7 @@ proptest! {
         processes in 1u64..20_000,
     ) {
         let store = FleetStore::new();
-        store.commit_chunk(&contributions(&fleet));
+        store.merge(&joined(&contributions(&fleet)));
         let trapped: Vec<String> = store
             .evidence()
             .into_iter()

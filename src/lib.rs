@@ -14,7 +14,7 @@
 //! * [`asan`] — the AddressSanitizer comparison baseline;
 //! * [`sampler`] — the Sampler (MICRO'18) PMU-sampling
 //!   baseline;
-//! * [`fleet`] — fleet-scale trap aggregation: the sharded store,
+//! * [`fleet`] — fleet-scale trap aggregation: the evidence store,
 //!   parallel WAL ingest, and the global sampling-budget controller;
 //! * [`workloads`] — the paper's effectiveness and performance workloads;
 //! * [`analyze`] — the static overflow-risk pre-analysis that primes

@@ -248,6 +248,7 @@ impl DecisionCache {
     ) -> AllocDecision {
         let current = sampler.epoch();
         if current != self.epoch {
+            self.stats.invalidations += 1;
             self.invalidate(&mut sampler, current);
         }
         let stamp = self.index.get_mut(&key);
@@ -316,6 +317,7 @@ impl DecisionCache {
             }
         }
         if resync {
+            self.stats.invalidations += 1;
             self.invalidate(&mut sampler, post);
             self.live = 1;
         } else if live.is_none() {
@@ -325,10 +327,10 @@ impl DecisionCache {
     }
 
     /// Drops every memoized verdict, first absorbing all pending
-    /// allocation counts into the sampler. Called on epoch changes and
-    /// from [`DecisionCache::flush`].
+    /// allocation counts into the sampler. Called on epoch changes,
+    /// which the callers count, and from [`DecisionCache::flush`],
+    /// which is not an invalidation.
     fn invalidate(&mut self, sampler: &mut impl SamplerAccess, new_epoch: u64) {
-        self.stats.invalidations += 1;
         for (key, at) in self.dirty.drain(..) {
             let slot = &mut self.slots[at as usize];
             slot.listed = false;
@@ -530,11 +532,14 @@ mod tests {
         }
         // Only the miss reached the sampler so far.
         assert_eq!(u.state(k).unwrap().alloc_count, 1);
+        // Flushing a live cache absorbs and empties it, but it is not an
+        // epoch change, so it counts no invalidation.
+        let inv = cache.stats().invalidations;
         cache.flush(&u);
         assert!(cache.is_empty());
         assert_eq!(u.state(k).unwrap().alloc_count, 7);
-        // Flushing an empty cache is a no-op (no spurious invalidation).
-        let inv = cache.stats().invalidations;
+        assert_eq!(cache.stats().invalidations, inv);
+        // Flushing an empty cache is a no-op.
         cache.flush(&u);
         assert_eq!(cache.stats().invalidations, inv);
     }

@@ -1049,8 +1049,8 @@ impl Csod {
         self.watchpoints.drain_teardowns(machine);
         self.watchpoints.forget_thread(tid);
         if let Some(cache) = self.caches.get_mut(tid.as_u32() as usize) {
-            // The run keeps the thread's counters. They are taken before
-            // the exit flush, which is no epoch invalidation.
+            // The run keeps the thread's counters (the exit flush adds
+            // none: it is no epoch invalidation).
             self.exited_caches += cache.stats();
             cache.flush_mut(&mut self.sampling);
             // Reset the slot so a thread id ever reused by the registry

@@ -370,8 +370,8 @@ fn parity_of_the_robustness_harnesses() {
         digests,
         [
             0x6512_d530_1458_442c,
-            0x28e9_7681_a2a4_883b,
-            0x5dec_0338_6662_2281
+            0xaea1_1390_23a8_1c65,
+            0x410d_a585_3bc8_61d4
         ],
         "harness outcomes diverged (got {digests:#018x?})\n{fleet}{restart}{chaos}"
     );

@@ -35,13 +35,14 @@ use csod_bench::{
 };
 use csod_core::{Csod, CsodConfig, CtxId, ReplacementPolicy, WatchCandidate, WatchpointManager};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_fleet::par::run_parallel_batches;
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
 use sim_machine::AccessKind;
 use sim_machine::{Machine, ThreadId, VirtAddr, VirtDuration};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use workloads::{run_parallel_chunked, Event, SiteRegistry, ToolSpec, TraceRunner};
+use workloads::{Event, SiteRegistry, ToolSpec, TraceRunner};
 
 /// Install/remove cycles per timed round of the watched churn.
 const CHURN_CYCLES: usize = 512;
@@ -248,7 +249,12 @@ fn parallel_driver_pair() -> (f64, f64) {
         let serial: Vec<_> = specs.iter().map(job).collect();
         let serial_ms = start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        let parallel = run_parallel_chunked(&specs, PARALLEL_THREADS, 2, job);
+        let parallel: Vec<_> = run_parallel_batches(&specs, PARALLEL_THREADS, 2, |_, slice| {
+            slice.iter().map(job).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.reports, p.reports, "parallel driver changed an outcome");

@@ -11,9 +11,8 @@
 //!
 //! It sits below `workloads` in the crate stack so the fleet ingest
 //! pipeline can fan out over the same driver without a dependency
-//! cycle. `workloads` re-exports [`run_parallel`] and
-//! [`run_parallel_chunked`]; the ingest pipeline calls
-//! [`run_parallel_batches`] directly.
+//! cycle. `workloads` re-exports [`run_parallel`]; the ingest pipeline
+//! calls [`run_parallel_batches`] directly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -30,40 +29,26 @@ where
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    run_parallel_chunked(inputs, threads, 1, job)
-}
-
-/// [`run_parallel`] with a work-stealing granularity knob: workers claim
-/// `chunk` consecutive inputs per shared-counter increment instead of
-/// one.
-///
-/// Chunking trades steal overhead against balance: for many cheap jobs
-/// a larger chunk amortises the atomic (and the cache-line ping-pong
-/// behind it) over several jobs; for few expensive jobs `chunk = 1`
-/// keeps the tail balanced. When only one worker would run, the pool is
-/// skipped entirely and the inputs execute inline on the caller's
-/// thread — no spawn, no atomics.
-pub fn run_parallel_chunked<I, O, F>(inputs: &[I], threads: usize, chunk: usize, job: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let batches = run_parallel_batches(inputs, threads, chunk, |_, slice| {
+    let batches = run_parallel_batches(inputs, threads, 1, |_, slice| {
         slice.iter().map(&job).collect::<Vec<O>>()
     });
     batches.into_iter().flatten().collect()
 }
 
-/// The batch-granular driver underneath [`run_parallel_chunked`]:
-/// workers claim `chunk` consecutive inputs per steal and hand the
-/// whole claimed slice (plus its starting index) to `job` in one call.
+/// The batch-granular driver underneath [`run_parallel`]: workers claim
+/// `chunk` consecutive inputs per steal (values below 1 behave as 1) and
+/// hand the whole claimed slice (plus its starting index) to `job` in
+/// one call.
 ///
 /// This is the shape the fleet ingest pipeline needs — per-batch work
 /// like a group-commit checkpoint sync must run once per *claim*, not
-/// once per input — and the plain per-item drivers are expressed over
-/// it. Batch outputs come back ordered by their starting index, so
-/// flattening them preserves input order.
+/// once per input. Chunking also trades steal overhead against balance:
+/// for many cheap jobs a larger chunk amortises the atomic over several
+/// jobs; for few expensive jobs `chunk = 1` keeps the tail balanced.
+/// Batch outputs come back ordered by their starting index, so
+/// flattening them preserves input order. When only one worker would
+/// run, the pool is skipped entirely and the batches execute inline on
+/// the caller's thread — no spawn, no atomics.
 pub fn run_parallel_batches<I, O, F>(inputs: &[I], threads: usize, chunk: usize, job: F) -> Vec<O>
 where
     I: Sync,
@@ -127,27 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_claims_preserve_order_and_coverage() {
-        let inputs: Vec<u64> = (0..97).collect(); // deliberately not a chunk multiple
-        for chunk in [1, 2, 3, 7, 16, 97, 1000] {
-            let doubled = run_parallel_chunked(&inputs, 4, chunk, |&n| n * 2);
-            assert_eq!(doubled.len(), inputs.len(), "chunk {chunk}");
-            for (i, d) in doubled.iter().enumerate() {
-                assert_eq!(*d, 2 * i as u64, "chunk {chunk}, index {i}");
-            }
-        }
-        // chunk = 0 is treated as 1, not a spin loop.
-        assert_eq!(
-            run_parallel_chunked(&inputs[..3], 2, 0, |&n| n),
-            vec![0, 1, 2]
-        );
-    }
-
-    #[test]
     fn batch_claims_cover_every_input_exactly_once() {
-        let inputs: Vec<u64> = (0..97).collect();
+        let inputs: Vec<u64> = (0..97).collect(); // deliberately not a chunk multiple
         for threads in [1, 4] {
-            for chunk in [1, 5, 32, 97, 200] {
+            for chunk in [1, 2, 3, 5, 7, 16, 32, 97, 200, 1000] {
                 let batches = run_parallel_batches(&inputs, threads, chunk, |start, slice| {
                     (start, slice.to_vec())
                 });
@@ -159,5 +127,8 @@ mod tests {
                 assert_eq!(seen, inputs, "threads {threads}, chunk {chunk}");
             }
         }
+        // chunk = 0 is treated as 1, not a spin loop.
+        let ones = run_parallel_batches(&inputs[..3], 2, 0, |start, slice| (start, slice.len()));
+        assert_eq!(ones, vec![(0, 1), (1, 1), (2, 1)]);
     }
 }

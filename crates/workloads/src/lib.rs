@@ -26,7 +26,7 @@ mod trace;
 pub use buggy::{BuggyApp, OverflowKind};
 pub use calls::CallSensitiveApp;
 pub use chaos::{run_chaos_soak, ChaosConfig, ChaosOutcome};
-pub use csod_fleet::par::{run_parallel, run_parallel_chunked};
+pub use csod_fleet::par::run_parallel;
 pub use driver::{RunOutcome, ToolSpec, TraceRunner};
 pub use fleet::{run_fleet_round, FleetRoundConfig, FleetRoundOutcome, FLEET_BUG_SIGNATURE};
 pub use fuzz::{FuzzBug, FuzzWorkload};

@@ -23,8 +23,9 @@
 //!    syncs from different workers overlap in the kernel instead of
 //!    queuing behind one journal handle.
 //!
-//! Steps 1–3 for one chunk never wait on another chunk; because the
-//! merge is a lattice join, any interleaving commits the same store.
+//! Steps 1 and 3 for one chunk never wait on another chunk, and step 2
+//! holds the store's lock only for the join; because the merge is a
+//! lattice join, any interleaving commits the same store.
 
 use crate::par::run_parallel_batches;
 use crate::store::FleetStore;

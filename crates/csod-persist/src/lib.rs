@@ -184,7 +184,7 @@ impl RecoveredState {
 /// **commutative, associative and idempotent**: any interleaving,
 /// grouping or replay of the same records produces the same collapsed
 /// state. That algebra is what lets thousands of per-process WALs be
-/// merged shard-locally, in any order, in parallel (and is pinned by
+/// merged chunk by chunk, in any order, in parallel (and is pinned by
 /// the fleet merge property suite).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Strongest {
@@ -205,8 +205,7 @@ impl Strongest {
     }
 
     /// [`Strongest::absorb`] without requiring an assembled
-    /// [`WalRecord`] (the fleet store merges straight from parsed
-    /// frames, no intermediate allocation).
+    /// [`WalRecord`].
     pub fn absorb_parts(&mut self, kind: RecordKind, boost_ppm: u32, signature: &str) {
         self.absorbed += 1;
         match self.best.get_mut(signature) {
@@ -227,8 +226,8 @@ impl Strongest {
         }
     }
 
-    /// Merges another accumulator in (the k-way step: per-process
-    /// accumulators collapse into a shard's).
+    /// Merges another accumulator in (the fleet store joins each ingest
+    /// chunk's accumulator into its own this way).
     pub fn merge(&mut self, other: &Strongest) {
         self.absorbed += other.absorbed;
         for (sig, &(kind, boost)) in &other.best {

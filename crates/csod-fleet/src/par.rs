@@ -112,6 +112,25 @@ mod tests {
     }
 
     #[test]
+    fn chunked_claims_preserve_order_and_coverage() {
+        // The per-item shape over batches: map inside each claim, then
+        // flatten. Flattened outputs must line up with their inputs.
+        let inputs: Vec<u64> = (0..97).collect(); // deliberately not a chunk multiple
+        for chunk in [1, 2, 3, 7, 16, 97, 1000] {
+            let doubled: Vec<u64> = run_parallel_batches(&inputs, 4, chunk, |_, slice| {
+                slice.iter().map(|&n| n * 2).collect::<Vec<u64>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            assert_eq!(doubled.len(), inputs.len(), "chunk {chunk}");
+            for (i, d) in doubled.iter().enumerate() {
+                assert_eq!(*d, 2 * i as u64, "chunk {chunk}, index {i}");
+            }
+        }
+    }
+
+    #[test]
     fn batch_claims_cover_every_input_exactly_once() {
         let inputs: Vec<u64> = (0..97).collect(); // deliberately not a chunk multiple
         for threads in [1, 4] {

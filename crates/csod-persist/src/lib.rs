@@ -189,7 +189,6 @@ impl RecoveredState {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Strongest {
     best: BTreeMap<String, (RecordKind, u32)>,
-    absorbed: u64,
 }
 
 impl Strongest {
@@ -207,7 +206,6 @@ impl Strongest {
     /// [`Strongest::absorb`] without requiring an assembled
     /// [`WalRecord`].
     pub fn absorb_parts(&mut self, kind: RecordKind, boost_ppm: u32, signature: &str) {
-        self.absorbed += 1;
         match self.best.get_mut(signature) {
             Some(entry) => {
                 entry.0 = entry.0.max(kind);
@@ -229,17 +227,8 @@ impl Strongest {
     /// Merges another accumulator in (the fleet store joins each ingest
     /// chunk's accumulator into its own this way).
     pub fn merge(&mut self, other: &Strongest) {
-        self.absorbed += other.absorbed;
         for (sig, &(kind, boost)) in &other.best {
-            match self.best.get_mut(sig) {
-                Some(entry) => {
-                    entry.0 = entry.0.max(kind);
-                    entry.1 = entry.1.max(boost);
-                }
-                None => {
-                    self.best.insert(sig.clone(), (kind, boost));
-                }
-            }
+            self.absorb_parts(kind, boost, sig);
         }
     }
 
@@ -251,11 +240,6 @@ impl Strongest {
     /// `true` when nothing has been absorbed.
     pub fn is_empty(&self) -> bool {
         self.best.is_empty()
-    }
-
-    /// Total records folded in (before collapsing).
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed
     }
 
     /// The strongest evidence recorded for `signature`, if any.
@@ -709,7 +693,25 @@ mod tests {
         assert_eq!(forward.get("a"), Some((RecordKind::TrapSignature, 700_000)));
         assert_eq!(forward.get("b"), Some((RecordKind::Mitigated, 1_000_000)));
         assert_eq!(forward.len(), 2);
-        assert_eq!(forward.absorbed(), 8);
+    }
+
+    #[test]
+    fn equal_evidence_compares_equal_however_often_replayed() {
+        // The accumulator holds only the collapsed evidence, so its
+        // derived `PartialEq` compares evidence, not how many records
+        // carried it.
+        let rec = WalRecord {
+            kind: RecordKind::CanaryEvidence,
+            boost_ppm: 250_000,
+            signature: "a".into(),
+        };
+        let mut once = Strongest::new();
+        once.absorb(&rec);
+        let mut thrice = Strongest::new();
+        for _ in 0..3 {
+            thrice.absorb(&rec);
+        }
+        assert_eq!(once, thrice);
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn decisive_probability(collide: bool, hot_allocs: u64, seed: u64) -> f64 {
         ContextKey::new(site, 0x80)
     };
 
-    let sampling = SamplingUnit::new(Default::default());
+    let mut sampling = SamplingUnit::new(Default::default());
     let mut rng = Arc4Random::from_seed(seed, 0);
     for _ in 0..hot_allocs {
         let d = sampling.on_allocation(hot_key, VirtInstant::BOOT, &mut rng, &hot_ctx, |_| {

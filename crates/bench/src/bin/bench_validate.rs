@@ -24,7 +24,6 @@ const REQUIRED: &[(&str, &[&str])] = &[
             "uncontended_cached_ns_per_alloc",
             "uncontended_cached_ns_per_free",
             "churn_ns_per_pair",
-            "contended_cached_ns_per_alloc",
         ],
     ),
     (

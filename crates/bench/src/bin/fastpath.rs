@@ -1,10 +1,9 @@
 //! Tracked fast-path benchmark: ns/alloc and ns/free through the full
-//! runtime, ns per free+malloc pair at a steady live-object window (the
-//! Figure-7 shape, where the live table churns at constant load), plus a
-//! 16-thread contended run against the shared sampling unit, comparing
-//! the per-thread decision cache (the default, `refresh = 64`) against
-//! the pre-cache behaviour (`refresh = 1`, every decision goes to the
-//! striped context table).
+//! runtime, comparing the per-thread decision cache (the default,
+//! `refresh = 64`) against the pre-cache behaviour (`refresh = 1`, every
+//! decision goes to the sampling unit), and ns per free+malloc pair at a
+//! steady live-object window (the Figure-7 shape, where the live table
+//! churns at constant load).
 //!
 //! ```bash
 //! cargo run --release -p csod-bench --bin fastpath            # writes BENCH_fastpath.json
@@ -21,19 +20,14 @@ use csod_bench::{
     alloc_free_rounds, hot_contexts, BenchArgs, Metrics, HOT_CONTEXTS, REGRESSION_FACTOR, ROUNDS,
     ROUND_ALLOCS,
 };
-use csod_core::{ContextJudgment, Csod, CsodConfig, DecisionCache, SamplingUnit};
+use csod_core::{Csod, CsodConfig};
 use csod_ctx::FrameTable;
-use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId, VirtInstant};
+use sim_machine::{Machine, ThreadId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// OS threads in the contended scenario.
-const THREADS: usize = 16;
-/// Sampling decisions per thread in the contended scenario.
-const CONTENDED_OPS: usize = 200_000;
 /// Live objects held by the churn scenario.
 const LIVE_WINDOW: usize = 192;
 
@@ -87,48 +81,6 @@ fn churn_ns_per_pair() -> f64 {
     best
 }
 
-/// ns per sampling decision with 16 threads hammering one shared
-/// `SamplingUnit`, each through its own per-thread decision cache.
-fn contended_ns(refresh: u32) -> f64 {
-    let frames = FrameTable::new();
-    let unit = SamplingUnit::new(CsodConfig::default().sampling);
-    let sites = hot_contexts(&frames);
-    // Untimed warm-up drives every context past first sight and into a
-    // steady probability so the timed section measures the fast path.
-    {
-        let mut rng = Arc4Random::from_seed(7, u64::MAX);
-        let mut cache = DecisionCache::new(refresh);
-        for _ in 0..200 {
-            for (key, ctx) in &sites {
-                cache.on_allocation(&unit, *key, VirtInstant::BOOT, &mut rng, ctx, |_| {
-                    ContextJudgment::clear()
-                });
-            }
-        }
-    }
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let unit = &unit;
-            let sites = &sites;
-            scope.spawn(move || {
-                let mut rng = Arc4Random::from_seed(7, t as u64);
-                let mut cache = DecisionCache::new(refresh);
-                for i in 0..CONTENDED_OPS {
-                    let (key, ctx) = &sites[(i + t) % HOT_CONTEXTS];
-                    let d =
-                        cache.on_allocation(unit, *key, VirtInstant::BOOT, &mut rng, ctx, |_| {
-                            ContextJudgment::clear()
-                        });
-                    std::hint::black_box(d.wants_watch);
-                }
-                cache.flush(unit);
-            });
-        }
-    });
-    start.elapsed().as_nanos() as f64 / (THREADS * CONTENDED_OPS) as f64
-}
-
 fn measure() -> Metrics {
     let cached = CsodConfig::default().fast_path.decision_cache_refresh;
     eprintln!("fastpath bench: runtime malloc/free, cached (refresh={cached})...");
@@ -137,21 +89,13 @@ fn measure() -> Metrics {
     let (ua, uf) = runtime_pair(1);
     eprintln!("fastpath bench: runtime free+malloc churn, {LIVE_WINDOW} live...");
     let churn = churn_ns_per_pair();
-    eprintln!("fastpath bench: contended {THREADS}-thread sampling, cached...");
-    let cc = contended_ns(cached);
-    eprintln!("fastpath bench: contended {THREADS}-thread sampling, uncached...");
-    let uc = contended_ns(1);
     Metrics(vec![
-        ("threads_contended", THREADS as f64),
         ("cached_refresh", f64::from(cached)),
         ("uncontended_cached_ns_per_alloc", ca),
         ("uncontended_cached_ns_per_free", cf),
         ("uncontended_uncached_ns_per_alloc", ua),
         ("uncontended_uncached_ns_per_free", uf),
         ("churn_ns_per_pair", churn),
-        ("contended_cached_ns_per_alloc", cc),
-        ("contended_uncached_ns_per_alloc", uc),
-        ("contended_speedup", uc / cc),
     ])
 }
 
@@ -167,7 +111,6 @@ fn main() {
                 "uncontended_cached_ns_per_alloc",
                 "uncontended_cached_ns_per_free",
                 "churn_ns_per_pair",
-                "contended_cached_ns_per_alloc",
             ],
         );
         if !failed {

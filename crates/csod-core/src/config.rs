@@ -108,9 +108,9 @@ impl Default for SamplingParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FastPathParams {
     /// Sampling decisions per context a thread may serve from its
-    /// decision cache before consulting the shared table again.
-    /// `1` disables memoization (every decision takes the table lock —
-    /// the pre-cache behaviour, kept as a bench comparison mode).
+    /// decision cache before the sampling unit decides again.
+    /// `1` disables memoization (every decision goes to the sampling
+    /// unit — the pre-cache behaviour, kept as a bench comparison mode).
     /// Probability-changing events invalidate caches immediately
     /// regardless of this interval; it only bounds how long plain
     /// degradation drift can accumulate (`refresh × 10 ppm` with the

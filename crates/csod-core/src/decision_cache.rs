@@ -1,9 +1,6 @@
 //! Per-thread memoization of sampling verdicts.
 //!
-//! The sampling unit's context table is striped, but a probability
-//! lookup still costs a lock acquisition plus open-addressed probe on
-//! *every* allocation — the single hottest path in the tool. A context's
-//! probability, however, barely moves between consecutive allocations
+//! A context's probability barely moves between consecutive allocations
 //! (plain degradation is −10 ppm per allocation out of an initial
 //! 500,000); the only *step changes* are discrete events: a watch
 //! install, evidence pinning, quarantine, burst-throttle entry or exit,
@@ -11,42 +8,37 @@
 //!
 //! [`DecisionCache`] exploits that: each thread memoizes the last
 //! verdict per context and re-draws against the *cached* probability
-//! for up to `refresh − 1` subsequent allocations, touching the shared
-//! table only every `refresh` allocations. Correctness is anchored by
-//! the sampling unit's probability epoch ([`crate::SamplingUnit::epoch`]):
-//! every step-change event bumps it, and the cache compares epochs
-//! before every use, discarding all memoized verdicts wholesale on
-//! mismatch. Time-driven transitions the epoch cannot see coming —
-//! burst-throttle exit, revive eligibility — are covered by an entry
-//! time-to-live of one burst window. Allocations that were decided from
-//! the cache are counted as `pending` per entry and absorbed into the
-//! sampler (allocation counts, burst windows, degradation) at the next
-//! refresh or flush, so the probability schedule converges to the
-//! uncached one with an error bounded by `refresh × degrade_per_alloc_ppm`.
+//! for up to `refresh − 1` subsequent allocations, running the sampling
+//! unit's decision only every `refresh` allocations. Correctness is
+//! anchored by the sampling unit's probability epoch
+//! ([`crate::SamplingUnit::epoch`]): every step-change event bumps it,
+//! and the cache compares epochs before every use, discarding all
+//! memoized verdicts wholesale on mismatch. Time-driven transitions the
+//! epoch cannot see coming — burst-throttle exit, revive eligibility —
+//! are covered by an entry time-to-live of one burst window.
+//! Allocations that were decided from the cache are counted as
+//! `pending` per entry and absorbed into the sampler (allocation
+//! counts, burst windows, degradation) at the next refresh or flush, so
+//! the probability schedule converges to the uncached one with an error
+//! bounded by `refresh × degrade_per_alloc_ppm`.
 //!
-//! The verdicts live in a slot vector behind one `ContextKey → slot`
-//! index, so a decision costs one hash probe. Each slot's index entry
-//! is stamped with the cache *generation* the slot was filled in;
-//! discarding every verdict is a generation bump, not a drain. Slots
-//! holding pending allocations sit on a dirty list, and an epoch change
-//! absorbs exactly those before bumping the generation. A miss rewrites
-//! its slot in place.
+//! The cache keeps no index of its own. A decision makes the sampler's
+//! one `ContextKey → CtxId` probe and finds this thread's verdict in a
+//! slot vector indexed by that id. Each slot is stamped with the cache
+//! *generation* it was filled in; discarding every verdict is a
+//! generation bump, not a drain. Slots holding pending allocations sit
+//! on a dirty list of ids, and an epoch change absorbs exactly those
+//! before bumping the generation. A miss rewrites its slot in place.
 //!
-//! A cache reaches its sampler either shared (`&SamplingUnit`, stripe
-//! locks; any number of threads) or exclusive (`&mut SamplingUnit`, no
-//! lock; the runtime, which owns its sampler). Both run one body and
-//! take identical decisions.
-//!
-//! With `refresh == 1` every decision goes to the shared table — the
+//! With `refresh == 1` every decision goes to the sampling unit — the
 //! pre-cache behaviour, kept as a comparison mode for the fast-path
 //! bench and the parity tests.
 
 use crate::config::paper;
-use crate::sampling::{AllocDecision, ContextJudgment, SamplingUnit};
+use crate::sampling::{AllocDecision, ContextJudgment, CtxId, SamplingUnit};
 use csod_ctx::{CallingContext, ContextKey};
 use csod_rng::Arc4Random;
-use sim_machine::{FxBuild, VirtInstant};
-use std::collections::HashMap;
+use sim_machine::VirtInstant;
 
 /// A memoized sampling verdict for one context, one cache line each.
 #[derive(Debug, Clone, Copy)]
@@ -60,6 +52,8 @@ struct Slot {
     /// *time*-driven, invisible to the allocation-count epoch, so a
     /// verdict must never be reused across a window boundary.
     filled_at: VirtInstant,
+    /// The cache generation the slot was filled in.
+    generation: u64,
     /// Cache-hit allocations not yet absorbed into the sampler.
     pending: u32,
     /// Hits remaining before the next forced refresh.
@@ -68,18 +62,10 @@ struct Slot {
     listed: bool,
 }
 
-/// Where a context's slot is, and the cache generation that filled it.
-/// Kept in the index so a miss on a stale slot reads nothing else.
-#[derive(Debug, Clone, Copy)]
-struct Stamp {
-    at: u32,
-    generation: u64,
-}
-
 /// Counters describing how a [`DecisionCache`] behaved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionCacheStats {
-    /// Decisions served from the cache (no shared-table access).
+    /// Decisions served from the cache (no sampling-unit decision).
     pub hits: u64,
     /// Decisions that went to the sampling unit (first sight, refresh
     /// due, or right after an invalidation).
@@ -96,81 +82,18 @@ impl std::ops::AddAssign for DecisionCacheStats {
     }
 }
 
-/// How a cache reaches its sampling unit: shared through stripe locks,
-/// or exclusively with none.
-trait SamplerAccess {
-    fn epoch(&self) -> u64;
-
-    fn decide(
-        &mut self,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-        pending: u32,
-    ) -> AllocDecision;
-
-    fn absorb(&mut self, key: ContextKey, count: u32);
-}
-
-impl SamplerAccess for &SamplingUnit {
-    fn epoch(&self) -> u64 {
-        SamplingUnit::epoch(self)
-    }
-
-    fn decide(
-        &mut self,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-        pending: u32,
-    ) -> AllocDecision {
-        self.on_allocation_batched(key, now, rng, ctx, judge, pending)
-    }
-
-    fn absorb(&mut self, key: ContextKey, count: u32) {
-        self.absorb_allocations(key, count);
-    }
-}
-
-impl SamplerAccess for &mut SamplingUnit {
-    fn epoch(&self) -> u64 {
-        SamplingUnit::epoch(self)
-    }
-
-    fn decide(
-        &mut self,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-        pending: u32,
-    ) -> AllocDecision {
-        self.on_allocation_batched_mut(key, now, rng, ctx, judge, pending)
-    }
-
-    fn absorb(&mut self, key: ContextKey, count: u32) {
-        self.absorb_allocations_mut(key, count);
-    }
-}
-
 /// A per-thread cache of sampling verdicts keyed by calling context.
 ///
 /// Owned by exactly one thread; all methods take `&mut self` and the
-/// only shared state touched is the sampling unit passed in, so the
-/// fast path (a cache hit) acquires no lock at all.
+/// sampling unit they consult as `&mut`, so no call takes a lock.
 #[derive(Debug)]
 pub struct DecisionCache {
-    /// Slot of every context this cache ever decided; never shrinks.
-    index: HashMap<ContextKey, Stamp, FxBuild>,
-    slots: Vec<Slot>,
-    /// Slots that may hold pending allocations, each listed once with
-    /// its context.
-    dirty: Vec<(ContextKey, u32)>,
+    /// Slot of every context this cache ever decided, at its
+    /// [`CtxId`]; never shrinks.
+    slots: Vec<Option<Slot>>,
+    /// Contexts whose slots may hold pending allocations, each listed
+    /// once.
+    dirty: Vec<CtxId>,
     /// Bumped on every invalidation; only slots stamped with the
     /// current value hold a verdict.
     generation: u64,
@@ -185,7 +108,7 @@ pub struct DecisionCache {
 }
 
 impl DecisionCache {
-    /// Creates a cache that consults the shared table every `refresh`
+    /// Creates a cache that consults the sampling unit every `refresh`
     /// allocations per context.
     ///
     /// # Panics
@@ -194,7 +117,6 @@ impl DecisionCache {
     pub fn new(refresh: u32) -> Self {
         assert!(refresh > 0, "decision-cache refresh must be at least 1");
         DecisionCache {
-            index: HashMap::default(),
             slots: Vec::new(),
             dirty: Vec::new(),
             generation: 0,
@@ -213,33 +135,7 @@ impl DecisionCache {
     /// deterministic per seed regardless of hit pattern.
     pub fn on_allocation(
         &mut self,
-        sampler: &SamplingUnit,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-    ) -> AllocDecision {
-        self.decide(sampler, key, now, rng, ctx, judge)
-    }
-
-    /// [`DecisionCache::on_allocation`] for the sampler's exclusive
-    /// owner: the same decision, taking no stripe lock on a miss.
-    pub fn on_allocation_mut(
-        &mut self,
         sampler: &mut SamplingUnit,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-    ) -> AllocDecision {
-        self.decide(sampler, key, now, rng, ctx, judge)
-    }
-
-    fn decide(
-        &mut self,
-        mut sampler: impl SamplerAccess,
         key: ContextKey,
         now: VirtInstant,
         rng: &mut Arc4Random,
@@ -249,23 +145,36 @@ impl DecisionCache {
         let current = sampler.epoch();
         if current != self.epoch {
             self.stats.invalidations += 1;
-            self.invalidate(&mut sampler, current);
+            self.invalidate(sampler, current);
         }
-        let stamp = self.index.get_mut(&key);
-        let live = stamp
-            .as_ref()
-            .filter(|s| s.generation == self.generation)
-            .map(|s| s.at);
-        if let Some(at) = live.filter(|_| self.refresh > 1) {
-            let slot = &mut self.slots[at as usize];
-            if slot.uses_left > 0
-                && now.saturating_duration_since(slot.filled_at) <= paper::BURST_WINDOW
+        let (id, first_seen) = sampler.entry(key, now, ctx, judge);
+        let at = id.as_u32() as usize;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, None);
+        }
+        let generation = self.generation;
+        let live = self.slots[at]
+            .as_mut()
+            .filter(|slot| slot.generation == generation);
+        // A live slot with uses left inside its time-to-live serves a
+        // hit. Otherwise — miss, refresh due, or memoization disabled
+        // (`refresh == 1` leaves no uses) — take the pending batch to the
+        // sampling unit and memoize the fresh verdict. The count is moved
+        // out of the slot, not copied — if the fresh decision bumps the
+        // epoch (burst, revive) the invalidation below must not absorb
+        // the same allocations twice. A slot from an older generation
+        // holds none (its batch was absorbed when the generation moved
+        // on) and is not on the dirty list, so it is overwritten unread.
+        let (was_live, pending, listed) = match live {
+            Some(slot)
+                if slot.uses_left > 0
+                    && now.saturating_duration_since(slot.filled_at) <= paper::BURST_WINDOW =>
             {
                 slot.uses_left -= 1;
                 slot.pending += 1;
                 if !slot.listed {
                     slot.listed = true;
-                    self.dirty.push((key, at));
+                    self.dirty.push(id);
                 }
                 self.stats.hits += 1;
                 let mut d = slot.decision;
@@ -276,20 +185,10 @@ impl DecisionCache {
                 d.wants_watch = rng.chance_ppm(d.probability_ppm);
                 return d;
             }
-        }
-        // Miss, refresh due, or memoization disabled: take the pending
-        // batch to the sampling unit and memoize the fresh verdict. The
-        // count is moved out of the slot, not copied — if the fresh
-        // decision bumps the epoch (burst, revive) the invalidation
-        // below must not absorb the same allocations twice. A slot from
-        // an older generation holds none (its batch was absorbed when
-        // the generation moved on) and is not on the dirty list, so it
-        // is overwritten unread.
-        let (pending, listed) = live.map_or((0, false), |at| {
-            let slot = &mut self.slots[at as usize];
-            (std::mem::take(&mut slot.pending), slot.listed)
-        });
-        let decision = sampler.decide(key, now, rng, ctx, judge, pending);
+            Some(slot) => (true, std::mem::take(&mut slot.pending), slot.listed),
+            None => (false, 0, false),
+        };
+        let decision = sampler.decide(id, first_seen, now, rng, pending);
         self.stats.misses += 1;
         // The decision itself may have stepped a probability (burst
         // entry/exit, revive) and bumped the epoch. The fresh verdict is
@@ -297,30 +196,19 @@ impl DecisionCache {
         // so the next allocation does not immediately discard it.
         let post = sampler.epoch();
         let resync = post != self.epoch;
-        let generation = self.generation + u64::from(resync);
-        let fresh = Slot {
+        self.slots[at] = Some(Slot {
             decision,
             filled_at: now,
+            generation: generation + u64::from(resync),
             pending: 0,
             uses_left: self.refresh - 1,
             listed,
-        };
-        match stamp {
-            Some(stamp) => {
-                self.slots[stamp.at as usize] = fresh;
-                stamp.generation = generation;
-            }
-            None => {
-                let at = u32::try_from(self.slots.len()).expect("decision-cache slot overflow");
-                self.slots.push(fresh);
-                self.index.insert(key, Stamp { at, generation });
-            }
-        }
+        });
         if resync {
             self.stats.invalidations += 1;
-            self.invalidate(&mut sampler, post);
+            self.invalidate(sampler, post);
             self.live = 1;
-        } else if live.is_none() {
+        } else if !was_live {
             self.live += 1;
         }
         decision
@@ -330,13 +218,15 @@ impl DecisionCache {
     /// allocation counts into the sampler. Called on epoch changes,
     /// which the callers count, and from [`DecisionCache::flush`],
     /// which is not an invalidation.
-    fn invalidate(&mut self, sampler: &mut impl SamplerAccess, new_epoch: u64) {
-        for (key, at) in self.dirty.drain(..) {
-            let slot = &mut self.slots[at as usize];
+    fn invalidate(&mut self, sampler: &mut SamplingUnit, new_epoch: u64) {
+        for id in self.dirty.drain(..) {
+            let slot = self.slots[id.as_u32() as usize]
+                .as_mut()
+                .expect("a listed slot is filled");
             slot.listed = false;
             let pending = std::mem::take(&mut slot.pending);
             if pending > 0 {
-                sampler.absorb(key, pending);
+                sampler.absorb(id, pending);
             }
         }
         self.generation += 1;
@@ -347,21 +237,12 @@ impl DecisionCache {
     /// Absorbs all pending allocation counts into the sampler and
     /// empties the cache. Called at thread exit and run end so no
     /// allocation goes unaccounted.
-    pub fn flush(&mut self, sampler: &SamplingUnit) {
-        self.flush_with(sampler);
-    }
-
-    /// [`DecisionCache::flush`] for the sampler's exclusive owner.
-    pub fn flush_mut(&mut self, sampler: &mut SamplingUnit) {
-        self.flush_with(sampler);
-    }
-
-    fn flush_with(&mut self, mut sampler: impl SamplerAccess) {
+    pub fn flush(&mut self, sampler: &mut SamplingUnit) {
         if self.live == 0 {
             return;
         }
         let current = sampler.epoch();
-        self.invalidate(&mut sampler, current);
+        self.invalidate(sampler, current);
     }
 
     /// The refresh interval this cache was built with.
@@ -405,12 +286,12 @@ mod tests {
     #[test]
     fn hits_between_refreshes_misses_on_schedule() {
         let frames = FrameTable::new();
-        let u = sampler();
+        let mut u = sampler();
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut cache = DecisionCache::new(4);
         let (k, c) = fixtures(&frames, "a");
         for _ in 0..12 {
-            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            cache.on_allocation(&mut u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
                 ContextJudgment::clear()
             });
         }
@@ -419,19 +300,19 @@ mod tests {
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 9);
         // Every allocation is accounted for in the sampler, cached or not.
-        cache.flush(&u);
+        cache.flush(&mut u);
         assert_eq!(u.state(k).unwrap().alloc_count, 12);
     }
 
     #[test]
     fn refresh_one_disables_memoization() {
         let frames = FrameTable::new();
-        let u = sampler();
+        let mut u = sampler();
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut cache = DecisionCache::new(1);
         let (k, c) = fixtures(&frames, "a");
         for _ in 0..10 {
-            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            cache.on_allocation(&mut u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
                 ContextJudgment::clear()
             });
         }
@@ -443,18 +324,18 @@ mod tests {
     #[test]
     fn epoch_change_invalidates_everything() {
         let frames = FrameTable::new();
-        let u = sampler();
+        let mut u = sampler();
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut cache = DecisionCache::new(64);
         let (ka, ca) = fixtures(&frames, "a");
         let (kb, cb) = fixtures(&frames, "b");
-        cache.on_allocation(&u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| {
+        cache.on_allocation(&mut u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| {
             ContextJudgment::clear()
         });
-        cache.on_allocation(&u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| {
+        cache.on_allocation(&mut u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| {
             ContextJudgment::clear()
         });
-        cache.on_allocation(&u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| {
+        cache.on_allocation(&mut u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| {
             ContextJudgment::clear()
         });
         assert_eq!(cache.len(), 2);
@@ -462,7 +343,7 @@ mod tests {
         // A watch on `a` bumps the epoch: the next use of *either* key
         // flushes the whole cache and re-reads the table.
         u.on_watched(ka);
-        let d = cache.on_allocation(&u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| {
+        let d = cache.on_allocation(&mut u, kb, VirtInstant::BOOT, &mut rng, &cb, |_| {
             ContextJudgment::clear()
         });
         assert!(!d.first_seen);
@@ -474,16 +355,16 @@ mod tests {
     #[test]
     fn cached_decisions_see_pinned_probability() {
         let frames = FrameTable::new();
-        let u = sampler();
+        let mut u = sampler();
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut cache = DecisionCache::new(64);
         let (k, c) = fixtures(&frames, "a");
-        cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+        cache.on_allocation(&mut u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
             ContextJudgment::clear()
         });
         u.pin_certain(k); // bumps epoch → next decision refreshes
         for _ in 0..64 {
-            let d = cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            let d = cache.on_allocation(&mut u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
                 ContextJudgment::clear()
             });
             assert!(
@@ -497,11 +378,11 @@ mod tests {
     #[test]
     fn cached_decisions_replay_the_mitigate_flag() {
         let frames = FrameTable::new();
-        let u = sampler();
+        let mut u = sampler();
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut cache = DecisionCache::new(64);
         let (k, c) = fixtures(&frames, "a");
-        let d = cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+        let d = cache.on_allocation(&mut u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
             ContextJudgment::clear()
         });
         assert!(!d.mitigate);
@@ -510,7 +391,7 @@ mod tests {
         // flags, `mitigate` then replays on every cache hit.
         u.mark_mitigated(k);
         for _ in 0..64 {
-            let d = cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            let d = cache.on_allocation(&mut u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
                 ContextJudgment::clear()
             });
             assert!(d.mitigate, "hardening must hold on cache hits");
@@ -521,12 +402,12 @@ mod tests {
     #[test]
     fn flush_absorbs_pending_and_empties() {
         let frames = FrameTable::new();
-        let u = sampler();
+        let mut u = sampler();
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut cache = DecisionCache::new(100);
         let (k, c) = fixtures(&frames, "a");
         for _ in 0..7 {
-            cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            cache.on_allocation(&mut u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
                 ContextJudgment::clear()
             });
         }
@@ -535,12 +416,12 @@ mod tests {
         // Flushing a live cache absorbs and empties it, but it is not an
         // epoch change, so it counts no invalidation.
         let inv = cache.stats().invalidations;
-        cache.flush(&u);
+        cache.flush(&mut u);
         assert!(cache.is_empty());
         assert_eq!(u.state(k).unwrap().alloc_count, 7);
         assert_eq!(cache.stats().invalidations, inv);
         // Flushing an empty cache is a no-op.
-        cache.flush(&u);
+        cache.flush(&mut u);
         assert_eq!(cache.stats().invalidations, inv);
     }
 }

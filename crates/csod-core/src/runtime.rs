@@ -333,8 +333,8 @@ pub struct Csod {
     /// hashing on the draw path.
     rngs: RngSlots,
     /// Per-thread decision caches, slot = dense thread id. Memoize
-    /// sampling verdicts so the shared context table is consulted only
-    /// every `fast_path.decision_cache_refresh` allocations per context
+    /// sampling verdicts so the sampling unit decides only every
+    /// `fast_path.decision_cache_refresh` allocations per context
     /// (or immediately after a probability-changing event).
     caches: Vec<DecisionCache>,
     /// The counters of the caches [`Csod::exit_thread`] reset.
@@ -739,7 +739,7 @@ impl Csod {
         let mitigation = &self.mitigation;
         let frames = &self.frames;
         let sampling = &mut self.sampling;
-        let decision = cache.on_allocation_mut(sampling, key, machine.now(), rng, ctx, |full| {
+        let decision = cache.on_allocation(sampling, key, machine.now(), rng, ctx, |full| {
             // First sight of the context: one signature render answers
             // both ledger questions — unless the ledger is empty, when no
             // signature can match and none is rendered.
@@ -1052,7 +1052,7 @@ impl Csod {
             // The run keeps the thread's counters (the exit flush adds
             // none: it is no epoch invalidation).
             self.exited_caches += cache.stats();
-            cache.flush_mut(&mut self.sampling);
+            cache.flush(&mut self.sampling);
             // Reset the slot so a thread id ever reused by the registry
             // would start with a fresh cache, not the dead thread's
             // memoized verdicts.
@@ -1283,7 +1283,7 @@ impl Csod {
         }
         self.finished = true;
         for cache in &mut self.caches {
-            cache.flush_mut(&mut self.sampling);
+            cache.flush(&mut self.sampling);
         }
         self.poll(machine);
         self.sweep_canaries(machine);
@@ -1392,6 +1392,13 @@ impl Csod {
     /// The sampling unit (read access for experiments).
     pub fn sampling(&self) -> &SamplingUnit {
         &self.sampling
+    }
+
+    /// The sampling unit, for experiments that step a context's
+    /// probability directly; the decision caches see the step through
+    /// the probability epoch.
+    pub fn sampling_mut(&mut self) -> &mut SamplingUnit {
+        &mut self.sampling
     }
 
     /// The mitigation policy: confirmed-overflowing contexts and the

@@ -25,7 +25,6 @@ use csod_ctx::{CallingContext, ContextKey, ContextTable, ContextTree, CtxNodeId}
 use csod_rng::{Arc4Random, PPM_SCALE};
 use sim_machine::VirtInstant;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Dense identifier assigned to each distinct calling context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -192,21 +191,19 @@ fn compound_chance_ppm(p_ppm: u32, n: u32) -> u32 {
 }
 
 /// The Sampling Management Unit.
+///
+/// Owned by the runtime and reached through `&mut`: every method that
+/// decides, absorbs or changes a context takes `&mut self`.
 #[derive(Debug)]
 pub struct SamplingUnit {
-    table: ContextTable<CtxState>,
-    rules: Rules,
-}
-
-/// Everything an allocation decision reads or bumps besides the
-/// context table, kept apart from it so the locked and the exclusive
-/// table paths can lend both to one decision body.
-#[derive(Debug)]
-struct Rules {
+    /// The one `ContextKey → CtxId` index. Its iteration order is the
+    /// order of [`SamplingUnit::snapshot`].
+    index: ContextTable<CtxId>,
+    /// Per-context state, indexed by [`CtxId`].
+    states: Vec<CtxState>,
     params: SamplingParams,
     priors: AnalysisPriors,
     tree: ContextTree,
-    next_id: AtomicU32,
     /// Probability-epoch counter. Bumped by every event that can change
     /// a context's watch probability outside the plain per-allocation
     /// degradation: a watch install ([`SamplingUnit::on_watched`]),
@@ -214,19 +211,122 @@ struct Rules {
     /// reviving, and a priors update. Per-thread decision caches
     /// compare this against the epoch they were filled at and drop
     /// every memoized verdict on mismatch.
-    epoch: AtomicU64,
+    epoch: u64,
 }
 
-impl Rules {
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+impl SamplingUnit {
+    /// Creates a unit with the given constants and no static priors.
+    pub fn new(params: SamplingParams) -> Self {
+        SamplingUnit::with_priors(params, AnalysisPriors::none())
     }
 
-    /// The state of a context seen for the first time. `ctx` is interned
-    /// and `judge` consulted only here.
+    /// Creates a unit primed with static analysis verdicts: proven-safe
+    /// contexts start at the floor, suspicious contexts start boosted
+    /// and are exempt from burst throttling, unknown contexts follow
+    /// the paper's default schedule.
+    pub fn with_priors(params: SamplingParams, priors: AnalysisPriors) -> Self {
+        SamplingUnit {
+            index: ContextTable::new(),
+            states: Vec::new(),
+            params,
+            priors,
+            tree: ContextTree::new(),
+            epoch: 0,
+        }
+    }
+
+    /// The sampling constants in effect.
+    pub fn params(&self) -> &SamplingParams {
+        &self.params
+    }
+
+    /// The static prior table in effect (empty when no analysis ran).
+    pub fn priors(&self) -> &AnalysisPriors {
+        &self.priors
+    }
+
+    /// The current probability epoch. Any change to this value means
+    /// memoized sampling verdicts may be stale and must be refreshed.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Replaces the static priors at run time (e.g. a `csod-analyze`
+    /// report arriving after start-up) and re-bases every already-seen
+    /// context that gained a verdict: proven-safe contexts drop to the
+    /// floor, suspicious contexts are boosted to at least the
+    /// suspicious level. Evidence pinning still outranks both. Bumps
+    /// the probability epoch so decision caches refresh.
+    pub fn update_priors(&mut self, priors: AnalysisPriors) {
+        let params = self.params;
+        for (key, id) in self.index.iter() {
+            let state = &mut self.states[id.0 as usize];
+            let class = priors.class_of(key);
+            state.prior = class;
+            if state.pinned_certain {
+                continue;
+            }
+            match class {
+                Some(RiskClass::ProvenSafe) => {
+                    state.probability_ppm = params.floor_ppm;
+                }
+                Some(RiskClass::Suspicious) => {
+                    let boost = priors
+                        .initial_ppm_for(key, &params)
+                        .unwrap_or(AnalysisPriors::DEFAULT_SUSPICIOUS_PPM);
+                    state.probability_ppm = state.probability_ppm.max(boost);
+                }
+                Some(RiskClass::Unknown) | None => {}
+            }
+        }
+        self.priors = priors;
+        self.epoch += 1;
+    }
+
+    /// Handles one allocation from `key` at virtual time `now`.
+    ///
+    /// `ctx` is the full backtrace; it is interned (and `judge`
+    /// consulted, to pre-pin and pre-mitigate contexts recorded by a
+    /// previous execution's evidence and durability stores) only when
+    /// the key is new, so the caller charges the expensive `backtrace`
+    /// cost exactly when [`AllocDecision::first_seen`] comes back
+    /// `true`.
+    pub fn on_allocation(
+        &mut self,
+        key: ContextKey,
+        now: VirtInstant,
+        rng: &mut Arc4Random,
+        ctx: &CallingContext,
+        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
+    ) -> AllocDecision {
+        let (id, first_seen) = self.entry(key, now, ctx, judge);
+        self.decide(id, first_seen, now, rng, 0)
+    }
+
+    /// The id of `key` — the unit's one index probe — and whether this
+    /// is its first sight, in which case its state is created: `ctx` is
+    /// interned and `judge` consulted only then.
+    pub(crate) fn entry(
+        &mut self,
+        key: ContextKey,
+        now: VirtInstant,
+        ctx: &CallingContext,
+        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
+    ) -> (CtxId, bool) {
+        let next = CtxId(u32::try_from(self.states.len()).expect("context id overflow"));
+        let (&mut id, first_seen) = self.index.entry(key, || next);
+        if first_seen {
+            let state = self.first_sight(key, next, now, ctx, judge);
+            self.states.push(state);
+        }
+        (id, first_seen)
+    }
+
+    /// The state of a context seen for the first time.
     fn first_sight(
         &self,
         key: ContextKey,
+        id: CtxId,
         now: VirtInstant,
         ctx: &CallingContext,
         judge: impl FnOnce(&CallingContext) -> ContextJudgment,
@@ -248,7 +348,7 @@ impl Rules {
                 .unwrap_or(params.initial_ppm)
         };
         CtxState {
-            id: CtxId(self.next_id.fetch_add(1, Ordering::Relaxed)),
+            id,
             node: self.tree.intern(ctx),
             probability_ppm: initial,
             alloc_count: 0,
@@ -263,17 +363,21 @@ impl Rules {
         }
     }
 
-    /// One allocation's decision on the context's state, after first
-    /// absorbing `pending` cached allocations.
-    fn decide(
-        &self,
-        state: &mut CtxState,
+    /// One allocation's decision on context `id`, after first absorbing
+    /// `pending` allocations that bypassed the unit through a
+    /// per-thread decision cache: their per-allocation degradation and
+    /// burst-window counts are applied in one step before this
+    /// allocation's decision is made.
+    pub(crate) fn decide(
+        &mut self,
+        id: CtxId,
         first_seen: bool,
         now: VirtInstant,
         rng: &mut Arc4Random,
         pending: u32,
     ) -> AllocDecision {
         let params = &self.params;
+        let state = &mut self.states[id.0 as usize];
         // 0. Absorb allocations that bypassed the table through a
         // per-thread decision cache: their counts and degradation are
         // applied in one step, so a cached context's schedule converges
@@ -308,7 +412,7 @@ impl Rules {
                 if !state.pinned_certain {
                     state.probability_ppm = state.probability_ppm.max(params.floor_ppm);
                 }
-                self.bump_epoch();
+                self.epoch += 1;
             }
         }
         state.window_allocs += 1;
@@ -324,7 +428,7 @@ impl Rules {
             state.probability_ppm = paper::BURST_THROTTLE_PPM;
             state.burst_until = Some(state.window_start + paper::BURST_WINDOW);
             entered_burst = true;
-            self.bump_epoch();
+            self.epoch += 1;
         }
 
         // 2. Reviving (Section IV-A): floor-level contexts are randomly
@@ -354,7 +458,7 @@ impl Rules {
                         state.probability_ppm = paper::REVIVE_PPM;
                         state.floor_since = None;
                         revived = true;
-                        self.bump_epoch();
+                        self.epoch += 1;
                     }
                     Some(_) => {}
                 }
@@ -383,174 +487,37 @@ impl Rules {
             mitigate: state.mitigated,
         }
     }
-}
 
-impl SamplingUnit {
-    /// Creates a unit with the given constants and no static priors.
-    pub fn new(params: SamplingParams) -> Self {
-        SamplingUnit::with_priors(params, AnalysisPriors::none())
+    /// Absorbs `count` allocations from context `id` that bypassed the
+    /// unit through a per-thread decision cache and will see no fresh
+    /// decision yet (an epoch change, thread exit or run end): counts
+    /// and per-allocation degradation are applied, burst detection is
+    /// left to the next timed decision.
+    pub(crate) fn absorb(&mut self, id: CtxId, count: u32) {
+        self.states[id.0 as usize].absorb(count, &self.params);
     }
 
-    /// Creates a unit primed with static analysis verdicts: proven-safe
-    /// contexts start at the floor, suspicious contexts start boosted
-    /// and are exempt from burst throttling, unknown contexts follow
-    /// the paper's default schedule.
-    pub fn with_priors(params: SamplingParams, priors: AnalysisPriors) -> Self {
-        SamplingUnit {
-            table: ContextTable::new(),
-            rules: Rules {
-                params,
-                priors,
-                tree: ContextTree::new(),
-                next_id: AtomicU32::new(0),
-                epoch: AtomicU64::new(0),
-            },
-        }
+    fn get(&self, key: ContextKey) -> Option<&CtxState> {
+        let id = self.index.get(key)?;
+        Some(&self.states[id.0 as usize])
     }
 
-    /// The sampling constants in effect.
-    pub fn params(&self) -> &SamplingParams {
-        &self.rules.params
-    }
-
-    /// The static prior table in effect (empty when no analysis ran).
-    pub fn priors(&self) -> &AnalysisPriors {
-        &self.rules.priors
-    }
-
-    /// The current probability epoch. Any change to this value means
-    /// memoized sampling verdicts may be stale and must be refreshed.
-    pub fn epoch(&self) -> u64 {
-        self.rules.epoch.load(Ordering::Acquire)
-    }
-
-    /// Replaces the static priors at run time (e.g. a `csod-analyze`
-    /// report arriving after start-up) and re-bases every already-seen
-    /// context that gained a verdict: proven-safe contexts drop to the
-    /// floor, suspicious contexts are boosted to at least the
-    /// suspicious level. Evidence pinning still outranks both. Bumps
-    /// the probability epoch so decision caches refresh.
-    pub fn update_priors(&mut self, priors: AnalysisPriors) {
-        let params = self.rules.params;
-        self.table.for_each_mut(|key, state| {
-            let class = priors.class_of(key);
-            state.prior = class;
-            if state.pinned_certain {
-                return;
-            }
-            match class {
-                Some(RiskClass::ProvenSafe) => {
-                    state.probability_ppm = params.floor_ppm;
-                }
-                Some(RiskClass::Suspicious) => {
-                    let boost = priors
-                        .initial_ppm_for(key, &params)
-                        .unwrap_or(AnalysisPriors::DEFAULT_SUSPICIOUS_PPM);
-                    state.probability_ppm = state.probability_ppm.max(boost);
-                }
-                Some(RiskClass::Unknown) | None => {}
-            }
-        });
-        self.rules.priors = priors;
-        self.rules.bump_epoch();
-    }
-
-    /// Handles one allocation from `key` at virtual time `now`.
-    ///
-    /// `ctx` is the full backtrace; it is interned (and `judge`
-    /// consulted, to pre-pin and pre-mitigate contexts recorded by a
-    /// previous execution's evidence and durability stores) only when
-    /// the key is new, so the caller charges the expensive `backtrace`
-    /// cost exactly when [`AllocDecision::first_seen`] comes back
-    /// `true`.
-    pub fn on_allocation(
-        &self,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-    ) -> AllocDecision {
-        self.on_allocation_batched(key, now, rng, ctx, judge, 0)
-    }
-
-    /// Like [`SamplingUnit::on_allocation`], but first absorbs `pending`
-    /// earlier allocations from the same context that bypassed the table
-    /// through a per-thread decision cache: their per-allocation
-    /// degradation and burst-window counts are applied in one step
-    /// before this allocation's decision is made.
-    pub fn on_allocation_batched(
-        &self,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-        pending: u32,
-    ) -> AllocDecision {
-        let rules = &self.rules;
-        self.table.with_entry_tracked(
-            key,
-            || rules.first_sight(key, now, ctx, judge),
-            |state, first_seen| rules.decide(state, first_seen, now, rng, pending),
-        )
-    }
-
-    /// [`SamplingUnit::on_allocation_batched`] for the unit's exclusive
-    /// owner: the same decision, reached without taking a stripe lock.
-    pub fn on_allocation_batched_mut(
-        &mut self,
-        key: ContextKey,
-        now: VirtInstant,
-        rng: &mut Arc4Random,
-        ctx: &CallingContext,
-        judge: impl FnOnce(&CallingContext) -> ContextJudgment,
-        pending: u32,
-    ) -> AllocDecision {
-        let rules = &self.rules;
-        self.table.with_entry_tracked_mut(
-            key,
-            || rules.first_sight(key, now, ctx, judge),
-            |state, first_seen| rules.decide(state, first_seen, now, rng, pending),
-        )
-    }
-
-    /// Absorbs `count` allocations from `key` that bypassed the table
-    /// through a per-thread decision cache and will see no fresh
-    /// decision (cache flushed at thread exit or run end): counts and
-    /// per-allocation degradation are applied, burst detection is left
-    /// to the next timed decision.
-    pub fn absorb_allocations(&self, key: ContextKey, count: u32) {
-        if count > 0 {
-            let params = &self.rules.params;
-            self.table
-                .with_existing(key, |state| state.absorb(count, params));
-        }
-    }
-
-    /// [`SamplingUnit::absorb_allocations`] for the unit's exclusive
-    /// owner, taking no stripe lock.
-    pub fn absorb_allocations_mut(&mut self, key: ContextKey, count: u32) {
-        if count > 0 {
-            let params = &self.rules.params;
-            self.table
-                .with_existing_mut(key, |state| state.absorb(count, params));
-        }
+    fn get_mut(&mut self, key: ContextKey) -> Option<&mut CtxState> {
+        let id = self.index.get(key)?;
+        Some(&mut self.states[id.0 as usize])
     }
 
     /// Records that an object of `key` was watched: halves the context's
     /// probability ("degradation after each watch"). Bumps the
     /// probability epoch.
-    pub fn on_watched(&self, key: ContextKey) {
-        let floor = self.rules.params.floor_ppm;
-        let hit = self.table.with_existing(key, |state| {
+    pub fn on_watched(&mut self, key: ContextKey) {
+        let floor = self.params.floor_ppm;
+        if let Some(state) = self.get_mut(key) {
             state.watch_count += 1;
             if !state.pinned_certain {
                 state.probability_ppm = (state.probability_ppm / 2).max(floor);
             }
-        });
-        if hit.is_some() {
-            self.rules.bump_epoch();
+            self.epoch += 1;
         }
     }
 
@@ -559,27 +526,23 @@ impl SamplingUnit {
     /// sampler stops proposing it while the quarantine lasts. Evidence-
     /// pinned contexts are exempt: a proven overflow outranks backend
     /// trouble. Bumps the probability epoch.
-    pub fn quarantine(&self, key: ContextKey) {
-        let floor = self.rules.params.floor_ppm;
-        let hit = self.table.with_existing(key, |state| {
+    pub fn quarantine(&mut self, key: ContextKey) {
+        let floor = self.params.floor_ppm;
+        if let Some(state) = self.get_mut(key) {
             if !state.pinned_certain {
                 state.probability_ppm = floor;
             }
-        });
-        if hit.is_some() {
-            self.rules.bump_epoch();
+            self.epoch += 1;
         }
     }
 
     /// Pins `key` at 100 % — called when canary evidence proves the
     /// context overflows (Section IV-B). Bumps the probability epoch.
-    pub fn pin_certain(&self, key: ContextKey) {
-        let hit = self.table.with_existing(key, |state| {
+    pub fn pin_certain(&mut self, key: ContextKey) {
+        if let Some(state) = self.get_mut(key) {
             state.pinned_certain = true;
             state.probability_ppm = PPM_SCALE;
-        });
-        if hit.is_some() {
-            self.rules.bump_epoch();
+            self.epoch += 1;
         }
     }
 
@@ -588,56 +551,51 @@ impl SamplingUnit {
     /// [`AllocDecision::mitigate`]. Bumps the probability epoch so
     /// per-thread decision caches drop any un-mitigated memoized
     /// verdict for the context.
-    pub fn mark_mitigated(&self, key: ContextKey) {
-        let hit = self.table.with_existing(key, |state| {
+    pub fn mark_mitigated(&mut self, key: ContextKey) {
+        if let Some(state) = self.get_mut(key) {
             state.mitigated = true;
-        });
-        if hit.is_some() {
-            self.rules.bump_epoch();
+            self.epoch += 1;
         }
     }
 
     /// Current probability of `key`, if seen.
     pub fn probability_ppm(&self, key: ContextKey) -> Option<u32> {
-        self.table.with_existing(key, |s| s.probability_ppm)
+        self.get(key).map(|s| s.probability_ppm)
     }
 
     /// The full calling context of `key`, if seen (materialized from
     /// the context tree).
     pub fn full_context(&self, key: ContextKey) -> Option<CallingContext> {
-        let node = self.table.with_existing(key, |s| s.node)?;
-        Some(self.rules.tree.materialize(node))
+        Some(self.tree.materialize(self.get(key)?.node))
     }
 
     /// The calling-context tree storing the full backtraces.
     pub fn tree(&self) -> &ContextTree {
-        &self.rules.tree
+        &self.tree
     }
 
     /// State snapshot of `key`, if seen.
     pub fn state(&self, key: ContextKey) -> Option<CtxState> {
-        self.table.with_existing(key, |s| s.clone())
+        self.get(key).cloned()
     }
 
     /// Number of distinct contexts observed (Table III/IV "CC" column).
-    ///
-    /// Ids are dense, one per inserted entry, and entries are never
-    /// removed, so the id counter is the table's size without locking
-    /// every stripe.
     pub fn distinct_contexts(&self) -> usize {
-        self.rules.next_id.load(Ordering::Relaxed) as usize
+        self.states.len()
     }
 
-    /// Snapshot of all context states for end-of-run reporting.
+    /// Snapshot of all context states for end-of-run reporting, in the
+    /// index's iteration order (see [`ContextTable`]).
     pub fn snapshot(&self) -> Vec<(ContextKey, CtxState)> {
-        self.table.snapshot()
+        self.index
+            .iter()
+            .map(|(key, id)| (key, self.states[id.0 as usize].clone()))
+            .collect()
     }
 
     /// Total allocations across all contexts.
     pub fn total_allocations(&self) -> u64 {
-        let mut total = 0;
-        self.table.for_each(|_, s| total += s.alloc_count);
-        total
+        self.states.iter().map(|s| s.alloc_count).sum()
     }
 }
 
@@ -660,7 +618,7 @@ mod tests {
     }
 
     fn alloc(
-        unit: &SamplingUnit,
+        unit: &mut SamplingUnit,
         k: ContextKey,
         now: VirtInstant,
         rng: &mut Arc4Random,
@@ -674,14 +632,26 @@ mod tests {
     #[test]
     fn new_context_starts_at_fifty_percent() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
-        let d = alloc(&u, key(&frames, "a"), VirtInstant::BOOT, &mut rng, &frames);
+        let d = alloc(
+            &mut u,
+            key(&frames, "a"),
+            VirtInstant::BOOT,
+            &mut rng,
+            &frames,
+        );
         assert!(d.first_seen);
         assert_eq!(d.probability_ppm, 500_000);
         assert_eq!(d.ctx_id, CtxId(0));
         // Second allocation: no longer first seen, degraded by 10 ppm.
-        let d2 = alloc(&u, key(&frames, "a"), VirtInstant::BOOT, &mut rng, &frames);
+        let d2 = alloc(
+            &mut u,
+            key(&frames, "a"),
+            VirtInstant::BOOT,
+            &mut rng,
+            &frames,
+        );
         assert!(!d2.first_seen);
         assert_eq!(d2.probability_ppm, 499_990);
     }
@@ -689,41 +659,31 @@ mod tests {
     #[test]
     fn ids_are_dense_per_context() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
-        let a = alloc(&u, key(&frames, "a"), VirtInstant::BOOT, &mut rng, &frames);
-        let b = alloc(&u, key(&frames, "b"), VirtInstant::BOOT, &mut rng, &frames);
+        let a = alloc(
+            &mut u,
+            key(&frames, "a"),
+            VirtInstant::BOOT,
+            &mut rng,
+            &frames,
+        );
+        let b = alloc(
+            &mut u,
+            key(&frames, "b"),
+            VirtInstant::BOOT,
+            &mut rng,
+            &frames,
+        );
         assert_eq!(a.ctx_id, CtxId(0));
         assert_eq!(b.ctx_id, CtxId(1));
         assert_eq!(u.distinct_contexts(), 2);
     }
 
     #[test]
-    fn distinct_contexts_counts_entries_after_concurrent_first_sights() {
-        let frames = FrameTable::new();
-        let u = unit();
-        let keys: Vec<ContextKey> = (0..24).map(|i| key(&frames, &format!("k{i}"))).collect();
-        std::thread::scope(|scope| {
-            for t in 0..4usize {
-                let (u, keys, frames) = (&u, &keys, &frames);
-                scope.spawn(move || {
-                    let mut rng = Arc4Random::from_seed(7, t as u64);
-                    // Overlapping windows: most keys are first-sighted
-                    // by two or three threads racing for them.
-                    for &k in &keys[t * 4..t * 4 + 12] {
-                        alloc(u, k, VirtInstant::BOOT, &mut rng, frames);
-                    }
-                });
-            }
-        });
-        assert_eq!(u.table.len(), 24);
-        assert_eq!(u.distinct_contexts(), u.table.len());
-    }
-
-    #[test]
     fn context_is_interned_only_on_first_sight() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
         let c = ctx(&frames, "a");
@@ -750,14 +710,14 @@ mod tests {
     #[test]
     fn epoch_bumps_on_probability_changing_events() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
         let e0 = u.epoch();
         // Plain allocations do not bump the epoch (degradation drift is
         // tolerated by the caches)...
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         assert_eq!(u.epoch(), e0);
         // ...but every probability-changing event does.
         u.on_watched(k);
@@ -777,18 +737,18 @@ mod tests {
     #[test]
     fn epoch_bumps_on_burst_entry_and_exit() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "bursty");
         let t0 = VirtInstant::BOOT;
         let e0 = u.epoch();
         for _ in 0..5_001 {
-            alloc(&u, k, t0, &mut rng, &frames);
+            alloc(&mut u, k, t0, &mut rng, &frames);
         }
         let e_burst = u.epoch();
         assert!(e_burst > e0, "burst entry bumps the epoch");
         let later = t0 + VirtDuration::from_secs(11);
-        alloc(&u, k, later, &mut rng, &frames);
+        alloc(&mut u, k, later, &mut rng, &frames);
         assert!(u.epoch() > e_burst, "burst exit bumps the epoch");
     }
 
@@ -800,7 +760,7 @@ mod tests {
         let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "reclassified");
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         let e0 = u.epoch();
         u.update_priors(AnalysisPriors::from_classes([(k, RiskClass::ProvenSafe)]));
         assert!(u.epoch() > e0, "priors update bumps the epoch");
@@ -815,14 +775,14 @@ mod tests {
     #[test]
     fn batched_pending_matches_individual_degradation() {
         let frames = FrameTable::new();
-        let a = unit();
-        let b = unit();
+        let mut a = unit();
+        let mut b = unit();
         let mut rng_a = Arc4Random::from_seed(1, 0);
         let mut rng_b = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
         let c = ctx(&frames, "site");
         // Unit A: 10 individual allocations. Unit B: one allocation, then
-        // one with 8 pending absorbed first, then one more — same totals.
+        // one with 8 pending absorbed first — same totals.
         for _ in 0..10 {
             a.on_allocation(k, VirtInstant::BOOT, &mut rng_a, &c, |_| {
                 ContextJudgment::clear()
@@ -831,14 +791,8 @@ mod tests {
         b.on_allocation(k, VirtInstant::BOOT, &mut rng_b, &c, |_| {
             ContextJudgment::clear()
         });
-        b.on_allocation_batched(
-            k,
-            VirtInstant::BOOT,
-            &mut rng_b,
-            &c,
-            |_| ContextJudgment::clear(),
-            8,
-        );
+        let (id, first_seen) = b.entry(k, VirtInstant::BOOT, &c, |_| ContextJudgment::clear());
+        b.decide(id, first_seen, VirtInstant::BOOT, &mut rng_b, 8);
         assert_eq!(
             a.state(k).unwrap().alloc_count,
             b.state(k).unwrap().alloc_count,
@@ -854,24 +808,25 @@ mod tests {
     #[test]
     fn absorb_allocations_counts_and_degrades() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         let before = u.probability_ppm(k).unwrap();
-        u.absorb_allocations(k, 5);
+        let id = u.state(k).unwrap().id;
+        u.absorb(id, 5);
         assert_eq!(u.state(k).unwrap().alloc_count, 6);
         assert_eq!(u.probability_ppm(k).unwrap(), before - 5 * 10);
-        // Unknown keys and zero counts are no-ops.
-        u.absorb_allocations(key(&frames, "never-seen"), 3);
-        u.absorb_allocations(k, 0);
+        // A zero count is a no-op.
+        u.absorb(id, 0);
         assert_eq!(u.state(k).unwrap().alloc_count, 6);
+        assert_eq!(u.probability_ppm(k).unwrap(), before - 5 * 10);
     }
 
     #[test]
     fn degradation_reaches_floor_and_stops() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
         // 50_000 allocations * 10 ppm = 500_000 ppm of degradation, far
@@ -882,7 +837,7 @@ mod tests {
             if i % 4_000 == 0 {
                 now = now + VirtDuration::from_secs(11);
             }
-            alloc(&u, k, now, &mut rng, &frames);
+            alloc(&mut u, k, now, &mut rng, &frames);
         }
         let p = u.probability_ppm(k).unwrap();
         // Reviving may have bumped it to 0.01%, but never above that.
@@ -893,10 +848,10 @@ mod tests {
     #[test]
     fn watch_halves_probability() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         let before = u.probability_ppm(k).unwrap();
         u.on_watched(k);
         assert_eq!(u.probability_ppm(k).unwrap(), before / 2);
@@ -911,21 +866,27 @@ mod tests {
     #[test]
     fn burst_throttles_then_recovers_to_floor() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "swaptions");
         let t0 = VirtInstant::BOOT;
         // 5,001 allocations within one window trip the throttle.
         for _ in 0..5_001 {
-            alloc(&u, k, t0, &mut rng, &frames);
+            alloc(&mut u, k, t0, &mut rng, &frames);
         }
         assert_eq!(u.probability_ppm(k).unwrap(), 1, "0.0001% while bursting");
         // Decisions during the burst use the throttled probability.
-        let d = alloc(&u, k, t0 + VirtDuration::from_secs(1), &mut rng, &frames);
+        let d = alloc(
+            &mut u,
+            k,
+            t0 + VirtDuration::from_secs(1),
+            &mut rng,
+            &frames,
+        );
         assert_eq!(d.probability_ppm, 1);
         // After the window elapses the probability returns to the floor.
         let later = t0 + VirtDuration::from_secs(11);
-        let d = alloc(&u, k, later, &mut rng, &frames);
+        let d = alloc(&mut u, k, later, &mut rng, &frames);
         assert_eq!(d.probability_ppm, 10, "recovered to the lower bound");
     }
 
@@ -936,35 +897,35 @@ mod tests {
             revive_chance_ppm: PPM_SCALE, // make reviving deterministic
             ..SamplingParams::default()
         };
-        let u = SamplingUnit::new(params);
+        let mut u = SamplingUnit::new(params);
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
         // Drive to the floor: initial 50% degrades by 10ppm per alloc;
         // use watches instead for speed.
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         for _ in 0..30 {
             u.on_watched(k);
         }
         assert_eq!(u.probability_ppm(k).unwrap(), 10);
         // First allocation at the floor records the floor time...
         let t1 = VirtInstant::BOOT + VirtDuration::from_secs(1);
-        alloc(&u, k, t1, &mut rng, &frames);
+        alloc(&mut u, k, t1, &mut rng, &frames);
         // ...and after the revive period the next allocation boosts.
         let t2 = t1 + VirtDuration::from_secs(11);
-        let d = alloc(&u, k, t2, &mut rng, &frames);
+        let d = alloc(&mut u, k, t2, &mut rng, &frames);
         assert_eq!(d.probability_ppm, 100, "revived to 0.01%");
     }
 
     #[test]
     fn pinned_contexts_always_watch() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         u.pin_certain(k);
         for _ in 0..50 {
-            let d = alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+            let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
             assert!(d.wants_watch);
             assert_eq!(d.probability_ppm, PPM_SCALE);
         }
@@ -976,7 +937,7 @@ mod tests {
     #[test]
     fn known_overflow_prepins_on_first_sight() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
         let d = u.on_allocation(
@@ -998,7 +959,7 @@ mod tests {
     #[test]
     fn decision_statistics_follow_probability() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(77, 0);
         let k = key(&frames, "a");
         // At ~50% the first decisions should be a near-even split.
@@ -1006,7 +967,7 @@ mod tests {
         for _ in 0..1_000 {
             // Reset degradation drift by using many contexts would be
             // complex; tolerate the slight downward drift (~1%).
-            if alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames).wants_watch {
+            if alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames).wants_watch {
                 watched += 1;
             }
         }
@@ -1020,15 +981,15 @@ mod tests {
         let frames = FrameTable::new();
         let k = key(&frames, "safe_site");
         let priors = AnalysisPriors::from_classes([(k, RiskClass::ProvenSafe)]);
-        let u = SamplingUnit::with_priors(SamplingParams::default(), priors);
+        let mut u = SamplingUnit::with_priors(SamplingParams::default(), priors);
         let mut rng = Arc4Random::from_seed(1, 0);
-        let d = alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         assert!(d.first_seen);
         assert_eq!(d.probability_ppm, SamplingParams::default().floor_ppm);
         assert_eq!(d.prior, Some(RiskClass::ProvenSafe));
         // Contexts without a verdict keep the 50% default.
         let other = key(&frames, "other_site");
-        let d2 = alloc(&u, other, VirtInstant::BOOT, &mut rng, &frames);
+        let d2 = alloc(&mut u, other, VirtInstant::BOOT, &mut rng, &frames);
         assert_eq!(d2.probability_ppm, 500_000);
         assert_eq!(d2.prior, None);
     }
@@ -1049,9 +1010,9 @@ mod tests {
         }
         let expected = priors.initial_ppm_for(k, &params).unwrap();
         assert!(expected < params.initial_ppm && expected > params.floor_ppm);
-        let u = SamplingUnit::with_priors(params, priors);
+        let mut u = SamplingUnit::with_priors(params, priors);
         let mut rng = Arc4Random::from_seed(1, 0);
-        let d = alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         assert_eq!(d.probability_ppm, expected);
         assert_eq!(d.prior, Some(RiskClass::Unknown));
     }
@@ -1065,7 +1026,7 @@ mod tests {
         let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "late_verdict");
-        alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         let e0 = u.epoch();
         // A late report: every call string of the context suspicious.
         let mut priors = AnalysisPriors::from_classes([]);
@@ -1085,16 +1046,16 @@ mod tests {
         let frames = FrameTable::new();
         let k = key(&frames, "risky_site");
         let priors = AnalysisPriors::from_classes([(k, RiskClass::Suspicious)]);
-        let u = SamplingUnit::with_priors(SamplingParams::default(), priors);
+        let mut u = SamplingUnit::with_priors(SamplingParams::default(), priors);
         let mut rng = Arc4Random::from_seed(1, 0);
-        let d = alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         assert_eq!(d.probability_ppm, AnalysisPriors::DEFAULT_SUSPICIOUS_PPM);
         assert_eq!(d.prior, Some(RiskClass::Suspicious));
         // 5,001 allocations in one window would throttle a default
         // context to 0.0001%; a suspicious context keeps degrading
         // normally instead.
         for _ in 0..5_001 {
-            alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+            alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         }
         let p = u.probability_ppm(k).unwrap();
         assert!(p > paper::BURST_THROTTLE_PPM, "not throttled: {p}");
@@ -1111,9 +1072,9 @@ mod tests {
         let frames = FrameTable::new();
         let k = key(&frames, "murky_site");
         let priors = AnalysisPriors::from_classes([(k, RiskClass::Unknown)]);
-        let u = SamplingUnit::with_priors(SamplingParams::default(), priors);
+        let mut u = SamplingUnit::with_priors(SamplingParams::default(), priors);
         let mut rng = Arc4Random::from_seed(1, 0);
-        let d = alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         assert_eq!(d.probability_ppm, 500_000);
         assert_eq!(d.prior, Some(RiskClass::Unknown));
     }
@@ -1125,7 +1086,7 @@ mod tests {
         let frames = FrameTable::new();
         let k = key(&frames, "misjudged_site");
         let priors = AnalysisPriors::from_classes([(k, RiskClass::ProvenSafe)]);
-        let u = SamplingUnit::with_priors(SamplingParams::default(), priors);
+        let mut u = SamplingUnit::with_priors(SamplingParams::default(), priors);
         let mut rng = Arc4Random::from_seed(1, 0);
         // The WAL from a previous run knows this context
         // overflows: pinning wins over the static verdict.
@@ -1141,11 +1102,11 @@ mod tests {
         // Runtime canary evidence also overrides an already-applied
         // floor start.
         let k2 = key(&frames, "misjudged_site_2");
-        let u2 = SamplingUnit::with_priors(
+        let mut u2 = SamplingUnit::with_priors(
             SamplingParams::default(),
             AnalysisPriors::from_classes([(k2, RiskClass::ProvenSafe)]),
         );
-        alloc(&u2, k2, VirtInstant::BOOT, &mut rng, &frames);
+        alloc(&mut u2, k2, VirtInstant::BOOT, &mut rng, &frames);
         u2.pin_certain(k2);
         assert_eq!(u2.probability_ppm(k2).unwrap(), PPM_SCALE);
     }
@@ -1153,15 +1114,15 @@ mod tests {
     #[test]
     fn mark_mitigated_flags_decisions_and_bumps_epoch() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
-        let d = alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         assert!(!d.mitigate);
         let e0 = u.epoch();
         u.mark_mitigated(k);
         assert!(u.epoch() > e0, "mitigation bumps the epoch");
-        let d = alloc(&u, k, VirtInstant::BOOT, &mut rng, &frames);
+        let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
         assert!(d.mitigate, "later decisions carry the mitigate flag");
         assert!(u.state(k).unwrap().mitigated);
         // Unseen keys are no-ops.
@@ -1173,7 +1134,7 @@ mod tests {
     #[test]
     fn recovered_judgment_mitigates_from_first_sight() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         let k = key(&frames, "a");
         // A confirmed context recovered from the durability WAL is both
@@ -1187,15 +1148,60 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_follows_the_index_order() {
+        // `RunOutcome.context_watch_counts` and the parity goldens hash
+        // the contexts in this order, so a reordered snapshot changes
+        // them. The order is the index's bucket-then-slot layout, fixed
+        // by the keys and their first-sight order alone.
+        let frames = FrameTable::new();
+        let mut u = unit();
+        let mut rng = Arc4Random::from_seed(1, 0);
+        let keys: Vec<ContextKey> = (0..20)
+            .map(|i| {
+                ContextKey::new(
+                    frames.intern(&format!("site{i}.c:1")),
+                    0x40 + 0x10 * (i % 3),
+                )
+            })
+            .collect();
+        for (i, &k) in (0..).zip(&keys) {
+            let d = alloc(&mut u, k, VirtInstant::BOOT, &mut rng, &frames);
+            assert_eq!(d.ctx_id, CtxId(i), "ids are dense in first-sight order");
+        }
+        let snapshot = u.snapshot();
+        assert_eq!(u.distinct_contexts(), snapshot.len());
+        let order: Vec<u32> = snapshot.iter().map(|(_, s)| s.id.as_u32()).collect();
+        assert_eq!(
+            order,
+            [8, 1, 15, 0, 16, 10, 4, 3, 7, 5, 9, 17, 14, 12, 19, 6, 2, 13, 18, 11]
+        );
+        for (k, s) in &snapshot {
+            assert_eq!(*k, keys[s.id.as_u32() as usize]);
+        }
+    }
+
+    #[test]
     fn total_allocations_sums_contexts() {
         let frames = FrameTable::new();
-        let u = unit();
+        let mut u = unit();
         let mut rng = Arc4Random::from_seed(1, 0);
         for _ in 0..3 {
-            alloc(&u, key(&frames, "a"), VirtInstant::BOOT, &mut rng, &frames);
+            alloc(
+                &mut u,
+                key(&frames, "a"),
+                VirtInstant::BOOT,
+                &mut rng,
+                &frames,
+            );
         }
         for _ in 0..2 {
-            alloc(&u, key(&frames, "b"), VirtInstant::BOOT, &mut rng, &frames);
+            alloc(
+                &mut u,
+                key(&frames, "b"),
+                VirtInstant::BOOT,
+                &mut rng,
+                &frames,
+            );
         }
         assert_eq!(u.total_allocations(), 5);
         assert_eq!(u.snapshot().len(), 2);

@@ -10,8 +10,8 @@
 //!   printed in bug reports);
 //! * [`ContextKey`] is the cheap *(first-level site, stack offset)* pair
 //!   compared on every allocation;
-//! * [`ContextTable`] is the global bucket-locked hash table mapping keys
-//!   to per-context state;
+//! * [`ContextTable`] is the bucketed open-addressed hash table mapping
+//!   keys to per-context state, owned by the runtime's sampler;
 //! * [`ContextTree`] is a compressed calling-context tree that stores
 //!   the full backtraces with shared suffixes interned once.
 //!
@@ -27,9 +27,9 @@
 //! };
 //! let key = ContextKey::new(site, 0x40);
 //!
-//! let table: ContextTable<u64> = ContextTable::new();
-//! table.with_entry(key, || 0, |allocs| *allocs += 1);
-//! assert_eq!(table.get_cloned(key), Some(1));
+//! let mut table: ContextTable<u64> = ContextTable::new();
+//! *table.entry(key, || 0).0 += 1;
+//! assert_eq!(table.get(key), Some(&1));
 //! ```
 
 #![warn(missing_docs)]

@@ -190,7 +190,7 @@ fn reviving_gives_floor_contexts_another_chance() {
     // Drive the context to the floor: repeated watches halve it.
     let _ = w.malloc("revive.c:1", 16);
     for _ in 0..30 {
-        w.csod.sampling().on_watched(key);
+        w.csod.sampling_mut().on_watched(key);
     }
     assert_eq!(w.csod.sampling().probability_ppm(key), Some(10), "at floor");
     // Mark the floor time, wait out the revive period, and allocate

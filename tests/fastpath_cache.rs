@@ -28,19 +28,19 @@ fn prob(unit: &SamplingUnit, key: ContextKey) -> u32 {
 #[test]
 fn watch_install_invalidates_the_cache() {
     let frames = FrameTable::new();
-    let unit = SamplingUnit::new(SamplingParams::default());
+    let mut unit = SamplingUnit::new(SamplingParams::default());
     let mut rng = Arc4Random::from_seed(3, 0);
     let mut cache = DecisionCache::new(64);
     let (key, ctx) = fixture(&frames, "watched.c:1");
     for _ in 0..8 {
-        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+        cache.on_allocation(&mut unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
             ContextJudgment::clear()
         });
     }
     let before = cache.stats().invalidations;
     let p_before = prob(&unit, key);
     unit.on_watched(key); // halves the probability and bumps the epoch
-    let d = cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+    let d = cache.on_allocation(&mut unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
         ContextJudgment::clear()
     });
     assert_eq!(cache.stats().invalidations, before + 1);
@@ -55,7 +55,7 @@ fn watch_install_invalidates_the_cache() {
 fn burst_entry_and_exit_invalidate_the_cache() {
     let frames = FrameTable::new();
     let params = SamplingParams::default();
-    let unit = SamplingUnit::new(params);
+    let mut unit = SamplingUnit::new(params);
     let mut rng = Arc4Random::from_seed(5, 0);
     let mut cache = DecisionCache::new(64);
     let (key, ctx) = fixture(&frames, "bursty.c:1");
@@ -65,11 +65,11 @@ fn burst_entry_and_exit_invalidate_the_cache() {
     // burst check when their batch is absorbed, so the throttle can lag
     // by up to `refresh` allocations (the documented convergence bound).
     for _ in 0..params.burst_threshold + 2 * 64 {
-        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+        cache.on_allocation(&mut unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
             ContextJudgment::clear()
         });
     }
-    cache.flush(&unit);
+    cache.flush(&mut unit);
     assert_eq!(
         prob(&unit, key),
         paper::BURST_THROTTLE_PPM,
@@ -84,10 +84,10 @@ fn burst_entry_and_exit_invalidate_the_cache() {
     // deciding at the throttled probability.
     let later = VirtInstant::BOOT + VirtDuration::from_secs(11);
     let mid = cache.stats().invalidations;
-    cache.on_allocation(&unit, key, later, &mut rng, &ctx, |_| {
+    cache.on_allocation(&mut unit, key, later, &mut rng, &ctx, |_| {
         ContextJudgment::clear()
     });
-    cache.flush(&unit);
+    cache.flush(&mut unit);
     assert_eq!(prob(&unit, key), params.floor_ppm, "recovered to the floor");
     assert!(
         cache.stats().invalidations > mid,
@@ -102,24 +102,24 @@ fn revive_invalidates_the_cache() {
         revive_chance_ppm: PPM_SCALE, // deterministic once eligible
         ..SamplingParams::default()
     };
-    let unit = SamplingUnit::new(params);
+    let mut unit = SamplingUnit::new(params);
     let mut rng = Arc4Random::from_seed(9, 0);
     let mut cache = DecisionCache::new(64);
     let (key, ctx) = fixture(&frames, "quiet.c:1");
-    cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+    cache.on_allocation(&mut unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
         ContextJudgment::clear()
     });
     for _ in 0..32 {
         unit.on_watched(key); // halve down to the floor
     }
     // Mark the floor, wait out the quiet period, allocate once more.
-    cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+    cache.on_allocation(&mut unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
         ContextJudgment::clear()
     });
     assert_eq!(prob(&unit, key), params.floor_ppm);
     let later = VirtInstant::BOOT + paper::REVIVE_PERIOD + VirtDuration::from_secs(1);
     let before = cache.stats().invalidations;
-    let d = cache.on_allocation(&unit, key, later, &mut rng, &ctx, |_| {
+    let d = cache.on_allocation(&mut unit, key, later, &mut rng, &ctx, |_| {
         ContextJudgment::clear()
     });
     assert_eq!(d.probability_ppm, paper::REVIVE_PPM, "revived to 0.01%");
@@ -137,14 +137,14 @@ fn priors_update_invalidates_the_cache() {
     let mut cache = DecisionCache::new(64);
     let (key, ctx) = fixture(&frames, "risky.c:1");
     for _ in 0..8 {
-        cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+        cache.on_allocation(&mut unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
             ContextJudgment::clear()
         });
     }
-    cache.flush(&unit); // absorb pending so the re-based value reads exactly
+    cache.flush(&mut unit); // absorb pending so the re-based value reads exactly
     let before = cache.stats().invalidations;
     unit.update_priors(AnalysisPriors::from_classes([(key, RiskClass::Suspicious)]));
-    let d = cache.on_allocation(&unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
+    let d = cache.on_allocation(&mut unit, key, VirtInstant::BOOT, &mut rng, &ctx, |_| {
         ContextJudgment::clear()
     });
     assert_eq!(cache.stats().invalidations, before + 1);
@@ -227,9 +227,8 @@ fn watchpoint_detection_rate_matches_uncached() {
     );
 }
 
-/// Counters of two thread caches driven over one fixed stream, through
-/// the shared (`&SamplingUnit`) or the exclusive (`&mut`) sampler path.
-fn two_cache_accounting(exclusive: bool) -> ([(u64, u64, u64); 2], u64, u64) {
+/// Counters of two thread caches driven over one fixed stream.
+fn two_cache_accounting() -> ([(u64, u64, u64); 2], u64, u64) {
     let frames = FrameTable::new();
     let mut unit = SamplingUnit::new(SamplingParams::default());
     let sites: Vec<(ContextKey, CallingContext)> = (0..6)
@@ -246,11 +245,7 @@ fn two_cache_accounting(exclusive: bool) -> ([(u64, u64, u64); 2], u64, u64) {
         let t = i % 2;
         let (key, ctx) = &sites[(i * 5 / 2 + t) % sites.len()];
         let judge = |_: &CallingContext| ContextJudgment::clear();
-        if exclusive {
-            caches[t].on_allocation_mut(&mut unit, *key, now, &mut rngs[t], ctx, judge);
-        } else {
-            caches[t].on_allocation(&unit, *key, now, &mut rngs[t], ctx, judge);
-        }
+        caches[t].on_allocation(&mut unit, *key, now, &mut rngs[t], ctx, judge);
         made += 1;
         if i % 37 == 36 {
             unit.on_watched(sites[i % sites.len()].0);
@@ -261,11 +256,7 @@ fn two_cache_accounting(exclusive: bool) -> ([(u64, u64, u64); 2], u64, u64) {
         }
     }
     for cache in &mut caches {
-        if exclusive {
-            cache.flush_mut(&mut unit);
-        } else {
-            cache.flush(&unit);
-        }
+        cache.flush(&mut unit);
     }
     let counts = caches.each_ref().map(|c| {
         let s = c.stats();
@@ -276,12 +267,10 @@ fn two_cache_accounting(exclusive: bool) -> ([(u64, u64, u64); 2], u64, u64) {
 
 #[test]
 fn every_cached_allocation_is_absorbed_exactly_once() {
-    for exclusive in [false, true] {
-        let (counts, made, absorbed) = two_cache_accounting(exclusive);
-        assert_eq!(absorbed, made, "each allocation reaches the sampler once");
-        // Pinned against the drain-on-invalidate cache this replaced:
-        // hits, misses and invalidations per thread cache. The closing
-        // flush is not an epoch change and counts no invalidation.
-        assert_eq!(counts, [(663, 337, 54), (662, 338, 54)]);
-    }
+    let (counts, made, absorbed) = two_cache_accounting();
+    assert_eq!(absorbed, made, "each allocation reaches the sampler once");
+    // Pinned against the drain-on-invalidate cache this replaced:
+    // hits, misses and invalidations per thread cache. The closing
+    // flush is not an epoch change and counts no invalidation.
+    assert_eq!(counts, [(663, 337, 54), (662, 338, 54)]);
 }

@@ -57,7 +57,6 @@ impl From<HeapError> for AsanError {
 struct AsanRecord {
     real: VirtAddr,
     size: u64,
-    total: u64,
 }
 
 /// Counters for the evaluation harnesses.
@@ -113,8 +112,6 @@ pub struct Asan {
     reports: Vec<AsanReport>,
     reported_sites: HashSet<u64>,
     stats: AsanStats,
-    redzone_bytes_live: u64,
-    redzone_bytes_peak: u64,
 }
 
 impl Asan {
@@ -130,14 +127,7 @@ impl Asan {
             reports: Vec::new(),
             reported_sites: HashSet::new(),
             stats: AsanStats::default(),
-            redzone_bytes_live: 0,
-            redzone_bytes_peak: 0,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &AsanConfig {
-        &self.config
     }
 
     /// Marks `module` as compiled with ASan instrumentation.
@@ -188,10 +178,8 @@ impl Asan {
         // partial-granule encoding; poison from the padded edge onward.
         self.shadow.poison_redzone(user + padded, right);
         self.records
-            .insert(user.as_u64(), AsanRecord { real, size, total });
+            .insert(user.as_u64(), AsanRecord { real, size });
         self.stats.allocations += 1;
-        self.redzone_bytes_live += total - size;
-        self.redzone_bytes_peak = self.redzone_bytes_peak.max(self.redzone_bytes_live);
         Ok(user)
     }
 
@@ -221,7 +209,6 @@ impl Asan {
             user,
             size: record.size,
         });
-        self.redzone_bytes_live -= record.total - record.size;
         for block in evicted {
             self.release(machine, heap, block);
         }
@@ -349,13 +336,6 @@ impl Asan {
     /// Counters.
     pub fn stats(&self) -> AsanStats {
         self.stats
-    }
-
-    /// Peak extra memory attributable to the tool: live redzones plus
-    /// quarantined bytes plus the shadow entries themselves (one byte per
-    /// granule, like the real 1/8 shadow) — Table V's comparison input.
-    pub fn peak_extra_memory(&self) -> u64 {
-        self.redzone_bytes_peak + self.quarantine.peak_bytes() + self.shadow.peak_granules() as u64
     }
 
     /// Peak shadow bytes alone (one real byte per tracked granule).
@@ -623,7 +603,8 @@ mod tests {
         )
         .unwrap();
         assert!(m.counter().tool_ns() > 0);
-        assert!(a.peak_extra_memory() >= 32, "two 16-byte redzones at least");
+        // The object and its two 16-byte redzones: 96 bytes, 12 granules.
+        assert_eq!(a.peak_shadow_bytes(), 12);
         a.free(&mut m, &mut h, p).unwrap();
         a.finish(&mut m, &mut h);
     }

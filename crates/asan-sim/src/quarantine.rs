@@ -24,7 +24,6 @@ pub struct QuarantinedBlock {
 pub struct Quarantine {
     capacity_bytes: u64,
     held_bytes: u64,
-    peak_bytes: u64,
     queue: VecDeque<QuarantinedBlock>,
 }
 
@@ -35,7 +34,6 @@ impl Quarantine {
         Quarantine {
             capacity_bytes,
             held_bytes: 0,
-            peak_bytes: 0,
             queue: VecDeque::new(),
         }
     }
@@ -45,7 +43,6 @@ impl Quarantine {
     pub fn admit(&mut self, block: QuarantinedBlock) -> Vec<QuarantinedBlock> {
         self.queue.push_back(block);
         self.held_bytes += block.size;
-        self.peak_bytes = self.peak_bytes.max(self.held_bytes);
         let mut evicted = Vec::new();
         while self.held_bytes > self.capacity_bytes {
             let oldest = self.queue.pop_front().expect("held > 0 implies non-empty");
@@ -53,26 +50,6 @@ impl Quarantine {
             evicted.push(oldest);
         }
         evicted
-    }
-
-    /// Blocks currently held.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the quarantine is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// User bytes currently held.
-    pub fn held_bytes(&self) -> u64 {
-        self.held_bytes
-    }
-
-    /// High-water mark of held bytes (memory-overhead accounting).
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes
     }
 
     /// Drains every held block (end of execution).
@@ -101,9 +78,8 @@ mod tests {
         assert!(q.admit(block(1, 40)).is_empty());
         let evicted = q.admit(block(2, 40));
         assert_eq!(evicted, vec![block(0, 40)]);
-        assert_eq!(q.held_bytes(), 80);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peak_bytes(), 120);
+        assert_eq!(q.held_bytes, 80);
+        assert_eq!(q.queue.len(), 2);
     }
 
     #[test]
@@ -112,8 +88,8 @@ mod tests {
         q.admit(block(0, 30));
         let evicted = q.admit(block(1, 100));
         assert_eq!(evicted.len(), 2);
-        assert!(q.is_empty());
-        assert_eq!(q.held_bytes(), 0);
+        assert!(q.queue.is_empty());
+        assert_eq!(q.held_bytes, 0);
     }
 
     #[test]
@@ -123,9 +99,7 @@ mod tests {
         q.admit(block(1, 10));
         let all = q.drain();
         assert_eq!(all.len(), 2);
-        assert!(q.is_empty());
-        assert_eq!(q.held_bytes(), 0);
-        // Peak survives draining.
-        assert_eq!(q.peak_bytes(), 20);
+        assert!(q.queue.is_empty());
+        assert_eq!(q.held_bytes, 0);
     }
 }

@@ -156,11 +156,6 @@ impl ShadowMemory {
         ShadowVerdict::Clean
     }
 
-    /// Number of tracked granules (shadow footprint, in entries).
-    pub fn tracked_granules(&self) -> usize {
-        self.granules.len()
-    }
-
     /// High-water mark of tracked granules — each costs one real shadow
     /// byte on a real machine (the 1/8 shadow mapping).
     pub fn peak_granules(&self) -> usize {
@@ -233,14 +228,14 @@ mod tests {
         assert_ne!(s.check(obj, 8), ShadowVerdict::Clean);
         s.clear(obj, 64);
         assert_eq!(s.check(obj, 8), ShadowVerdict::Clean);
-        assert_eq!(s.tracked_granules(), 0);
+        assert_eq!(s.granules.len(), 0);
     }
 
     #[test]
     fn zero_length_poison_is_a_no_op() {
         let mut s = ShadowMemory::new();
         s.poison_redzone(VirtAddr::new(0x5000), 0);
-        assert_eq!(s.tracked_granules(), 0);
+        assert_eq!(s.granules.len(), 0);
     }
 
     #[test]

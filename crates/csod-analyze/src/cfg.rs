@@ -83,11 +83,6 @@ impl Cfg {
         }
         Cfg { blocks }
     }
-
-    /// Total number of basic blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.iter().map(Vec::len).sum()
-    }
 }
 
 /// The set of allocations a `Use` statement can touch.
@@ -113,11 +108,6 @@ impl Bindings {
     /// statement is a reachable `Use`.
     pub fn of(&self, thread: usize, stmt: usize) -> Option<&Binding> {
         self.map.get(&(thread, stmt))
-    }
-
-    /// Iterates over all resolved bindings.
-    pub fn iter(&self) -> impl Iterator<Item = (&(usize, usize), &Binding)> {
-        self.map.iter()
     }
 }
 
@@ -265,7 +255,7 @@ mod tests {
         let cfg = Cfg::build(&p);
         // Thread 0: [alloc, spawn] [spawn] [free]; threads 1/2: entry.
         assert_eq!(cfg.blocks[0].len(), 3);
-        assert_eq!(cfg.block_count(), 5);
+        assert_eq!(cfg.blocks.iter().map(Vec::len).sum::<usize>(), 5);
         assert_eq!(cfg.blocks[0][0].succs, vec![(1, 0), (0, 1)]);
         assert_eq!(cfg.blocks[0][1].succs, vec![(2, 0), (0, 2)]);
         assert!(cfg.blocks[0][2].succs.is_empty());

@@ -95,20 +95,6 @@ impl Interval {
         }
     }
 
-    /// The interval `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` (the empty interval is not representable).
-    pub fn range(lo: i128, hi: i128) -> Interval {
-        assert!(lo <= hi, "empty interval [{lo}, {hi}]");
-        Interval {
-            lo: Bound::Finite(lo),
-            hi: Bound::Finite(hi),
-            widened: false,
-        }
-    }
-
     /// Least upper bound: the smallest interval containing both.
     pub fn join(self, other: Interval) -> Interval {
         Interval {
@@ -167,21 +153,6 @@ impl Interval {
         }
     }
 
-    /// Translation by a constant.
-    pub fn shift(self, delta: i128) -> Interval {
-        self + Interval::point(delta)
-    }
-
-    /// Whether `v` lies inside the interval.
-    pub fn contains(&self, v: i128) -> bool {
-        self.lo <= Bound::Finite(v) && Bound::Finite(v) <= self.hi
-    }
-
-    /// Whether the interval is `[-inf, +inf]`.
-    pub fn is_top(&self) -> bool {
-        self.lo == Bound::NegInf && self.hi == Bound::PosInf
-    }
-
     /// The upper bound if finite.
     pub fn hi_finite(&self) -> Option<i128> {
         match self.hi {
@@ -228,41 +199,54 @@ mod tests {
     use super::*;
     use std::ops::Add;
 
+    /// The interval `[lo, hi]`.
+    fn range(lo: i128, hi: i128) -> Interval {
+        assert!(lo <= hi, "empty interval [{lo}, {hi}]");
+        Interval {
+            lo: Bound::Finite(lo),
+            hi: Bound::Finite(hi),
+            widened: false,
+        }
+    }
+
     #[test]
     fn join_is_commutative_and_contains_both() {
-        let a = Interval::range(1, 5);
-        let b = Interval::range(3, 9);
+        let a = range(1, 5);
+        let b = range(3, 9);
         assert_eq!(a.join(b), b.join(a));
         let j = a.join(b);
-        assert_eq!(j, Interval::range(1, 9));
-        assert!(j.contains(1) && j.contains(9));
+        assert_eq!(j, range(1, 9));
+        assert!(j.lo <= Bound::Finite(1) && Bound::Finite(9) <= j.hi);
     }
 
     #[test]
     fn join_is_idempotent_and_associative() {
-        let a = Interval::range(-4, 2);
+        let a = range(-4, 2);
         let b = Interval::point(7);
-        let c = Interval::range(0, 100);
+        let c = range(0, 100);
         assert_eq!(a.join(a), a);
         assert_eq!(a.join(b).join(c), a.join(b.join(c)));
     }
 
     #[test]
     fn top_absorbs_everything() {
-        let a = Interval::range(3, 4);
+        let a = range(3, 4);
         assert_eq!(a.join(Interval::TOP), Interval::TOP);
-        assert!(Interval::TOP.is_top());
-        assert!(!a.is_top());
+        assert_eq!(
+            (Interval::TOP.lo, Interval::TOP.hi),
+            (Bound::NegInf, Bound::PosInf)
+        );
+        assert_eq!((a.lo, a.hi), (Bound::Finite(3), Bound::Finite(4)));
     }
 
     #[test]
     fn widen_is_an_upper_bound_of_join() {
         // Widening must over-approximate the join: x ⊔ y ⊑ x ∇ y.
         let cases = [
-            (Interval::range(0, 10), Interval::range(0, 12)),
-            (Interval::range(5, 10), Interval::range(3, 10)),
+            (range(0, 10), range(0, 12)),
+            (range(5, 10), range(3, 10)),
             (Interval::point(1), Interval::point(1)),
-            (Interval::range(-2, 2), Interval::range(-9, 9)),
+            (range(-2, 2), range(-9, 9)),
         ];
         for (x, y) in cases {
             let j = x.join(y);
@@ -291,8 +275,8 @@ mod tests {
 
     #[test]
     fn widen_of_stable_bounds_stays_exact() {
-        let a = Interval::range(0, 64);
-        let w = a.widen(Interval::range(0, 64));
+        let a = range(0, 64);
+        let w = a.widen(range(0, 64));
         assert_eq!(w, a);
         assert!(!w.widened);
     }
@@ -308,18 +292,18 @@ mod tests {
     #[test]
     fn narrowing_restores_observed_bounds_after_widening() {
         // Widen past the threshold, then narrow against the exact hull.
-        let widened = Interval::range(0, 10).widen(Interval::range(0, 12));
+        let widened = range(0, 10).widen(range(0, 12));
         assert_eq!(widened.hi, Bound::PosInf);
-        let narrowed = widened.narrow(Interval::range(0, 12));
-        assert_eq!(narrowed, Interval::range(0, 12));
+        let narrowed = widened.narrow(range(0, 12));
+        assert_eq!(narrowed, range(0, 12));
         assert!(!narrowed.widened);
         // Finite bounds of the widened interval are kept as-is.
-        assert_eq!(widened.narrow(Interval::range(-5, 12)).lo, Bound::Finite(0));
+        assert_eq!(widened.narrow(range(-5, 12)).lo, Bound::Finite(0));
     }
 
     #[test]
     fn narrowing_keeps_the_marker_while_a_bound_stays_infinite() {
-        let w = Interval::range(0, 1).widen(Interval::range(-1, 2));
+        let w = range(0, 1).widen(range(-1, 2));
         let half = Interval {
             lo: Bound::NegInf,
             hi: Bound::PosInf,
@@ -330,11 +314,11 @@ mod tests {
 
     #[test]
     fn arithmetic_shifts_both_bounds() {
-        let a = Interval::range(2, 6).shift(10);
-        assert_eq!(a, Interval::range(12, 16));
-        let b = Interval::range(0, 1).add(Interval::range(5, 7));
-        assert_eq!(b, Interval::range(5, 8));
-        assert_eq!(Interval::TOP.shift(3), Interval::TOP);
+        let a = range(2, 6) + Interval::point(10);
+        assert_eq!(a, range(12, 16));
+        let b = range(0, 1).add(range(5, 7));
+        assert_eq!(b, range(5, 8));
+        assert_eq!(Interval::TOP + Interval::point(3), Interval::TOP);
     }
 
     #[test]
@@ -348,6 +332,6 @@ mod tests {
     #[test]
     fn display_renders_infinities() {
         assert_eq!(Interval::TOP.to_string(), "[-inf, +inf]");
-        assert_eq!(Interval::range(1, 2).to_string(), "[1, 2]");
+        assert_eq!(range(1, 2).to_string(), "[1, 2]");
     }
 }

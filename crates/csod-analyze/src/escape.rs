@@ -58,11 +58,6 @@ impl SlotTable {
     pub fn slot(&self, slot: usize) -> &SlotInfo {
         &self.slots[slot]
     }
-
-    /// Number of slots that escape their defining thread.
-    pub fn shared_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.shared).count()
-    }
 }
 
 /// Computes the [`SlotTable`] of a lowered program.
@@ -128,7 +123,7 @@ mod tests {
             Event::malloc(1, 32, 0),
         ];
         let table = analyze_slots(&lower(&reg, &trace));
-        assert_eq!(table.shared_count(), 0);
+        assert!(table.slots.iter().all(|s| !s.shared));
         assert_eq!(table.slot(0).gens.len(), 2);
     }
 
@@ -150,7 +145,7 @@ mod tests {
         ];
         let table = analyze_slots(&lower(&reg, &trace));
         assert!(table.slot(0).shared);
-        assert_eq!(table.shared_count(), 1);
+        assert_eq!(table.slots.iter().filter(|s| s.shared).count(), 1);
     }
 
     #[test]

@@ -25,43 +25,10 @@
 use crate::config::WatchBackend;
 use sim_heap::{HeapConfig, HeapError, SimHeap};
 use sim_machine::{
-    CostDomain, FcntlCmd, Fd, FxBuild, IoctlCmd, Machine, MemoryError, PerfError, PerfEventAttr,
-    Signal, SignalInfo, ThreadError, ThreadId, VirtAddr, VirtInstant,
+    CostDomain, CostModel, FcntlCmd, Fd, FxBuild, IoctlCmd, Machine, MemoryError, PerfError,
+    PerfEventAttr, Signal, SignalInfo, ThreadError, ThreadId, VirtAddr, VirtInstant,
 };
 use std::collections::HashMap;
-
-/// The per-operation tool costs a backend charges, in (virtual or wall)
-/// nanoseconds. A copy of the subset of the simulator's cost model the
-/// runtime consults on its hot paths; the null backend returns
-/// [`ToolCosts::ZERO`] so the decision path is measured with the
-/// substrate cost at zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ToolCosts {
-    /// Fetching the first-level return address and stack offset.
-    pub return_address: u64,
-    /// Hash-table lookup of the (call-site, stack-offset) key.
-    pub ctx_lookup: u64,
-    /// One per-thread random number.
-    pub rng_draw: u64,
-    /// A full `backtrace` walk (first sight of a context only).
-    pub full_backtrace: u64,
-    /// Evidence mode: writing the header + canary at allocation.
-    pub canary_write: u64,
-    /// Evidence mode: verifying the canary at deallocation.
-    pub canary_check: u64,
-}
-
-impl ToolCosts {
-    /// All-zero costs (the null backend's accounting).
-    pub const ZERO: ToolCosts = ToolCosts {
-        return_address: 0,
-        ctx_lookup: 0,
-        rng_draw: 0,
-        full_backtrace: 0,
-        canary_write: 0,
-        canary_check: 0,
-    };
-}
 
 /// A watchpoint/thread/memory/time substrate the CSOD runtime can drive.
 ///
@@ -91,8 +58,12 @@ pub trait Backend {
     /// Current (virtual or wall) time.
     fn now(&self) -> VirtInstant;
 
-    /// The per-operation tool costs this backend charges.
-    fn tool_costs(&self) -> ToolCosts;
+    /// The per-operation costs this backend charges for the tool's work.
+    /// The runtime reads the fast-path fields (`return_address`,
+    /// `ctx_lookup`, `rng_draw`, `full_backtrace`, `canary_write`,
+    /// `canary_check`); a backend that models no cost returns
+    /// [`CostModel::FREE_OF_CHARGE`].
+    fn tool_costs(&self) -> &CostModel;
 
     /// Attributes `ns` nanoseconds of tool work.
     fn charge_tool(&mut self, ns: u64);
@@ -221,16 +192,8 @@ impl Backend for Machine {
         Machine::now(self)
     }
 
-    fn tool_costs(&self) -> ToolCosts {
-        let c = self.costs();
-        ToolCosts {
-            return_address: c.return_address,
-            ctx_lookup: c.ctx_lookup,
-            rng_draw: c.rng_draw,
-            full_backtrace: c.full_backtrace,
-            canary_write: c.canary_write,
-            canary_check: c.canary_check,
-        }
+    fn tool_costs(&self) -> &CostModel {
+        self.costs()
     }
 
     fn charge_tool(&mut self, ns: u64) {
@@ -415,11 +378,6 @@ impl NullBackend {
         self.armed.len()
     }
 
-    /// Whether descriptor `fd` is currently armed.
-    pub fn is_armed(&self, fd: Fd) -> bool {
-        self.armed.contains_key(&fd.as_raw())
-    }
-
     /// Total nanoseconds charged to the tool domain (zero unless a
     /// caller charges explicit amounts).
     pub fn charged_ns(&self) -> u64 {
@@ -484,8 +442,8 @@ impl Backend for NullBackend {
         VirtInstant::BOOT
     }
 
-    fn tool_costs(&self) -> ToolCosts {
-        ToolCosts::ZERO
+    fn tool_costs(&self) -> &CostModel {
+        &CostModel::FREE_OF_CHARGE
     }
 
     fn charge_tool(&mut self, ns: u64) {
@@ -745,10 +703,10 @@ mod tests {
                 ThreadId::MAIN,
             )
             .unwrap();
-        assert!(b.is_armed(fd));
+        assert!(b.armed.contains_key(&fd.as_raw()));
         assert_eq!(b.armed_count(), 1);
         b.disarm_watch(WatchBackend::PerfEvent, fd);
-        assert!(!b.is_armed(fd));
+        assert!(!b.armed.contains_key(&fd.as_raw()));
         // Double disarm tolerated.
         b.disarm_watch(WatchBackend::PerfEvent, fd);
         assert_eq!(b.armed_count(), 0);

@@ -30,12 +30,12 @@
 //! normal inside containers), `arm_watch` returns the mapped
 //! [`PerfError`] and callers fall back to canary evidence.
 
-use crate::backend::{Backend, HeapBackend, ToolCosts};
+use crate::backend::{Backend, HeapBackend};
 use crate::config::WatchBackend;
 use sim_heap::HeapError;
 use sim_machine::{
-    AccessKind, Fd, FxBuild, MemoryError, PerfError, Signal, SignalInfo, SiteToken, ThreadError,
-    ThreadId, VirtAddr, VirtDuration, VirtInstant,
+    AccessKind, CostModel, Fd, FxBuild, MemoryError, PerfError, Signal, SignalInfo, SiteToken,
+    ThreadError, ThreadId, VirtAddr, VirtDuration, VirtInstant,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -222,7 +222,6 @@ pub struct LinuxHwBackend {
     armed: Vec<ArmedWatch>,
     alive: Vec<ThreadId>,
     next_tid: u32,
-    charged_ns: u64,
 }
 
 impl Default for LinuxHwBackend {
@@ -239,7 +238,6 @@ impl LinuxHwBackend {
             armed: Vec::new(),
             alive: vec![ThreadId::MAIN],
             next_tid: 1,
-            charged_ns: 0,
         }
     }
 
@@ -253,16 +251,6 @@ impl LinuxHwBackend {
         close_breakpoint(fd as u64);
         Ok(())
     }
-
-    /// Total nanoseconds charged to the tool domain.
-    pub fn charged_ns(&self) -> u64 {
-        self.charged_ns
-    }
-
-    /// Number of descriptors currently armed.
-    pub fn armed_count(&self) -> usize {
-        self.armed.len()
-    }
 }
 
 impl Backend for LinuxHwBackend {
@@ -274,13 +262,12 @@ impl Backend for LinuxHwBackend {
 
     /// Zero: on real hardware the work *is* the cost; there is nothing
     /// to model on top.
-    fn tool_costs(&self) -> ToolCosts {
-        ToolCosts::ZERO
+    fn tool_costs(&self) -> &CostModel {
+        &CostModel::FREE_OF_CHARGE
     }
 
-    fn charge_tool(&mut self, ns: u64) {
-        self.charged_ns += ns;
-    }
+    /// Nothing to record: the costs are [`CostModel::FREE_OF_CHARGE`].
+    fn charge_tool(&mut self, _ns: u64) {}
 
     /// Polls every armed descriptor's event count and synthesizes one
     /// trap per increment. Site and access direction are unknown to the
@@ -428,11 +415,6 @@ impl LinuxHeap {
     /// Creates an empty heap.
     pub fn new() -> Self {
         LinuxHeap::default()
-    }
-
-    /// Number of live blocks.
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
     }
 }
 
@@ -666,7 +648,7 @@ mod tests {
         let p = HeapBackend::malloc(&mut h, &mut b, 64).unwrap();
         b.store_u64(p, 0xFEED).unwrap();
         assert_eq!(b.load_u64(p).unwrap(), 0xFEED);
-        assert_eq!(h.live_blocks(), 1);
+        assert_eq!(h.live.len(), 1);
         assert_eq!(HeapBackend::free(&mut h, &mut b, p).unwrap(), 64);
         assert_eq!(
             HeapBackend::free(&mut h, &mut b, p),
@@ -706,7 +688,7 @@ mod tests {
                     "hardware breakpoint should observe the write"
                 );
                 b.disarm_watch(WatchBackend::PerfEvent, fd);
-                assert_eq!(b.armed_count(), 0);
+                assert_eq!(b.armed.len(), 0);
             }
         }
     }

@@ -133,14 +133,6 @@ impl FastPathParams {
     /// an initial probability of 500,000 ppm.
     pub const DEFAULT_REFRESH: u32 = 64;
 
-    /// Parameters with the decision cache disabled (`refresh == 1`).
-    pub fn uncached() -> Self {
-        FastPathParams {
-            decision_cache_refresh: 1,
-            ..FastPathParams::default()
-        }
-    }
-
     /// Parameters with the paper-faithful free path: synchronous per-fd
     /// Figure-4 teardown and linear trap dispatch (Section III-D1). Used
     /// by the parity suites and as the bench comparison mode.
@@ -308,11 +300,6 @@ impl AnalysisPriors {
     /// Credits `accesses` certificate-covered accesses to `key`.
     pub fn observe_certificate(&mut self, key: ContextKey, accesses: u64) {
         self.detail.entry(key).or_default().certified_accesses += accesses;
-    }
-
-    /// The per-call-string detail recorded for `key`, if any.
-    pub fn detail_of(&self, key: ContextKey) -> Option<&CallStringPrior> {
-        self.detail.get(&key)
     }
 
     /// The initial watch probability this prior table assigns `key`
@@ -721,9 +708,11 @@ mod tests {
     #[test]
     fn fast_path_defaults_and_uncached_mode() {
         assert_eq!(FastPathParams::default().decision_cache_refresh, 64);
-        assert_eq!(FastPathParams::uncached().decision_cache_refresh, 1);
         let uncached = CsodConfig {
-            fast_path: FastPathParams::uncached(),
+            fast_path: FastPathParams {
+                decision_cache_refresh: 1,
+                ..FastPathParams::default()
+            },
             ..CsodConfig::default()
         };
         assert_eq!(uncached.validate(), Ok(()));
@@ -782,11 +771,11 @@ mod tests {
         priors.observe_context(k, RiskClass::Unknown);
         // Suspicious outranks both later and earlier verdicts.
         assert_eq!(priors.class_of(k), Some(RiskClass::Suspicious));
-        let d = priors.detail_of(k).unwrap();
+        let d = &priors.detail[&k];
         assert_eq!((d.contexts, d.proven_safe, d.suspicious), (3, 1, 1));
         priors.observe_certificate(k, 40);
         priors.observe_certificate(k, 2);
-        assert_eq!(priors.detail_of(k).unwrap().certified_accesses, 42);
+        assert_eq!(priors.detail[&k].certified_accesses, 42);
     }
 
     #[test]

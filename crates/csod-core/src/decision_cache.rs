@@ -245,21 +245,6 @@ impl DecisionCache {
         self.invalidate(sampler, current);
     }
 
-    /// The refresh interval this cache was built with.
-    pub fn refresh(&self) -> u32 {
-        self.refresh
-    }
-
-    /// Number of memoized contexts.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether the cache holds no memoized verdicts.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Behaviour counters since construction.
     pub fn stats(&self) -> DecisionCacheStats {
         self.stats
@@ -338,7 +323,7 @@ mod tests {
         cache.on_allocation(&mut u, ka, VirtInstant::BOOT, &mut rng, &ca, |_| {
             ContextJudgment::clear()
         });
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.live, 2);
         let inv_before = cache.stats().invalidations;
         // A watch on `a` bumps the epoch: the next use of *either* key
         // flushes the whole cache and re-reads the table.
@@ -417,7 +402,7 @@ mod tests {
         // epoch change, so it counts no invalidation.
         let inv = cache.stats().invalidations;
         cache.flush(&mut u);
-        assert!(cache.is_empty());
+        assert_eq!(cache.live, 0);
         assert_eq!(u.state(k).unwrap().alloc_count, 7);
         assert_eq!(cache.stats().invalidations, inv);
         // Flushing an empty cache is a no-op.

@@ -167,11 +167,6 @@ impl DegradationManager {
         }
     }
 
-    /// The parameters in effect.
-    pub fn params(&self) -> &DegradationParams {
-        &self.params
-    }
-
     /// The current detection tier.
     pub fn mode(&self) -> DetectionMode {
         self.mode
@@ -180,14 +175,6 @@ impl DegradationManager {
     /// Health counters.
     pub fn stats(&self) -> DegradationStats {
         self.stats
-    }
-
-    /// Whether `key` is currently benched.
-    pub fn is_quarantined(&self, key: ContextKey, now: VirtInstant) -> bool {
-        self.ctx_health
-            .get(&key)
-            .and_then(|h| h.quarantined_until)
-            .is_some_and(|until| now < until)
     }
 
     /// Gate in front of every install attempt. Returns `false` while the
@@ -434,15 +421,21 @@ mod tests {
             quarantined = m.on_install_failure(now, c, u32::MAX - 1).quarantined;
         }
         assert!(quarantined);
-        assert!(m.is_quarantined(c.key, now));
+        let is_quarantined = |m: &DegradationManager, key, at| {
+            m.ctx_health
+                .get(&key)
+                .and_then(|h| h.quarantined_until)
+                .is_some_and(|until| at < until)
+        };
+        assert!(is_quarantined(&m, c.key, now));
         assert!(!m.allows_install(now, c.key));
         assert_eq!(m.quarantined_contexts(now), 1);
         // Another context is unaffected (modulo global backoff).
         let other = candidate(&frames, "b");
-        assert!(!m.is_quarantined(other.key, now));
+        assert!(!is_quarantined(&m, other.key, now));
         // After the period the context is paroled.
         let later = now + DegradationParams::default().quarantine_period;
-        assert!(!m.is_quarantined(c.key, later));
+        assert!(!is_quarantined(&m, c.key, later));
         assert!(m.allows_install(later, c.key));
     }
 

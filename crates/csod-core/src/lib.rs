@@ -50,7 +50,7 @@ mod sampling;
 mod summary;
 mod watchpoints;
 
-pub use backend::{sim_heap, Backend, HeapBackend, NullBackend, NullHeap, ToolCosts};
+pub use backend::{sim_heap, Backend, HeapBackend, NullBackend, NullHeap};
 #[cfg(all(
     feature = "linux-hw",
     target_os = "linux",

@@ -44,11 +44,6 @@ impl MitigationPolicy {
         }
     }
 
-    /// The parameters this policy applies.
-    pub fn params(&self) -> &MitigationParams {
-        &self.params
-    }
-
     /// Confirms a context as overflowing. Returns `true` when the
     /// signature is new (first confirmation).
     pub fn confirm(&mut self, signature: &str) -> bool {
@@ -74,12 +69,6 @@ impl MitigationPolicy {
     /// Iterates the confirmed signatures in sorted order.
     pub fn confirmed(&self) -> impl Iterator<Item = &str> {
         self.confirmed.iter().map(String::as_str)
-    }
-
-    /// The hardened request size for `requested` bytes (see
-    /// [`MitigationParams::harden`]).
-    pub fn harden(&self, requested: u64) -> u64 {
-        self.params.harden(requested)
     }
 
     /// Admits a freed hardened object's real address to the quarantine.

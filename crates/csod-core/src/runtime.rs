@@ -17,7 +17,7 @@ use crate::sampling::{ContextJudgment, CtxId, SamplingUnit};
 use crate::watchpoints::{InstallOutcome, WatchCandidate, WatchpointManager, WatchpointStats};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use csod_persist::{RecordKind, Wal, WalRecord};
-use csod_rng::{Arc4Random, RngSlots, PPM_SCALE};
+use csod_rng::{Arc4Random, PPM_SCALE};
 use csod_trace::{
     Histogram, JsonlFileSink, MetricsRegistry, ThreadTracer, TraceEventKind, TraceStream, Tracer,
 };
@@ -91,6 +91,42 @@ struct AllocationRecord {
     /// memory goes through the free-quarantine instead of straight back
     /// to the allocator.
     mitigated: bool,
+}
+
+/// One simulated thread's allocation fast-path state, at the thread's
+/// dense id in [`Csod`]'s slot vector.
+#[derive(Debug)]
+struct ThreadSlot {
+    /// The thread's sampling generator: stream `tid` of the run seed,
+    /// the paper's per-thread `arc4random`.
+    rng: Arc4Random,
+    /// Memoizes sampling verdicts so the sampling unit decides only
+    /// every `fast_path.decision_cache_refresh` allocations per context
+    /// (or immediately after a probability-changing event).
+    cache: DecisionCache,
+}
+
+impl ThreadSlot {
+    fn new(config: &CsodConfig, tid: usize) -> Self {
+        ThreadSlot {
+            rng: Arc4Random::from_seed(config.seed, tid as u64),
+            cache: DecisionCache::new(config.fast_path.decision_cache_refresh),
+        }
+    }
+
+    /// The slot of thread `tid`, created (with every lower one) on
+    /// first use.
+    fn of<'a>(
+        threads: &'a mut Vec<ThreadSlot>,
+        config: &CsodConfig,
+        tid: ThreadId,
+    ) -> &'a mut ThreadSlot {
+        let i = tid.as_u32() as usize;
+        while threads.len() <= i {
+            threads.push(ThreadSlot::new(config, threads.len()));
+        }
+        &mut threads[i]
+    }
 }
 
 /// Live objects by user pointer — probed on every free. The index maps
@@ -329,14 +365,9 @@ pub struct Csod {
     /// Shared with the JSONL trap-report sink: lines whose durable
     /// flush happened only on sink drop (the crash path).
     flushed_on_drop: Arc<AtomicU64>,
-    /// Per-thread sampling generators, slot = dense thread id. No
-    /// hashing on the draw path.
-    rngs: RngSlots,
-    /// Per-thread decision caches, slot = dense thread id. Memoize
-    /// sampling verdicts so the sampling unit decides only every
-    /// `fast_path.decision_cache_refresh` allocations per context
-    /// (or immediately after a probability-changing event).
-    caches: Vec<DecisionCache>,
+    /// Per-thread generator and decision cache, slot = dense thread id.
+    /// No hashing on the allocation path.
+    threads: Vec<ThreadSlot>,
     /// The counters of the caches [`Csod::exit_thread`] reset.
     exited_caches: DecisionCacheStats,
     /// Live objects keyed by user pointer — probed on every free.
@@ -358,7 +389,9 @@ pub struct Csod {
     /// Observability: the per-thread event rings.
     tracer: Tracer,
     /// Per-thread writer handles, slot = dense thread id (the rings are
-    /// strictly single-writer; the slot layout mirrors `caches`).
+    /// strictly single-writer). A ring is registered when its thread
+    /// first emits, and the drain breaks timestamp ties in registration
+    /// order, so these stay apart from `threads`.
     thread_tracers: Vec<ThreadTracer>,
     /// Observability: the JSONL copy of every report
     /// ([`crate::TraceParams::trap_report_path`]).
@@ -445,8 +478,7 @@ impl Csod {
             wal: None,
             recovered_log,
             flushed_on_drop,
-            rngs: RngSlots::new(config.seed),
-            caches: Vec::new(),
+            threads: Vec::new(),
             exited_caches: DecisionCacheStats::default(),
             records: LiveObjects::default(),
             sites: HashMap::default(),
@@ -504,11 +536,6 @@ impl Csod {
                 self.trace_event(at, tid, TraceEventKind::DegradationExit, 0, 0);
             }
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &CsodConfig {
-        &self.config
     }
 
     /// The shared frame table.
@@ -730,12 +757,7 @@ impl Csod {
         let fast_path = costs.return_address + costs.ctx_lookup + costs.rng_draw;
         machine.charge_tool(fast_path);
 
-        let rng = self.rngs.get(tid.as_u32());
-        let cache = Self::cache_for(
-            &mut self.caches,
-            self.config.fast_path.decision_cache_refresh,
-            tid,
-        );
+        let ThreadSlot { rng, cache } = ThreadSlot::of(&mut self.threads, &self.config, tid);
         let mitigation = &self.mitigation;
         let frames = &self.frames;
         let sampling = &mut self.sampling;
@@ -769,19 +791,6 @@ impl Csod {
             self.trace_event(now, tid, TraceEventKind::Revive, ctx, ppm);
         }
         decision
-    }
-
-    /// The decision cache of thread `tid`, created on first use.
-    fn cache_for(
-        caches: &mut Vec<DecisionCache>,
-        refresh: u32,
-        tid: ThreadId,
-    ) -> &mut DecisionCache {
-        let i = tid.as_u32() as usize;
-        while caches.len() <= i {
-            caches.push(DecisionCache::new(refresh));
-        }
-        &mut caches[i]
     }
 
     /// Shared allocation epilogue: the watch attempt — the sampler's
@@ -866,7 +875,7 @@ impl Csod {
             return InstallOutcome::Rejected;
         }
         let sampling = &self.sampling;
-        let rng = self.rngs.get(tid.as_u32());
+        let rng = &mut ThreadSlot::of(&mut self.threads, &self.config, tid).rng;
         let outcome = self
             .watchpoints
             .consider(machine, candidate, rng, |k| sampling.probability_ppm(k));
@@ -1048,17 +1057,17 @@ impl Csod {
         // them out first keeps the syscall accounting honest.
         self.watchpoints.drain_teardowns(machine);
         self.watchpoints.forget_thread(tid);
-        if let Some(cache) = self.caches.get_mut(tid.as_u32() as usize) {
+        let i = tid.as_u32() as usize;
+        if let Some(slot) = self.threads.get_mut(i) {
             // The run keeps the thread's counters (the exit flush adds
             // none: it is no epoch invalidation).
-            self.exited_caches += cache.stats();
-            cache.flush(&mut self.sampling);
+            self.exited_caches += slot.cache.stats();
+            slot.cache.flush(&mut self.sampling);
             // Reset the slot so a thread id ever reused by the registry
-            // would start with a fresh cache, not the dead thread's
-            // memoized verdicts.
-            *cache = DecisionCache::new(self.config.fast_path.decision_cache_refresh);
+            // would start with a fresh cache and generator stream, not
+            // the dead thread's memoized verdicts and draws.
+            *slot = ThreadSlot::new(&self.config, i);
         }
-        self.rngs.release(tid.as_u32());
         machine.exit_thread(tid)
     }
 
@@ -1282,8 +1291,8 @@ impl Csod {
             return;
         }
         self.finished = true;
-        for cache in &mut self.caches {
-            cache.flush(&mut self.sampling);
+        for slot in &mut self.threads {
+            slot.cache.flush(&mut self.sampling);
         }
         self.poll(machine);
         self.sweep_canaries(machine);
@@ -1401,12 +1410,6 @@ impl Csod {
         &mut self.sampling
     }
 
-    /// The mitigation policy: confirmed-overflowing contexts and the
-    /// free-quarantine.
-    pub fn mitigation(&self) -> &MitigationPolicy {
-        &self.mitigation
-    }
-
     /// A handle to the flush-on-drop counter shared with the JSONL
     /// trap-report sink. Harnesses that deliberately drop the runtime
     /// without finishing (crash simulation) read it afterwards.
@@ -1419,27 +1422,14 @@ impl Csod {
         self.watchpoints.is_watched(user)
     }
 
-    /// The requested size of the live CSOD-managed object at `user`.
-    pub fn object_size(&self, user: VirtAddr) -> Option<u64> {
-        self.records.get(user).map(|r| r.requested)
-    }
-
     /// Aggregate decision-cache counters across all threads, exited
     /// ones included.
     pub fn decision_cache_stats(&self) -> DecisionCacheStats {
         let mut total = self.exited_caches;
-        for cache in &self.caches {
-            total += cache.stats();
+        for slot in &self.threads {
+            total += slot.cache.stats();
         }
         total
-    }
-
-    /// The per-object memory overhead in bytes for an object of
-    /// `requested` bytes under the current configuration (Table V):
-    /// 32-byte header + 8-byte canary in evidence mode, 8 boundary bytes
-    /// otherwise.
-    pub fn per_object_overhead(&self, requested: u64) -> u64 {
-        ObjectLayout::new(self.config.evidence, requested).total_size() - requested
     }
 
     // ----- observability ---------------------------------------------------------------
@@ -1705,11 +1695,9 @@ mod tests {
         f.csod.finish(&mut f.machine);
         assert!(!f.csod.detected());
         // Overhead is just the boundary word.
-        assert_eq!(f.csod.per_object_overhead(16), 8);
-        assert_eq!(
-            fixture(CsodConfig::default()).csod.per_object_overhead(16),
-            40
-        );
+        let overhead = |c: &Csod| ObjectLayout::new(c.config.evidence, 16).total_size() - 16;
+        assert_eq!(overhead(&f.csod), 8);
+        assert_eq!(overhead(&fixture(CsodConfig::default()).csod), 40);
     }
 
     #[test]
@@ -1814,7 +1802,7 @@ mod tests {
         );
         // The mitigated object's memory went to the quarantine, not the
         // allocator; draining releases it.
-        assert_eq!(f2.csod.mitigation().quarantined_objects(), 1);
+        assert_eq!(f2.csod.mitigation.quarantined_objects(), 1);
         let released = f2
             .csod
             .drain_quarantine(&mut f2.machine, &mut f2.heap)
@@ -1853,13 +1841,13 @@ mod tests {
             .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, q)
             .unwrap();
         assert_eq!(f.csod.stats().canary_free_hits, 0);
-        assert_eq!(f.csod.mitigation().quarantined_objects(), 1);
+        assert_eq!(f.csod.mitigation.quarantined_objects(), 1);
         // Unconfirmed contexts keep the plain layout and free path.
         let r = malloc(&mut f, "cold.c:9", 64);
         f.csod
             .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, r)
             .unwrap();
-        assert_eq!(f.csod.mitigation().quarantined_objects(), 1);
+        assert_eq!(f.csod.mitigation.quarantined_objects(), 1);
         f.csod
             .drain_quarantine(&mut f.machine, &mut f.heap)
             .unwrap();
@@ -1886,7 +1874,7 @@ mod tests {
         f.csod
             .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, q)
             .unwrap();
-        assert_eq!(f.csod.mitigation().quarantined_objects(), 0);
+        assert_eq!(f.csod.mitigation.quarantined_objects(), 0);
     }
 
     #[test]
@@ -1968,11 +1956,16 @@ mod tests {
             .unwrap();
         f.csod.free(&mut f.machine, &mut f.heap, worker, p).unwrap();
         let slot = worker.as_u32() as usize;
-        assert!(f.csod.caches[slot].stats().misses > 0);
+        assert!(f.csod.threads[slot].cache.stats().misses > 0);
         f.csod.exit_thread(&mut f.machine, worker).unwrap();
         // The dead thread's slot was reset, not left with stale state.
-        let s = f.csod.caches[slot].stats();
+        let s = f.csod.threads[slot].cache.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (0, 0, 0));
+        // Its generator restarts the thread's stream: the next draw is
+        // the first one of `(seed, tid)`.
+        let stream = u64::from(worker.as_u32());
+        let first = Arc4Random::from_seed(f.csod.config.seed, stream).next_u32();
+        assert_eq!(f.csod.threads[slot].rng.clone().next_u32(), first);
         // A respawned worker starts from a fresh cache and RNG slot even
         // if the registry ever handed the same dense index back.
         let worker2 = f.csod.spawn_thread(&mut f.machine);
@@ -1981,7 +1974,7 @@ mod tests {
             .malloc(&mut f.machine, &mut f.heap, worker2, 16, k, &c)
             .unwrap();
         let slot2 = worker2.as_u32() as usize;
-        assert!(f.csod.caches[slot2].stats().misses > 0);
+        assert!(f.csod.threads[slot2].cache.stats().misses > 0);
         f.csod
             .free(&mut f.machine, &mut f.heap, worker2, p2)
             .unwrap();
@@ -2034,7 +2027,7 @@ mod tests {
                     // One real overflow mid-run on a live object.
                     f.machine.set_current_site(ThreadId::MAIN, site);
                     let target = *live.last().unwrap();
-                    let size = f.csod.object_size(target).unwrap();
+                    let size = f.csod.records.get(target).unwrap().requested;
                     f.machine
                         .app_write(ThreadId::MAIN, target + size, 8)
                         .unwrap();
@@ -2127,7 +2120,7 @@ mod tests {
         let unit = CanaryUnit::new(0);
         let q = malloc(&mut f, "hot.c:3", 100);
         let laid_out = unit.read_header(&f.machine, q).unwrap().object_size;
-        assert_eq!(laid_out, f.csod.config().mitigation.harden(100));
+        assert_eq!(laid_out, f.csod.config.mitigation.harden(100));
         assert!(laid_out > 100);
         // memalign from the same context writes the same header, and the
         // canary sits where that size says.
@@ -2239,8 +2232,8 @@ mod tests {
             .unwrap();
         assert_eq!(f.machine.raw_load_u64(q).unwrap(), 0xFEED);
         assert_ne!(p, q);
-        assert_eq!(f.csod.object_size(q), Some(256));
-        assert_eq!(f.csod.object_size(p), None, "old object gone");
+        assert_eq!(f.csod.records.get(q).map(|r| r.requested), Some(256));
+        assert!(f.csod.records.get(p).is_none(), "old object gone");
         // The grown object's boundary is still guarded: either its
         // watchpoint fires (if the 25%-probability roll watched it) or
         // the canary evidence catches the over-write at exit.

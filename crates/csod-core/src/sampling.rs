@@ -69,15 +69,6 @@ impl ContextJudgment {
             mitigate: false,
         }
     }
-
-    /// The judgment for a confirmed-overflowing context: pinned and
-    /// mitigated.
-    pub const fn confirmed() -> Self {
-        ContextJudgment {
-            known_overflow: true,
-            mitigate: true,
-        }
-    }
 }
 
 /// Per-context sampling state.
@@ -235,16 +226,6 @@ impl SamplingUnit {
         }
     }
 
-    /// The sampling constants in effect.
-    pub fn params(&self) -> &SamplingParams {
-        &self.params
-    }
-
-    /// The static prior table in effect (empty when no analysis ran).
-    pub fn priors(&self) -> &AnalysisPriors {
-        &self.priors
-    }
-
     /// The current probability epoch. Any change to this value means
     /// memoized sampling verdicts may be stale and must be refreshed.
     pub fn epoch(&self) -> u64 {
@@ -324,7 +305,7 @@ impl SamplingUnit {
 
     /// The state of a context seen for the first time.
     fn first_sight(
-        &self,
+        &mut self,
         key: ContextKey,
         id: CtxId,
         now: VirtInstant,
@@ -569,11 +550,6 @@ impl SamplingUnit {
         Some(self.tree.materialize(self.get(key)?.node))
     }
 
-    /// The calling-context tree storing the full backtraces.
-    pub fn tree(&self) -> &ContextTree {
-        &self.tree
-    }
-
     /// State snapshot of `key`, if seen.
     pub fn state(&self, key: ContextKey) -> Option<CtxState> {
         self.get(key).cloned()
@@ -604,6 +580,12 @@ mod tests {
     use super::*;
     use csod_ctx::FrameTable;
     use sim_machine::VirtDuration;
+
+    /// A context a previous execution proved overflowing.
+    const CONFIRMED: ContextJudgment = ContextJudgment {
+        known_overflow: true,
+        mitigate: true,
+    };
 
     fn unit() -> SamplingUnit {
         SamplingUnit::new(SamplingParams::default())
@@ -700,11 +682,11 @@ mod tests {
         }
         assert_eq!(firsts, 1, "first_seen reported exactly once");
         assert_eq!(known_checks, 1, "evidence consulted exactly once");
-        let nodes_after_five = u.tree().node_count();
+        let nodes_after_five = u.tree.node_count();
         u.on_allocation(k, VirtInstant::BOOT, &mut rng, &c, |_| {
             ContextJudgment::clear()
         });
-        assert_eq!(u.tree().node_count(), nodes_after_five, "no re-interning");
+        assert_eq!(u.tree.node_count(), nodes_after_five, "no re-interning");
     }
 
     #[test]
@@ -1095,7 +1077,7 @@ mod tests {
             VirtInstant::BOOT,
             &mut rng,
             &ctx(&frames, "misjudged_site"),
-            |_| ContextJudgment::confirmed(),
+            |_| CONFIRMED,
         );
         assert!(d.wants_watch);
         assert_eq!(d.probability_ppm, PPM_SCALE);
@@ -1140,7 +1122,7 @@ mod tests {
         // A confirmed context recovered from the durability WAL is both
         // pinned and mitigated from its very first allocation.
         let d = u.on_allocation(k, VirtInstant::BOOT, &mut rng, &ctx(&frames, "a"), |_| {
-            ContextJudgment::confirmed()
+            CONFIRMED
         });
         assert!(d.wants_watch);
         assert!(d.mitigate);

@@ -53,16 +53,6 @@ impl WatchFilter {
         self.addrs.contains(&addr.as_u64())
     }
 
-    /// Number of watched addresses in the filter.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Whether nothing is watched.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
     fn insert(&mut self, addr: VirtAddr) {
         self.addrs.push(addr.as_u64());
     }
@@ -316,21 +306,6 @@ impl WatchpointManager {
         self.stats.teardowns_batched += fds.len() as u64;
         self.stats.teardown_batches += 1;
         machine.disarm_batch(self.backend, &fds);
-    }
-
-    /// Number of watchpoint slots this manager drives.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// The installation backend in effect.
-    pub fn backend(&self) -> WatchBackend {
-        self.backend
     }
 
     /// Whether at least one of the four slots is free.
@@ -1038,7 +1013,7 @@ mod tests {
         let (mut m, base) = machine_with_heap();
         let mut rng = Arc4Random::from_seed(1, 0);
         let mut w = manager(ReplacementPolicy::Naive);
-        assert!(w.filter().is_empty());
+        assert!(w.filter().addrs.is_empty());
         let a = candidate(&frames, base, 0, 10);
         let b = candidate(&frames, base, 1, 10);
         w.consider(&mut m, a, &mut rng, |_| None);
@@ -1050,7 +1025,7 @@ mod tests {
         assert!(!w.filter().contains(a.object_start));
         assert!(w.filter().contains(b.object_start));
         w.remove_all(&mut m);
-        assert!(w.filter().is_empty());
+        assert!(w.filter().addrs.is_empty());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use std::fmt;
 /// let frames = FrameTable::new();
 /// let site = frames.intern("gzip/gzip.c:804");
 /// let key = ContextKey::new(site, 0x40);
-/// assert_eq!(key.first_level(), site);
 /// assert_eq!(key.stack_offset(), 0x40);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,11 +40,6 @@ impl ContextKey {
             first_level,
             stack_offset,
         }
-    }
-
-    /// The statement that invoked the allocation routine.
-    pub fn first_level(&self) -> FrameId {
-        self.first_level
     }
 
     /// The stack offset disambiguating different call paths that share a

@@ -19,7 +19,6 @@
 use crate::context::CallingContext;
 use crate::frame::FrameId;
 use crate::key::mix64;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -27,13 +26,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Identifier of one node (= one full calling context) in the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CtxNodeId(u32);
-
-impl CtxNodeId {
-    /// The raw index.
-    pub const fn as_u32(self) -> u32 {
-        self.0
-    }
-}
 
 impl fmt::Display for CtxNodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -79,14 +71,8 @@ fn edge(parent: Option<CtxNodeId>, frame: FrameId) -> u64 {
     (u64::from(parent) << 32) | u64::from(frame.as_u32())
 }
 
-#[derive(Debug, Default)]
-struct TreeInner {
-    nodes: Vec<Node>,
-    /// [`edge`]`(parent, frame)` -> child, the path-compression map.
-    children: HashMap<u64, CtxNodeId, BuildHasherDefault<EdgeHasher>>,
-}
-
-/// A thread-safe calling-context tree.
+/// A calling-context tree. Its owner (the runtime's sampler) reaches it
+/// through `&mut` to intern, so it holds no lock.
 ///
 /// # Examples
 ///
@@ -94,7 +80,7 @@ struct TreeInner {
 /// use csod_ctx::{CallingContext, ContextTree, FrameTable};
 ///
 /// let frames = FrameTable::new();
-/// let tree = ContextTree::new();
+/// let mut tree = ContextTree::new();
 /// let a = CallingContext::from_locations(&frames, ["leaf_a.c:1", "mid.c:2", "main.c:3"]);
 /// let b = CallingContext::from_locations(&frames, ["leaf_b.c:9", "mid.c:2", "main.c:3"]);
 ///
@@ -108,7 +94,9 @@ struct TreeInner {
 /// ```
 #[derive(Debug, Default)]
 pub struct ContextTree {
-    inner: RwLock<TreeInner>,
+    nodes: Vec<Node>,
+    /// [`edge`]`(parent, frame)` -> child, the path-compression map.
+    children: HashMap<u64, CtxNodeId, BuildHasherDefault<EdgeHasher>>,
 }
 
 impl ContextTree {
@@ -123,28 +111,27 @@ impl ContextTree {
     /// # Panics
     ///
     /// Panics if `context` is empty — an empty backtrace has no identity.
-    pub fn intern(&self, context: &CallingContext) -> CtxNodeId {
+    pub fn intern(&mut self, context: &CallingContext) -> CtxNodeId {
         assert!(!context.is_empty(), "cannot intern an empty context");
-        let mut inner = self.inner.write();
         let mut parent: Option<CtxNodeId> = None;
         // Walk outermost (main) -> innermost (allocation statement).
         for frame in context.iter().rev() {
             let key = edge(parent, frame);
-            let id = match inner.children.get(&key) {
+            let id = match self.children.get(&key) {
                 Some(&id) => id,
                 None => {
-                    let id = u32::try_from(inner.nodes.len())
+                    let id = u32::try_from(self.nodes.len())
                         .ok()
                         .filter(|&id| id != NO_PARENT)
                         .expect("tree overflow");
                     let id = CtxNodeId(id);
-                    let depth = parent.map_or(1, |p| inner.nodes[p.0 as usize].depth + 1);
-                    inner.nodes.push(Node {
+                    let depth = parent.map_or(1, |p| self.nodes[p.0 as usize].depth + 1);
+                    self.nodes.push(Node {
                         frame,
                         parent,
                         depth,
                     });
-                    inner.children.insert(key, id);
+                    self.children.insert(key, id);
                     id
                 }
             };
@@ -159,39 +146,20 @@ impl ContextTree {
     ///
     /// Panics if `id` did not come from this tree.
     pub fn materialize(&self, id: CtxNodeId) -> CallingContext {
-        let inner = self.inner.read();
-        let mut frames = Vec::with_capacity(inner.nodes[id.0 as usize].depth as usize);
+        let mut frames = Vec::with_capacity(self.nodes[id.0 as usize].depth as usize);
         let mut cursor = Some(id);
         while let Some(node_id) = cursor {
-            let node = &inner.nodes[node_id.0 as usize];
+            let node = &self.nodes[node_id.0 as usize];
             frames.push(node.frame);
             cursor = node.parent;
         }
         CallingContext::new(frames)
     }
 
-    /// The innermost frame of the context behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this tree.
-    pub fn leaf_frame(&self, id: CtxNodeId) -> FrameId {
-        self.inner.read().nodes[id.0 as usize].frame
-    }
-
-    /// The depth (frame count) of the context behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this tree.
-    pub fn depth(&self, id: CtxNodeId) -> usize {
-        self.inner.read().nodes[id.0 as usize].depth as usize
-    }
-
     /// Total nodes stored — the compression metric: equals the number of
     /// *distinct* (frame, suffix) pairs rather than the sum of depths.
     pub fn node_count(&self) -> usize {
-        self.inner.read().nodes.len()
+        self.nodes.len()
     }
 }
 
@@ -207,19 +175,19 @@ mod tests {
     #[test]
     fn round_trips_and_idempotence() {
         let frames = FrameTable::new();
-        let tree = ContextTree::new();
+        let mut tree = ContextTree::new();
         let a = ctx(&frames, &["a.c:1", "b.c:2", "main.c:3"]);
         let id = tree.intern(&a);
         assert_eq!(tree.materialize(id), a);
         assert_eq!(tree.intern(&a), id);
-        assert_eq!(tree.depth(id), 3);
-        assert_eq!(tree.leaf_frame(id), a.first_level().unwrap());
+        assert_eq!(tree.nodes[id.0 as usize].depth, 3);
+        assert_eq!(tree.nodes[id.0 as usize].frame, a.first_level().unwrap());
     }
 
     #[test]
     fn suffix_sharing_compresses() {
         let frames = FrameTable::new();
-        let tree = ContextTree::new();
+        let mut tree = ContextTree::new();
         // 100 contexts, each "leaf_i -> dispatch -> main": 102 nodes,
         // not 300.
         for i in 0..100 {
@@ -235,7 +203,7 @@ mod tests {
     #[test]
     fn same_frame_in_different_positions_is_distinct() {
         let frames = FrameTable::new();
-        let tree = ContextTree::new();
+        let mut tree = ContextTree::new();
         let a = ctx(&frames, &["f.c:1", "main.c:2"]);
         let b = ctx(&frames, &["main.c:2", "f.c:1"]); // inverted
         let na = tree.intern(&a);
@@ -248,10 +216,10 @@ mod tests {
     #[test]
     fn single_frame_contexts() {
         let frames = FrameTable::new();
-        let tree = ContextTree::new();
+        let mut tree = ContextTree::new();
         let a = ctx(&frames, &["only.c:1"]);
         let id = tree.intern(&a);
-        assert_eq!(tree.depth(id), 1);
+        assert_eq!(tree.nodes[id.0 as usize].depth, 1);
         assert_eq!(tree.materialize(id), a);
     }
 
@@ -264,7 +232,7 @@ mod tests {
     #[test]
     fn prefix_contexts_get_distinct_ids() {
         let frames = FrameTable::new();
-        let tree = ContextTree::new();
+        let mut tree = ContextTree::new();
         // One context is a suffix-truncation of the other.
         let deep = ctx(&frames, &["x.c:1", "y.c:2", "main.c:3"]);
         let shallow = ctx(&frames, &["y.c:2", "main.c:3"]);
@@ -277,26 +245,18 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_interning_agrees() {
+    fn repeated_interning_agrees() {
         let frames = FrameTable::new();
-        let tree = ContextTree::new();
+        let mut tree = ContextTree::new();
         let contexts: Vec<CallingContext> = (0..50)
             .map(|i| ctx(&frames, &[&format!("l{i}.c:1"), "m.c:2", "main.c:3"]))
             .collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let contexts = &contexts;
-                    let tree = &tree;
-                    scope.spawn(move || contexts.iter().map(|c| tree.intern(c)).collect::<Vec<_>>())
-                })
-                .collect();
-            let results: Vec<Vec<CtxNodeId>> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            for r in &results[1..] {
-                assert_eq!(r, &results[0]);
-            }
-        });
+        let results: Vec<Vec<CtxNodeId>> = (0..4)
+            .map(|_| contexts.iter().map(|c| tree.intern(c)).collect())
+            .collect();
+        for r in &results[1..] {
+            assert_eq!(r, &results[0]);
+        }
         assert_eq!(tree.node_count(), 52);
     }
 }

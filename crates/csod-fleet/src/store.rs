@@ -124,16 +124,6 @@ impl FleetStore {
         })
     }
 
-    /// Distinct signatures known fleet-wide.
-    pub fn len(&self) -> usize {
-        self.inner.lock().evidence.len()
-    }
-
-    /// `true` when no signature has been merged yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The collapsed evidence state — one strongest [`WalRecord`] per
     /// signature in signature order — ready for a seed WAL or a
     /// checkpoint compaction.
@@ -195,7 +185,7 @@ mod tests {
         batched.merge(&contribution(&records[..2]));
         batched.merge(&contribution(&records[2..]));
         assert_eq!(naive.evidence(), batched.evidence());
-        assert_eq!(naive.len(), 3);
+        assert_eq!(naive.strongest_records().len(), 3);
         assert_eq!(batched.strongest_records(), naive.strongest_records());
     }
 
@@ -227,7 +217,7 @@ mod tests {
         let hot = one_chunk.get("hot.c:1").unwrap();
         assert_eq!(hot.kind, RecordKind::CanaryEvidence);
         assert_eq!(hot.boost_ppm, 600_000, "the highest boost any chunk saw");
-        assert_eq!(one_chunk.len(), 11);
+        assert_eq!(one_chunk.strongest_records().len(), 11);
     }
 
     #[test]

@@ -232,16 +232,6 @@ impl Strongest {
         }
     }
 
-    /// Distinct signatures absorbed so far.
-    pub fn len(&self) -> usize {
-        self.best.len()
-    }
-
-    /// `true` when nothing has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.best.is_empty()
-    }
-
     /// The strongest evidence recorded for `signature`, if any.
     pub fn get(&self, signature: &str) -> Option<(RecordKind, u32)> {
         self.best.get(signature).copied()
@@ -396,12 +386,10 @@ pub fn scan(bytes: &[u8]) -> RecoveredState {
 ///
 /// Opening, appending and syncing are best-effort in the spirit of the
 /// observability sinks: an unwritable path degrades to a no-op log
-/// rather than taking the traced process down ([`Wal::is_open`] tells).
+/// rather than taking the traced process down.
 #[derive(Debug)]
 pub struct Wal {
-    path: PathBuf,
     file: Option<File>,
-    appended: u64,
 }
 
 impl Wal {
@@ -422,36 +410,14 @@ impl Wal {
                 }
                 Some(f)
             });
-        Wal {
-            path: path.to_owned(),
-            file,
-            appended: 0,
-        }
-    }
-
-    /// The path this log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// `false` when the file could not be opened and appends are
-    /// dropped.
-    pub fn is_open(&self) -> bool {
-        self.file.is_some()
-    }
-
-    /// Records appended through this handle.
-    pub fn appended(&self) -> u64 {
-        self.appended
+        Wal { file }
     }
 
     /// Appends one record (best-effort, no sync).
     pub fn append(&mut self, rec: &WalRecord) {
         let encoded = encode_record(rec);
         if let Some(file) = self.file.as_mut() {
-            if file.write_all(&encoded).is_ok() {
-                self.appended += 1;
-            }
+            let _ = file.write_all(&encoded);
         }
     }
 
@@ -527,7 +493,7 @@ mod tests {
         let path = temp("roundtrip");
         let _ = fs::remove_file(&path);
         let mut wal = Wal::open(&path);
-        assert!(wal.is_open());
+        assert!(wal.file.is_some());
         let records = vec![
             rec(RecordKind::CanaryEvidence, "a.c:1|main.c:2"),
             rec(RecordKind::TrapSignature, "b.c:7|main.c:2"),
@@ -537,7 +503,6 @@ mod tests {
             wal.append(r);
         }
         wal.sync();
-        assert_eq!(wal.appended(), 3);
         let state = Wal::recover(&path);
         assert_eq!(state.records, records);
         assert_eq!(state.recovered, 3);
@@ -692,7 +657,7 @@ mod tests {
         // The collapse itself: max kind and max boost per signature.
         assert_eq!(forward.get("a"), Some((RecordKind::TrapSignature, 700_000)));
         assert_eq!(forward.get("b"), Some((RecordKind::Mitigated, 1_000_000)));
-        assert_eq!(forward.len(), 2);
+        assert_eq!(forward.best.len(), 2);
     }
 
     #[test]
@@ -767,9 +732,8 @@ mod tests {
     #[test]
     fn unwritable_path_degrades_silently() {
         let mut wal = Wal::open(Path::new("/nonexistent-dir/x/y.wal"));
-        assert!(!wal.is_open());
+        assert!(wal.file.is_none());
         wal.append(&rec(RecordKind::CanaryEvidence, "dropped.c:1"));
         wal.sync();
-        assert_eq!(wal.appended(), 0);
     }
 }

@@ -32,6 +32,7 @@ pub struct Arc4Random {
     buffer: [u32; 16],
     /// Next unread index in `buffer`; 16 means empty.
     cursor: usize,
+    /// Number of 32-bit draws so far, shown by `Debug`.
     draws: u64,
 }
 
@@ -115,49 +116,6 @@ impl Arc4Random {
             return false;
         }
         self.uniform(PPM_SCALE) < ppm
-    }
-
-    /// Fills `buf` with random bytes (`arc4random_buf(3)`).
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(4);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u32().to_le_bytes());
-        }
-        let rest = chunks.into_remainder();
-        if !rest.is_empty() {
-            let word = self.next_u32().to_le_bytes();
-            rest.copy_from_slice(&word[..rest.len()]);
-        }
-    }
-
-    /// Returns a uniform value in `[lo, hi]` (inclusive bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn range_inclusive(&mut self, lo: u32, hi: u32) -> u32 {
-        assert!(lo <= hi, "range_inclusive requires lo <= hi");
-        let span = hi - lo;
-        if span == u32::MAX {
-            return self.next_u32();
-        }
-        lo + self.uniform(span + 1)
-    }
-
-    /// Picks a uniformly random element of `items`.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            return None;
-        }
-        let index = self.uniform(u32::try_from(items.len()).expect("slice fits u32"));
-        items.get(index as usize)
-    }
-
-    /// Number of 32-bit draws made so far (fast-path cost accounting).
-    pub fn draws(&self) -> u64 {
-        self.draws
     }
 }
 
@@ -247,51 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_covers_every_length() {
-        let mut rng = Arc4Random::from_seed(8, 0);
-        for len in 0..40 {
-            let mut buf = vec![0u8; len];
-            rng.fill_bytes(&mut buf);
-            if len >= 8 {
-                // All-zero output of 8+ bytes is astronomically unlikely.
-                assert!(buf.iter().any(|&b| b != 0), "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn range_inclusive_bounds_hold() {
-        let mut rng = Arc4Random::from_seed(9, 0);
-        for _ in 0..1000 {
-            let v = rng.range_inclusive(10, 20);
-            assert!((10..=20).contains(&v));
-        }
-        assert_eq!(rng.range_inclusive(7, 7), 7);
-        // The full span does not overflow.
-        let _ = rng.range_inclusive(0, u32::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "lo <= hi")]
-    fn range_inclusive_rejects_inverted_bounds() {
-        Arc4Random::from_seed(1, 0).range_inclusive(5, 4);
-    }
-
-    #[test]
-    fn pick_selects_members() {
-        let mut rng = Arc4Random::from_seed(10, 0);
-        let items = [1, 2, 3];
-        for _ in 0..50 {
-            assert!(items.contains(rng.pick(&items).unwrap()));
-        }
-        assert_eq!(rng.pick::<u8>(&[]), None);
-    }
-
-    #[test]
     fn draws_counts_words() {
         let mut rng = Arc4Random::from_seed(2, 0);
         let _ = rng.next_u64();
-        assert_eq!(rng.draws(), 2);
+        assert_eq!(rng.draws, 2);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! directly shape the tool's overhead. The paper ports OpenBSD's
 //! `arc4random` and changes it to per-thread generation; this crate is
 //! that port in Rust: a buffered ChaCha8 generator ([`Arc4Random`]) with
-//! no global state on the draw path, plus [`with_thread_rng`]-style
-//! per-thread instances.
+//! owned state and no global state at all. The runtime keeps one
+//! generator per simulated thread, seeded `(config.seed, thread id)`.
 //!
 //! Probabilities are expressed in parts per million ([`PPM_SCALE`]) so
 //! that the paper's constants (50 %, 0.001 %, 0.0001 %, 0.01 %) are exact
@@ -26,7 +26,5 @@
 
 mod chacha;
 mod generator;
-mod per_thread;
 
 pub use generator::{Arc4Random, PPM_SCALE};
-pub use per_thread::{seed_process, thread_chance_ppm, thread_next_u32, with_thread_rng, RngSlots};

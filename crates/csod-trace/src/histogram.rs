@@ -66,11 +66,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Immutable point-in-time copy for serialization.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {

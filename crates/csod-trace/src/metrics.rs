@@ -54,21 +54,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Reads back a histogram snapshot.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
-    }
-
-    /// Number of metrics of all kinds.
-    pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
-    }
-
-    /// `true` when no metric has been set.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// One JSON object: `counters` and `gauges` as flat maps,
     /// `histograms` as objects with count/sum/min/max/mean/p50/p99 and
     /// the non-empty `(le, count)` buckets.
@@ -195,9 +180,11 @@ mod tests {
         let reg = sample_registry();
         assert_eq!(reg.counter("csod_traps_total"), Some(2));
         assert_eq!(reg.gauge("csod_slot_occupancy"), Some(0.75));
-        assert_eq!(reg.histogram("csod_watch_lifetime_ns").unwrap().count, 2);
+        assert_eq!(reg.histograms["csod_watch_lifetime_ns"].count, 2);
         assert_eq!(reg.counter("missing"), None);
-        assert_eq!(reg.len(), 4);
-        assert!(!reg.is_empty());
+        assert_eq!(
+            reg.counters.len() + reg.gauges.len() + reg.histograms.len(),
+            4
+        );
     }
 }

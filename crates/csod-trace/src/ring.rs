@@ -202,16 +202,6 @@ pub struct ThreadTracer {
 }
 
 impl ThreadTracer {
-    /// The dense thread id this handle writes as.
-    pub fn thread(&self) -> u32 {
-        self.thread
-    }
-
-    /// Total events ever pushed through this handle.
-    pub fn emitted(&self) -> u64 {
-        self.ring.head.load(Ordering::Relaxed)
-    }
-
     /// Appends one event. Wait-free: one claim store, four data
     /// stores, one commit store, evicting the oldest event when the
     /// ring is full.
@@ -285,7 +275,7 @@ mod tests {
         assert_eq!(stream.events.len(), 4);
         assert_eq!(stream.dropped, 6);
         assert_eq!(stream.events[0].at_ns, 6, "oldest surviving event");
-        assert_eq!(h.emitted(), 10);
+        assert_eq!(h.ring.head.load(Ordering::Relaxed), 10);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,15 +20,13 @@ pub const FLUSH_EVERY_ENV: &str = "CSOD_TRACE_FLUSH_EVERY";
 /// rather than failing the traced program.
 ///
 /// Durability: lines written since the last durable sync are counted
-/// as *pending*. The [`FLUSH_EVERY_ENV`] knob (or
-/// [`JsonlFileSink::with_flush_every`]) syncs the file every N lines,
-/// and dropping the sink syncs whatever is still pending — so a
+/// as *pending*. The [`FLUSH_EVERY_ENV`] knob syncs the file every N
+/// lines, and dropping the sink syncs whatever is still pending — so a
 /// crashing host program loses at most the lines of one sync window,
 /// and the drop path reports how many lines it salvaged through the
 /// shared counter.
 #[derive(Debug)]
 pub struct JsonlFileSink {
-    path: PathBuf,
     file: Option<File>,
     /// Lines written since the last durable sync.
     pending: u64,
@@ -48,7 +46,6 @@ impl JsonlFileSink {
             .and_then(|v| v.trim().parse::<u64>().ok())
             .filter(|&n| n > 0);
         JsonlFileSink {
-            path: path.to_owned(),
             file,
             pending: 0,
             flush_every,
@@ -63,28 +60,6 @@ impl JsonlFileSink {
         let mut sink = JsonlFileSink::new(path);
         sink.drop_counter = Some(counter);
         sink
-    }
-
-    /// Overrides the periodic-sync interval (`0` disables it),
-    /// regardless of the environment.
-    pub fn with_flush_every(mut self, every: u64) -> JsonlFileSink {
-        self.flush_every = (every > 0).then_some(every);
-        self
-    }
-
-    /// The path this sink writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// `false` when the file could not be opened and writes are dropped.
-    pub fn is_open(&self) -> bool {
-        self.file.is_some()
-    }
-
-    /// Lines written since the last durable sync.
-    pub fn pending(&self) -> u64 {
-        self.pending
     }
 
     /// Appends one record, already serialized without its trailing
@@ -136,8 +111,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut sink = JsonlFileSink::new(&path);
-            assert!(sink.is_open());
-            assert_eq!(sink.path(), path.as_path());
+            assert!(sink.file.is_some());
             sink.write_line("{\"n\":1}");
             sink.write_line("{\"n\":2}");
             sink.flush();
@@ -157,7 +131,7 @@ mod tests {
             let mut sink = JsonlFileSink::with_drop_counter(&path, Arc::clone(&counter));
             sink.write_line("{\"n\":1}");
             sink.write_line("{\"n\":2}");
-            assert_eq!(sink.pending(), 2);
+            assert_eq!(sink.pending, 2);
             // No explicit flush: the drop path must salvage both lines.
         }
         assert_eq!(counter.load(Ordering::Relaxed), 2);
@@ -178,7 +152,7 @@ mod tests {
             let mut sink = JsonlFileSink::with_drop_counter(&path, Arc::clone(&counter));
             sink.write_line("{\"n\":1}");
             sink.flush();
-            assert_eq!(sink.pending(), 0);
+            assert_eq!(sink.pending, 0);
         }
         assert_eq!(
             counter.load(Ordering::Relaxed),
@@ -197,12 +171,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let counter = Arc::new(AtomicU64::new(0));
         {
-            let mut sink =
-                JsonlFileSink::with_drop_counter(&path, Arc::clone(&counter)).with_flush_every(2);
+            let mut sink = JsonlFileSink::with_drop_counter(&path, Arc::clone(&counter));
+            sink.flush_every = Some(2);
             sink.write_line("a");
-            assert_eq!(sink.pending(), 1);
+            assert_eq!(sink.pending, 1);
             sink.write_line("b"); // hits the interval → durable sync
-            assert_eq!(sink.pending(), 0);
+            assert_eq!(sink.pending, 0);
             sink.write_line("c"); // one line left pending for the drop path
         }
         assert_eq!(counter.load(Ordering::Relaxed), 1);
@@ -212,7 +186,7 @@ mod tests {
     #[test]
     fn unwritable_path_degrades_silently() {
         let mut sink = JsonlFileSink::new(Path::new("/nonexistent-dir/x/y.jsonl"));
-        assert!(!sink.is_open());
+        assert!(sink.file.is_none());
         sink.write_line("dropped");
         sink.flush();
     }

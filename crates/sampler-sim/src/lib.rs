@@ -178,11 +178,6 @@ impl Sampler {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &SamplerConfig {
-        &self.config
-    }
-
     /// Interposed `malloc` of the custom allocator: pads the request
     /// with a guard zone and records the bounds.
     ///

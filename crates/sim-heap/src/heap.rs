@@ -120,11 +120,6 @@ impl SimHeap {
         })
     }
 
-    /// The heap configuration.
-    pub fn config(&self) -> HeapConfig {
-        self.config
-    }
-
     /// Allocates `size` bytes, 16-byte aligned.
     ///
     /// # Errors
@@ -277,12 +272,6 @@ impl SimHeap {
     /// Returns `true` if `addr` is the start of a live allocation.
     pub fn is_live(&self, addr: VirtAddr) -> bool {
         self.live.contains_key(&addr.as_u64())
-    }
-
-    /// Iterates over the starting addresses of all live allocations, in
-    /// unspecified order.
-    pub fn live_addrs(&self) -> impl Iterator<Item = VirtAddr> + '_ {
-        self.live.keys().map(|&raw| VirtAddr::new(raw))
     }
 
     /// Allocation statistics.
@@ -500,7 +489,7 @@ mod tests {
         let a = h.malloc(&mut m, 8).unwrap();
         let b = h.malloc(&mut m, 8).unwrap();
         h.free(&mut m, a).unwrap();
-        let live: Vec<_> = h.live_addrs().collect();
-        assert_eq!(live, vec![b]);
+        let live: Vec<_> = h.live.keys().copied().collect();
+        assert_eq!(live, vec![b.as_u64()]);
     }
 }

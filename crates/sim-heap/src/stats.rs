@@ -53,16 +53,6 @@ impl HeapStats {
     pub fn live_objects(&self) -> u64 {
         self.allocs - self.frees
     }
-
-    /// Internal fragmentation ratio: rounded bytes over requested bytes at
-    /// the peak, or 1.0 when nothing was allocated.
-    pub fn peak_overhead_ratio(&self) -> f64 {
-        if self.peak_requested_bytes == 0 {
-            1.0
-        } else {
-            self.peak_in_use_bytes as f64 / self.peak_requested_bytes as f64
-        }
-    }
 }
 
 impl fmt::Display for HeapStats {
@@ -99,9 +89,10 @@ mod tests {
     #[test]
     fn overhead_ratio() {
         let mut s = HeapStats::default();
-        assert_eq!(s.peak_overhead_ratio(), 1.0);
+        assert_eq!((s.peak_in_use_bytes, s.peak_requested_bytes), (0, 0));
         s.on_alloc(10, 16);
-        assert!((s.peak_overhead_ratio() - 1.6).abs() < 1e-9);
+        // Rounded bytes over requested bytes at the peak: 16 / 10.
+        assert_eq!((s.peak_in_use_bytes, s.peak_requested_bytes), (16, 10));
     }
 
     #[test]

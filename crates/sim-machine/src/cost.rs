@@ -158,37 +158,36 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A zero-cost model; useful in unit tests that assert on behaviour
-    /// rather than timing.
-    pub fn free_of_charge() -> Self {
-        CostModel {
-            mem_access: 0,
-            app_compute: 0,
-            syscall: 0,
-            perf_event_open: 0,
-            malloc_base: 0,
-            free_base: 0,
-            ctx_lookup: 0,
-            rng_draw: 0,
-            return_address: 0,
-            full_backtrace: 0,
-            canary_write: 0,
-            canary_check: 0,
-            shadow_check: 0,
-            redzone_poison: 0,
-            quarantine: 0,
-            ptrace_attach: 0,
-            ptrace_poke: 0,
-            ptrace_detach: 0,
-            combined_watch: 0,
-            combined_watch_per_thread: 0,
-            teardown_batch: 0,
-            teardown_batch_per_fd: 0,
-            pmu_sample: 0,
-            csod_init: 0,
-            asan_init: 0,
-        }
-    }
+    /// A zero-cost model: the accounting of backends that model no cost
+    /// (the null and linux-hw backends), and of unit tests that assert
+    /// on behaviour rather than timing.
+    pub const FREE_OF_CHARGE: CostModel = CostModel {
+        mem_access: 0,
+        app_compute: 0,
+        syscall: 0,
+        perf_event_open: 0,
+        malloc_base: 0,
+        free_base: 0,
+        ctx_lookup: 0,
+        rng_draw: 0,
+        return_address: 0,
+        full_backtrace: 0,
+        canary_write: 0,
+        canary_check: 0,
+        shadow_check: 0,
+        redzone_poison: 0,
+        quarantine: 0,
+        ptrace_attach: 0,
+        ptrace_poke: 0,
+        ptrace_detach: 0,
+        combined_watch: 0,
+        combined_watch_per_thread: 0,
+        teardown_batch: 0,
+        teardown_batch_per_fd: 0,
+        pmu_sample: 0,
+        csod_init: 0,
+        asan_init: 0,
+    };
 }
 
 /// Accumulated virtual time, split by [`CostDomain`], plus event counts
@@ -372,7 +371,7 @@ mod tests {
         assert!(m.perf_event_open > m.syscall);
         assert!(m.syscall > m.malloc_base);
         assert!(m.full_backtrace > m.ctx_lookup);
-        let zero = CostModel::free_of_charge();
+        let zero = CostModel::FREE_OF_CHARGE;
         assert_eq!(zero.syscall, 0);
     }
 }

@@ -90,11 +90,6 @@ impl DebugRegisterFile {
         self.slots.iter().filter(|s| s.is_none()).count()
     }
 
-    /// Iterates over the descriptors currently holding registers.
-    pub fn occupants(&self) -> impl Iterator<Item = Fd> + '_ {
-        self.slots.iter().filter_map(|s| s.map(|(fd, _)| fd))
-    }
-
     /// Iterates over the occupied slots with the ranges they watch.
     pub fn armed(&self) -> impl Iterator<Item = (Fd, AddrRange)> + '_ {
         self.slots.iter().filter_map(|s| *s)
@@ -105,13 +100,6 @@ impl DebugRegisterFile {
     /// overlap it cannot hit any register.
     pub fn bounds(&self) -> Option<AddrRange> {
         self.bounds
-    }
-
-    /// Returns `true` if `fd` holds one of the registers.
-    pub fn holds(&self, fd: Fd) -> bool {
-        self.slots
-            .iter()
-            .any(|s| s.is_some_and(|(held, _)| held == fd))
     }
 }
 
@@ -181,10 +169,8 @@ mod tests {
     fn holds_and_occupants() {
         let mut regs = DebugRegisterFile::new();
         let fd = Fd::from_raw(7);
-        assert!(!regs.holds(fd));
+        assert_eq!(regs.armed().count(), 0);
         regs.claim(fd, range(0xF00)).unwrap();
-        assert!(regs.holds(fd));
-        assert_eq!(regs.occupants().collect::<Vec<_>>(), vec![fd]);
         assert_eq!(regs.armed().collect::<Vec<_>>(), vec![(fd, range(0xF00))]);
     }
 

@@ -61,7 +61,6 @@ pub struct Machine {
     perf: PerfSubsystem,
     pending: VecDeque<SignalInfo>,
     current_site: HashMap<ThreadId, SiteToken>,
-    traps_fired: u64,
     /// PMU access-sampling: sample every Nth application access.
     pmu_period: Option<u64>,
     pmu_countdown: u64,
@@ -125,7 +124,6 @@ impl Machine {
             perf: PerfSubsystem::new(),
             pending: VecDeque::new(),
             current_site: HashMap::new(),
-            traps_fired: 0,
             pmu_period: None,
             pmu_countdown: 0,
             pmu_samples: VecDeque::new(),
@@ -211,28 +209,6 @@ impl Machine {
     /// Propagates [`MemoryError`] for invalid or overlapping mappings.
     pub fn map_region(&mut self, base: VirtAddr, len: u64, name: &str) -> Result<(), MemoryError> {
         self.mem.map_region(base, len, name)
-    }
-
-    /// Unmaps the region based at `base`.
-    pub fn unmap_region(&mut self, base: VirtAddr) -> bool {
-        self.mem.unmap_region(base)
-    }
-
-    /// Whether `[addr, addr+len)` is fully mapped.
-    #[inline]
-    pub fn is_mapped(&self, addr: VirtAddr, len: u64) -> bool {
-        self.mem.is_mapped(addr, len)
-    }
-
-    /// Total mapped bytes (virtual size).
-    pub fn mapped_bytes(&self) -> u64 {
-        self.mem.mapped_bytes()
-    }
-
-    /// Total bytes backed by touched pages (the resident-set analogue;
-    /// regions are demand-paged in 64 KiB chunks).
-    pub fn resident_bytes(&self) -> u64 {
-        self.mem.resident_bytes()
     }
 
     // ----- raw memory backdoor (no cost, no watchpoints) ----------------------
@@ -362,7 +338,6 @@ impl Machine {
             // The site lookup only matters once a trap actually fires —
             // keep it off the unwatched-access path.
             let site = self.site_of(tid);
-            self.traps_fired += 1;
             // The hardware trap happened either way; a fault plan can
             // still lose or postpone the *delivery* of the signal.
             if self.faults.as_mut().is_some_and(FaultPlan::drop_signal) {
@@ -731,11 +706,6 @@ impl Machine {
         self.perf.free_registers(tid)
     }
 
-    /// The watched range of an open descriptor.
-    pub fn watched_range(&self, fd: Fd) -> Option<AddrRange> {
-        self.perf.watched_range(fd)
-    }
-
     /// Currently open perf events.
     pub fn open_events(&self) -> usize {
         self.perf.open_events()
@@ -763,16 +733,6 @@ impl Machine {
     pub fn has_pending_signals(&self) -> bool {
         let now = self.clock.now();
         !self.pending.is_empty() || self.delayed.iter().any(|&(due, _)| due <= now)
-    }
-
-    /// Raises a signal programmatically (e.g. the program calls `abort`).
-    pub fn raise(&mut self, info: SignalInfo) {
-        self.pending.push_back(info);
-    }
-
-    /// Total watchpoint traps fired since boot.
-    pub fn traps_fired(&self) -> u64 {
-        self.traps_fired
     }
 }
 
@@ -805,7 +765,6 @@ mod tests {
         m.app_write(ThreadId::MAIN, base, 64).unwrap();
         m.app_read(ThreadId::MAIN, base + 56, 8).unwrap();
         assert!(!m.has_pending_signals());
-        assert_eq!(m.traps_fired(), 0);
     }
 
     #[test]
@@ -823,7 +782,6 @@ mod tests {
         assert_eq!(s.site, SiteToken(42));
         assert_eq!(s.fault_addr, base + 64);
         assert_eq!(s.access, AccessKind::Read);
-        assert_eq!(m.traps_fired(), 1);
         assert!(!m.has_pending_signals(), "take_signals drains the queue");
     }
 
@@ -1066,11 +1024,14 @@ mod tests {
         let mut m = Machine::new();
         m.map_region(VirtAddr::new(0x10_0000), 256 << 20, "heap")
             .unwrap();
-        assert_eq!(m.mapped_bytes(), 256 << 20);
-        assert_eq!(m.resident_bytes(), 0, "mapping alone touches nothing");
+        assert_eq!(m.mem.mapped_bytes(), 256 << 20);
+        assert_eq!(m.mem.resident_bytes(), 0, "mapping alone touches nothing");
         m.raw_store_u64(VirtAddr::new(0x10_0000), 1).unwrap();
-        assert!(m.resident_bytes() > 0);
-        assert!(m.resident_bytes() < 1 << 20, "one chunk, not the region");
+        assert!(m.mem.resident_bytes() > 0);
+        assert!(
+            m.mem.resident_bytes() < 1 << 20,
+            "one chunk, not the region"
+        );
     }
 
     #[test]

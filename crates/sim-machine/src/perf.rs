@@ -396,11 +396,6 @@ impl PerfSubsystem {
     pub fn open_events(&self) -> usize {
         self.events.len()
     }
-
-    /// The watched address range of an open descriptor, if any.
-    pub fn watched_range(&self, fd: Fd) -> Option<AddrRange> {
-        self.events.get(&fd.0).map(|e| e.attr.range())
-    }
 }
 
 #[cfg(test)]
@@ -581,10 +576,11 @@ mod tests {
     fn watched_range_lookup() {
         let mut perf = PerfSubsystem::new();
         let fd = perf.open(attr(0xaaa8), ThreadId::MAIN).unwrap();
+        let watched_range = |fd: Fd| perf.events.get(&fd.0).map(|e| e.attr.range());
         assert_eq!(
-            perf.watched_range(fd),
+            watched_range(fd),
             Some(AddrRange::new(VirtAddr::new(0xaaa8), 8))
         );
-        assert_eq!(perf.watched_range(Fd::from_raw(999)), None);
+        assert_eq!(watched_range(Fd::from_raw(999)), None);
     }
 }

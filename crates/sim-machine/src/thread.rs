@@ -79,7 +79,6 @@ pub struct ThreadRegistry {
     /// Alive thread ids, in spawn order. The main thread is entry 0.
     alive: Vec<ThreadId>,
     next_id: u32,
-    peak_alive: usize,
 }
 
 impl Default for ThreadRegistry {
@@ -87,7 +86,6 @@ impl Default for ThreadRegistry {
         ThreadRegistry {
             alive: vec![ThreadId::MAIN],
             next_id: 1,
-            peak_alive: 1,
         }
     }
 }
@@ -103,7 +101,6 @@ impl ThreadRegistry {
         let id = ThreadId(self.next_id);
         self.next_id += 1;
         self.alive.push(id);
-        self.peak_alive = self.peak_alive.max(self.alive.len());
         id
     }
 
@@ -135,16 +132,6 @@ impl ThreadRegistry {
     pub fn alive(&self) -> impl Iterator<Item = ThreadId> + '_ {
         self.alive.iter().copied()
     }
-
-    /// Number of currently alive threads.
-    pub fn alive_count(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// The largest number of simultaneously alive threads observed.
-    pub fn peak_alive(&self) -> usize {
-        self.peak_alive
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +142,7 @@ mod tests {
     fn starts_with_main_thread() {
         let t = ThreadRegistry::new();
         assert!(t.is_alive(ThreadId::MAIN));
-        assert_eq!(t.alive_count(), 1);
+        assert_eq!(t.alive.len(), 1);
     }
 
     #[test]
@@ -192,16 +179,6 @@ mod tests {
     fn main_thread_cannot_exit() {
         let mut t = ThreadRegistry::new();
         assert_eq!(t.exit(ThreadId::MAIN), Err(ThreadError::MainThreadExit));
-    }
-
-    #[test]
-    fn peak_alive_tracks_high_water_mark() {
-        let mut t = ThreadRegistry::new();
-        let a = t.spawn();
-        let _b = t.spawn();
-        t.exit(a).unwrap();
-        assert_eq!(t.alive_count(), 2);
-        assert_eq!(t.peak_alive(), 3);
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl RestartOutcome {
         let s = &self.third.stats;
         s.canary_free_hits == 0 && s.canary_exit_hits == 0 && s.traps == 0
     }
-
-    /// The full closed loop held for this scenario.
-    pub fn passed(&self) -> bool {
-        self.detected_by_second() && self.mitigated_on_third() && self.third_run_clean()
-    }
 }
 
 /// Runs the workload once against the scenario's WAL. `kill` installs
@@ -275,7 +270,10 @@ mod tests {
         assert_eq!(out.killed_at, None);
         assert!(out.first_detected);
         assert!(out.second_recovered > 0, "compacted WAL was empty");
-        assert!(out.passed(), "loop failed: {out:?}");
+        assert!(
+            out.detected_by_second() && out.mitigated_on_third() && out.third_run_clean(),
+            "loop failed: {out:?}"
+        );
         // Mitigated from the first allocation: the second and third
         // executions never see corruption.
         assert!(!out.second_detected);
@@ -294,7 +292,10 @@ mod tests {
         };
         let out = run_restart_scenario(&cfg);
         assert!(out.killed_at.is_some(), "kill plan never fired");
-        assert!(out.passed(), "loop failed: {out:?}");
+        assert!(
+            out.detected_by_second() && out.mitigated_on_third() && out.third_run_clean(),
+            "loop failed: {out:?}"
+        );
         if out.torn_tail_planted {
             assert!(out.skipped_corrupt > 0, "torn tail was not skipped");
         }

@@ -2,8 +2,8 @@
 //!
 //! The trace [`Event`] language is deliberately low-level; this builder
 //! makes one-off scenarios (examples, regression tests, bug reports)
-//! readable: it tracks slots and sites by name, assigns threads, and
-//! yields the `(SiteRegistry, Vec<Event>)` pair the
+//! readable: it tracks slots and sites by name and yields the
+//! `(SiteRegistry, Vec<Event>)` pair the
 //! [`TraceRunner`](crate::TraceRunner) consumes.
 
 use crate::sites::SiteRegistry;
@@ -13,7 +13,8 @@ use sim_machine::{AccessKind, SiteToken};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Builder state. See [`ScenarioBuilder::new`].
+/// Builder state. See [`ScenarioBuilder::new`]. Every event runs on the
+/// main thread.
 #[derive(Debug)]
 pub struct ScenarioBuilder {
     registry: SiteRegistry,
@@ -21,8 +22,6 @@ pub struct ScenarioBuilder {
     slots: HashMap<String, usize>,
     alloc_sites: HashMap<String, usize>,
     access_sites: HashMap<String, SiteToken>,
-    threads: u8,
-    current_thread: u8,
 }
 
 impl ScenarioBuilder {
@@ -35,28 +34,7 @@ impl ScenarioBuilder {
             slots: HashMap::new(),
             alloc_sites: HashMap::new(),
             access_sites: HashMap::new(),
-            threads: 1,
-            current_thread: 0,
         }
-    }
-
-    /// Spawns an extra thread and switches subsequent events to it.
-    pub fn on_new_thread(&mut self) -> &mut Self {
-        self.events.push(Event::SpawnThread);
-        self.threads += 1;
-        self.current_thread = self.threads - 1;
-        self
-    }
-
-    /// Switches subsequent events to thread `index` (0 = main).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread has not been spawned.
-    pub fn on_thread(&mut self, index: u8) -> &mut Self {
-        assert!(index < self.threads, "thread {index} not spawned");
-        self.current_thread = index;
-        self
     }
 
     /// Allocates `size` bytes into the named object from the named
@@ -79,7 +57,7 @@ impl ScenarioBuilder {
             }
         };
         self.events.push(Event::Malloc {
-            thread: self.current_thread,
+            thread: 0,
             site: site_index,
             size,
             slot,
@@ -94,10 +72,7 @@ impl ScenarioBuilder {
     /// Panics if the object was never allocated.
     pub fn free(&mut self, object: &str) -> &mut Self {
         let slot = self.slot(object);
-        self.events.push(Event::Free {
-            thread: self.current_thread,
-            slot,
-        });
+        self.events.push(Event::Free { thread: 0, slot });
         self
     }
 
@@ -107,7 +82,7 @@ impl ScenarioBuilder {
         let slot = self.slot(object);
         let site = self.access_site(module, "use");
         self.events.push(Event::AccessBurst {
-            thread: self.current_thread,
+            thread: 0,
             slot,
             count,
             kind,
@@ -128,14 +103,14 @@ impl ScenarioBuilder {
         let slot = self.slot(object);
         let site = self.access_site(module, "overflow");
         self.events.push(Event::OverflowAccess {
-            thread: self.current_thread,
+            thread: 0,
             slot,
             kind,
             site,
         });
         if extent > 0 {
             self.events.push(Event::OverflowBurst {
-                thread: self.current_thread,
+                thread: 0,
                 slot,
                 count: extent,
                 kind,
@@ -145,46 +120,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// A use-after-free access to the named (already freed) object.
-    pub fn use_after_free(&mut self, object: &str, module: &str, kind: AccessKind) -> &mut Self {
-        let slot = self.slot(object);
-        let site = self.access_site(module, "dangling");
-        self.events.push(Event::DanglingAccess {
-            thread: self.current_thread,
-            slot,
-            offset: 0,
-            kind,
-            site,
-        });
-        self
-    }
-
-    /// Enters the named function on the current thread (registered on
-    /// first use). Pair with [`ScenarioBuilder::ret`]; the static
-    /// analyzer uses these edges to build call strings.
-    pub fn call(&mut self, function: &str) -> &mut Self {
-        let func = self.registry.add_function(function);
-        self.events.push(Event::Call {
-            thread: self.current_thread,
-            func,
-        });
-        self
-    }
-
-    /// Returns from the innermost open call on the current thread.
-    pub fn ret(&mut self) -> &mut Self {
-        self.events.push(Event::Return {
-            thread: self.current_thread,
-        });
-        self
-    }
-
     /// Non-heap CPU work.
     pub fn compute(&mut self, ops: u64) -> &mut Self {
-        self.events.push(Event::Compute {
-            thread: self.current_thread,
-            ops,
-        });
+        self.events.push(Event::Compute { thread: 0, ops });
         self
     }
 
@@ -253,49 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_are_tracked() {
-        let mut b = ScenarioBuilder::new("app");
-        b.malloc("x", "s", 8);
-        b.on_new_thread().malloc("y", "s", 8);
-        b.on_thread(0).free("x");
-        let (_, trace) = b.build();
-        assert!(matches!(trace[0], Event::Malloc { thread: 0, .. }));
-        assert!(matches!(trace[1], Event::SpawnThread));
-        assert!(matches!(trace[2], Event::Malloc { thread: 1, .. }));
-        assert!(matches!(trace[3], Event::Free { thread: 0, .. }));
-    }
-
-    #[test]
     #[should_panic(expected = "unknown object")]
     fn touching_unallocated_object_panics() {
         let mut b = ScenarioBuilder::new("app");
         b.touch("ghost", "app", AccessKind::Read, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not spawned")]
-    fn switching_to_missing_thread_panics() {
-        let mut b = ScenarioBuilder::new("app");
-        b.on_thread(1);
-    }
-
-    #[test]
-    fn use_after_free_flows_through() {
-        use sampler_sim::SamplerConfig;
-        let mut b = ScenarioBuilder::new("app");
-        b.malloc("buf", "s", 64)
-            .free("buf")
-            .use_after_free("buf", "app", AccessKind::Read);
-        let (registry, trace) = b.build();
-        let outcome = TraceRunner::new(
-            &registry,
-            ToolSpec::Sampler(SamplerConfig {
-                sample_period: 1,
-                ..SamplerConfig::default()
-            }),
-        )
-        .run(trace);
-        assert!(outcome.detected);
-        assert!(outcome.reports[0].contains("use-after-free"));
     }
 }

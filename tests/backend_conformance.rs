@@ -542,7 +542,11 @@ fn csod_runs_end_to_end_on_the_null_backend() {
 
     assert!(!csod.detected(), "nothing traps and no canary is corrupted");
     assert_eq!(csod.stats().frees, 64);
-    assert_eq!(backend.charged_ns(), 0, "ToolCosts::ZERO charges nothing");
+    assert_eq!(
+        backend.charged_ns(),
+        0,
+        "CostModel::FREE_OF_CHARGE charges nothing"
+    );
     assert_eq!(heap.live_blocks(), 0, "every block was freed");
     assert!(csod.distinct_contexts() >= 7);
 }

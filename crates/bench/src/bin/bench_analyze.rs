@@ -7,9 +7,7 @@
 //!
 //! * verdict rows and the % classified *unknown* before/after (the
 //!   headline: k = 2 must strictly reduce unknowns);
-//! * safe-segment certificates emitted and the accesses they cover,
-//!   with every certificate checked against the reference interpreter
-//!   (`certificate_violations` must be 0);
+//! * call strings interned at the default k;
 //! * wall-clock time of the full corpus sweep at each k.
 //!
 //! ```bash
@@ -18,10 +16,10 @@
 //! ```
 //!
 //! `--check <baseline>` re-runs the sweep and exits non-zero when the
-//! precision gates fail (no unknown reduction, a certificate violation)
-//! or the sweep slowed to more than twice the committed baseline.
+//! precision gate fails (no unknown reduction) or the sweep slowed to
+//! more than twice the committed baseline.
 
-use csod_analyze::{analyze_detailed, verify_certificates, DEFAULT_K};
+use csod_analyze::{analyze_detailed, DEFAULT_K};
 use csod_bench::{BenchArgs, Metrics};
 use csod_core::RiskClass;
 use std::time::Instant;
@@ -73,10 +71,6 @@ struct Sweep {
     unknown: u64,
     suspicious: u64,
     contexts: u64,
-    certificates: u64,
-    certified_accesses: u64,
-    summary_reuses: u64,
-    certificate_violations: u64,
     best_ms: f64,
 }
 
@@ -98,12 +92,7 @@ fn sweep(corpus: &[Workload], k: usize) -> Sweep {
                     RiskClass::ProvenSafe => {}
                 }
             }
-            fresh.contexts += analysis.stats.contexts as u64;
-            fresh.certificates += analysis.stats.certificates as u64;
-            fresh.certified_accesses += analysis.stats.certified_accesses;
-            fresh.summary_reuses += analysis.stats.summary_reuses;
-            fresh.certificate_violations +=
-                verify_certificates(&w.trace, &analysis.certificates).len() as u64;
+            fresh.contexts += analysis.contexts as u64;
         }
         fresh.best_ms = start.elapsed().as_secs_f64() * 1e3;
         if round == 0 {
@@ -146,13 +135,6 @@ fn measure() -> Metrics {
         ("unknown_pct_k2", pct(kd.unknown, kd.rows)),
         ("suspicious_rows_k2", kd.suspicious as f64),
         ("contexts_k2", kd.contexts as f64),
-        ("summary_reuses_k2", kd.summary_reuses as f64),
-        ("certificates_k2", kd.certificates as f64),
-        ("certified_accesses_k2", kd.certified_accesses as f64),
-        (
-            "certificate_violations",
-            (k0.certificate_violations + kd.certificate_violations) as f64,
-        ),
         ("analyze_ms_k0", k0.best_ms),
         ("analyze_ms_k2", kd.best_ms),
     ])
@@ -168,19 +150,10 @@ fn main() {
     );
 
     let mut failed = false;
-    // Deterministic gates, baseline or not: the default k must strictly
-    // reduce unknowns, certify something, and never emit a certificate
-    // the reference interpreter refutes.
+    // Deterministic gate, baseline or not: the default k must strictly
+    // reduce unknowns.
     if results.get("unknown_rows_k2") >= results.get("unknown_rows_k0") {
         eprintln!("FAIL: k = {DEFAULT_K} did not strictly reduce unknown rows");
-        failed = true;
-    }
-    if results.get("certificates_k2") == 0.0 {
-        eprintln!("FAIL: no safe-segment certificates emitted");
-        failed = true;
-    }
-    if results.get("certificate_violations") != 0.0 {
-        eprintln!("FAIL: the oracle refuted a certificate");
         failed = true;
     }
 

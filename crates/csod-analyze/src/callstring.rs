@@ -129,19 +129,6 @@ impl CtxAssignment {
     pub fn ctx_of(&self, thread: usize, stmt: usize) -> CtxId {
         self.stmt_ctx[thread][stmt]
     }
-
-    /// Innermost function executing at statement `stmt` in `thread`
-    /// (`None` at top level or when `k = 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range for the assigned program.
-    pub fn innermost_of(&self, thread: usize, stmt: usize) -> Option<usize> {
-        self.table
-            .string(self.stmt_ctx[thread][stmt])
-            .last()
-            .copied()
-    }
 }
 
 /// Assigns every statement and generation of `program` its k-limited
@@ -241,7 +228,6 @@ mod tests {
         assert_eq!(a.table.string(a.ctx_of(0, 3)), &[0, 1]);
         assert_eq!(a.table.string(a.ctx_of(0, 5)), &[0]);
         assert_eq!(a.gen_ctx[0], CtxId::ROOT);
-        assert_eq!(a.innermost_of(0, 3), Some(1));
         assert_eq!(a.table.render(a.ctx_of(0, 3), &reg), "f>g");
         assert_eq!(a.table.render(CtxId::ROOT, &reg), "-");
     }
@@ -284,7 +270,6 @@ mod tests {
         let a = assign(&p, 0);
         assert!(a.table.is_empty());
         assert_eq!(a.gen_ctx[0], CtxId::ROOT);
-        assert_eq!(a.innermost_of(0, 1), None);
     }
 
     #[test]

@@ -22,14 +22,10 @@
 //!
 //! At `k = 0` a widened summary proves nothing and the candidates
 //! demote to *Unknown* — exactly the context-insensitive behavior of
-//! earlier revisions. At `k > 0` two refinements engage: conclusive
-//! **function summaries** answer for every context reaching an access
-//! through the same innermost frame (see
-//! [`SummaryTable`]), and a widened
-//! per-context summary gets one **narrowing** iteration that restores
-//! the exact observed hull — so a context is Unknown only if its own
-//! access stream defeated summarization, not because unrelated
-//! contexts inflated a merged summary.
+//! earlier revisions. At `k > 0` a widened per-context summary gets one
+//! **narrowing** iteration that restores the exact observed hull, so a
+//! context is never Unknown because unrelated contexts inflated a
+//! merged summary.
 //!
 //! Uses-after-free are out of overflow scope (CSOD removes the
 //! watchpoint at `free`) and are skipped. The lattice is
@@ -61,19 +57,6 @@ pub struct CtxOutcome {
     pub witness: Option<String>,
 }
 
-/// Classifier output: the verdicts plus the summary-layer statistics
-/// the bench harness reports.
-#[derive(Debug)]
-pub struct Classification {
-    /// One verdict per (site, call string), ordered by site then
-    /// context id.
-    pub outcomes: Vec<CtxOutcome>,
-    /// Times a conclusive function summary answered for a context.
-    pub summary_reuses: u64,
-    /// Context-level summaries whose hull widened.
-    pub widened_summaries: usize,
-}
-
 pub(crate) fn rank(class: RiskClass) -> u8 {
     match class {
         RiskClass::ProvenSafe => 0,
@@ -83,8 +66,9 @@ pub(crate) fn rank(class: RiskClass) -> u8 {
 }
 
 /// Classifies every (allocation site, call string) of `program` under
-/// the context assignment `ctxs`.
-pub fn classify(program: &Program, bindings: &Bindings, ctxs: &CtxAssignment) -> Classification {
+/// the context assignment `ctxs`: one verdict per (site, call string),
+/// ordered by site then context id.
+pub fn classify(program: &Program, bindings: &Bindings, ctxs: &CtxAssignment) -> Vec<CtxOutcome> {
     // One row per (site, allocation context) observed in the trace;
     // never-allocated sites get a vacuous root row so every site of the
     // registry is covered.
@@ -119,9 +103,8 @@ pub fn classify(program: &Program, bindings: &Bindings, ctxs: &CtxAssignment) ->
     };
 
     // Pass 1: summarize ambiguous exact accesses per (token, slot,
-    // context) — and per innermost function when contexts exist.
-    // Iterate in program order (not map order) so summary folding — and
-    // with it the widening point — is deterministic.
+    // context). Iterate in program order (not map order) so summary
+    // folding — and with it the widening point — is deterministic.
     let mut summaries = SummaryTable::new();
     for (thread, stmts) in program.threads.iter().enumerate() {
         for (i, stmt) in stmts.iter().enumerate() {
@@ -139,14 +122,7 @@ pub fn classify(program: &Program, bindings: &Bindings, ctxs: &CtxAssignment) ->
                 continue;
             }
             let end = i128::from(offset.saturating_add(len));
-            summaries.fold(
-                token.0,
-                slot,
-                ctxs.ctx_of(thread, i),
-                ctxs.innermost_of(thread, i),
-                end,
-                ctxs.k > 0,
-            );
+            summaries.fold(token.0, slot, ctxs.ctx_of(thread, i), end);
         }
     }
 
@@ -224,27 +200,12 @@ pub fn classify(program: &Program, bindings: &Bindings, ctxs: &CtxAssignment) ->
                 // must be compared against the smallest object that
                 // group can put in the slot.
                 let mut min_size: HashMap<(usize, CtxId), u64> = HashMap::new();
-                let mut overall_min = u64::MAX;
                 for g in gens {
                     let gen = program.generation(*g);
                     min_size
                         .entry((gen.site, ctx_of_gen(g)))
                         .and_modify(|m| *m = (*m).min(gen.size))
                         .or_insert(gen.size);
-                    overall_min = overall_min.min(gen.size);
-                }
-                let innermost = ctxs.innermost_of(thread, i);
-                if ctxs.k > 0
-                    && summaries.reuse_proves_safe(
-                        innermost,
-                        token.0,
-                        slot,
-                        i128::from(overall_min),
-                    )
-                {
-                    // The function summary already bounds every context
-                    // of this access below the smallest candidate.
-                    continue;
                 }
                 let access_ctx = ctxs.ctx_of(thread, i);
                 let summary = summaries.ctx_summary(token.0, slot, access_ctx);
@@ -292,21 +253,14 @@ pub fn classify(program: &Program, bindings: &Bindings, ctxs: &CtxAssignment) ->
         }
     }
 
-    let summary_reuses = summaries.reuses;
-    let widened_summaries = summaries.widened_count();
-    Classification {
-        outcomes: rows
-            .into_iter()
-            .map(|((site, ctx), (class, witness))| CtxOutcome {
-                site,
-                ctx,
-                class,
-                witness,
-            })
-            .collect(),
-        summary_reuses,
-        widened_summaries,
-    }
+    rows.into_iter()
+        .map(|((site, ctx), (class, witness))| CtxOutcome {
+            site,
+            ctx,
+            class,
+            witness,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -330,7 +284,7 @@ mod tests {
         reg
     }
 
-    fn run_k(reg: &SiteRegistry, trace: &[Event], k: usize) -> Classification {
+    fn run_k(reg: &SiteRegistry, trace: &[Event], k: usize) -> Vec<CtxOutcome> {
         let program = lower(reg, trace);
         let cfg = Cfg::build(&program);
         let slots = analyze_slots(&program);
@@ -340,9 +294,8 @@ mod tests {
     }
 
     /// Worst class across the rows of one site.
-    fn site_class(c: &Classification, site: usize) -> RiskClass {
-        c.outcomes
-            .iter()
+    fn site_class(c: &[CtxOutcome], site: usize) -> RiskClass {
+        c.iter()
             .filter(|o| o.site == site)
             .map(|o| o.class)
             .max_by_key(|cl| rank(*cl))
@@ -379,11 +332,7 @@ mod tests {
         ];
         let c = run_k(&reg, &trace, 0);
         assert_eq!(site_class(&c, 0), RiskClass::Suspicious);
-        assert!(c.outcomes[0]
-            .witness
-            .as_deref()
-            .unwrap()
-            .contains("exceeds"));
+        assert!(c[0].witness.as_deref().unwrap().contains("exceeds"));
     }
 
     #[test]
@@ -459,12 +408,7 @@ mod tests {
         let c = run_k(&reg, &widening_trace(false), 0);
         assert_eq!(site_class(&c, 0), RiskClass::Unknown);
         assert_eq!(site_class(&c, 1), RiskClass::Unknown);
-        assert!(c.outcomes[0]
-            .witness
-            .as_deref()
-            .unwrap()
-            .contains("widened"));
-        assert_eq!(c.widened_summaries, 1);
+        assert!(c[0].witness.as_deref().unwrap().contains("widened"));
     }
 
     #[test]
@@ -483,7 +427,7 @@ mod tests {
         let reg = registry(3);
         let trace = vec![Event::malloc(0, 8, 0)];
         let c = run_k(&reg, &trace, 0);
-        let row = c.outcomes.iter().find(|o| o.site == 2).unwrap();
+        let row = c.iter().find(|o| o.site == 2).unwrap();
         assert_eq!(row.class, RiskClass::ProvenSafe);
         assert!(row.witness.as_deref().unwrap().contains("never allocated"));
     }
@@ -506,19 +450,14 @@ mod tests {
             Event::ret(),
         ];
         let c = run_k(&reg, &trace, 1);
-        let classes: Vec<RiskClass> = c
-            .outcomes
-            .iter()
-            .filter(|o| o.site == 0)
-            .map(|o| o.class)
-            .collect();
+        let classes: Vec<RiskClass> = c.iter().filter(|o| o.site == 0).map(|o| o.class).collect();
         assert_eq!(classes.len(), 2);
         assert!(classes.contains(&RiskClass::ProvenSafe));
         assert!(classes.contains(&RiskClass::Suspicious));
         // At k = 0 the contexts merge into one suspicious row.
         let c0 = run_k(&reg, &trace, 0);
-        assert_eq!(c0.outcomes.len(), 1);
-        assert_eq!(c0.outcomes[0].class, RiskClass::Suspicious);
+        assert_eq!(c0.len(), 1);
+        assert_eq!(c0[0].class, RiskClass::Suspicious);
     }
 
     #[test]

@@ -51,19 +51,6 @@ pub enum AccessRange {
     PastEnd,
 }
 
-impl AccessRange {
-    /// Exclusive upper byte bound of the access for an object of
-    /// `size` bytes, as the runner would perform it.
-    pub fn end(&self, size: u64) -> u64 {
-        match self {
-            AccessRange::Exact { offset, len } => offset.saturating_add(*len),
-            AccessRange::FirstWord => size.min(8),
-            // One word past the 8-byte-aligned boundary.
-            AccessRange::PastEnd => size.max(1).div_ceil(8) * 8 + 8,
-        }
-    }
-}
-
 /// The operation a statement performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StmtKind {
@@ -354,17 +341,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn access_range_ends_match_runner_semantics() {
-        assert_eq!(AccessRange::Exact { offset: 8, len: 8 }.end(64), 16);
-        assert_eq!(AccessRange::FirstWord.end(4), 4);
-        assert_eq!(AccessRange::FirstWord.end(100), 8);
-        // 13 bytes round up to a 16-byte watch boundary; the overflow
-        // word is the 8 bytes past it.
-        assert_eq!(AccessRange::PastEnd.end(13), 24);
-        assert_eq!(AccessRange::PastEnd.end(0), 16);
     }
 
     #[test]

@@ -21,15 +21,13 @@
 //! | Pointer-slot escape analysis | [`escape`] |
 //! | Flow-sensitive binding resolution | [`cfg::resolve_bindings`] |
 //! | Interval bounds inference + summaries | [`domain`], [`summaries`], [`classify`] |
-//! | Safe-segment certificates | [`certify`] |
 //! | Serializable verdicts + runtime bridge | [`report`] |
 //!
 //! The classification is *sound* by construction toward the dangerous
 //! side: precision loss (escaped slots, widened summaries) can only
 //! move a site from proven-safe to unknown/suspicious, never the other
 //! way. [`oracle`] provides the reference interpreter the test tiers
-//! use to enforce that — per verdict *and* per certificate (see
-//! [`certify::verify_certificates`]).
+//! use to enforce that: no site it sees overflow may be proven safe.
 //!
 //! # Examples
 //!
@@ -53,7 +51,6 @@
 #![warn(clippy::missing_panics_doc)]
 
 pub mod callstring;
-pub mod certify;
 pub mod cfg;
 pub mod classify;
 pub mod domain;
@@ -64,13 +61,12 @@ pub mod report;
 pub mod summaries;
 
 pub use callstring::{CtxAssignment, CtxId, CtxTable};
-pub use certify::{verify_certificates, Certificate};
 pub use cfg::{Binding, Bindings, Cfg};
-pub use classify::{Classification, CtxOutcome, WIDEN_AFTER};
+pub use classify::{CtxOutcome, WIDEN_AFTER};
 pub use domain::{Bound, Interval};
 pub use escape::{SlotInfo, SlotTable};
 pub use ir::{AccessRange, GenId, Generation, Program};
-pub use report::{CertRecord, RiskReport, SiteVerdict};
+pub use report::{RiskReport, SiteVerdict};
 pub use summaries::{AccessSummary, SummaryTable};
 
 use workloads::{Event, SiteRegistry};
@@ -80,36 +76,14 @@ use workloads::{Event, SiteRegistry};
 /// blow-up.
 pub const DEFAULT_K: usize = 2;
 
-/// Summary statistics of one analysis run, reported by the bench
-/// harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnalyzeStats {
-    /// The call-string limit the run used.
-    pub k: usize,
-    /// Distinct k-limited call strings interned.
-    pub contexts: usize,
-    /// Times a conclusive function summary answered for a context
-    /// without consulting its per-context summary.
-    pub summary_reuses: u64,
-    /// Context-level access summaries whose hull widened.
-    pub widened_summaries: usize,
-    /// Safe-segment certificates emitted.
-    pub certificates: usize,
-    /// Total accesses the certificates cover.
-    pub certified_accesses: u64,
-}
-
-/// Full output of [`analyze_detailed`]: the report plus the
-/// pre-serialization certificates and run statistics.
+/// Full output of [`analyze_detailed`]: the report plus the number of
+/// call strings the run interned.
 #[derive(Debug)]
 pub struct Analysis {
-    /// The serializable verdicts and certificates.
+    /// The serializable verdicts.
     pub report: RiskReport,
-    /// The certificates in trace coordinates (what
-    /// [`certify::verify_certificates`] consumes).
-    pub certificates: Vec<Certificate>,
-    /// Statistics of the run.
-    pub stats: AnalyzeStats,
+    /// Distinct k-limited call strings interned.
+    pub contexts: usize,
 }
 
 /// Runs the whole pipeline at [`DEFAULT_K`]: lowers `trace`, resolves
@@ -125,28 +99,17 @@ pub fn analyze_with_k(registry: &SiteRegistry, trace: &[Event], k: usize) -> Ris
     analyze_detailed(registry, trace, k).report
 }
 
-/// The full pipeline with certificates and statistics exposed.
+/// The full pipeline with the context count exposed.
 pub fn analyze_detailed(registry: &SiteRegistry, trace: &[Event], k: usize) -> Analysis {
     let program = ir::lower(registry, trace);
     let cfg = Cfg::build(&program);
     let ctxs = callstring::assign(&program, k);
     let slots = escape::analyze_slots(&program);
     let bindings = cfg::resolve_bindings(&program, &cfg, &slots);
-    let classification = classify::classify(&program, &bindings, &ctxs);
-    let certificates = certify::certify(&program, &bindings, &ctxs);
-    let stats = AnalyzeStats {
-        k,
-        contexts: ctxs.table.len(),
-        summary_reuses: classification.summary_reuses,
-        widened_summaries: classification.widened_summaries,
-        certificates: certificates.len(),
-        certified_accesses: certificates.iter().map(|c| c.accesses as u64).sum(),
-    };
-    let report = RiskReport::assemble(registry, &ctxs, classification.outcomes, &certificates, k);
+    let outcomes = classify::classify(&program, &bindings, &ctxs);
     Analysis {
-        report,
-        certificates,
-        stats,
+        report: RiskReport::assemble(registry, &ctxs, outcomes, k),
+        contexts: ctxs.table.len(),
     }
 }
 
@@ -187,21 +150,5 @@ mod tests {
         let a = analyze(&registry, &app.trace(7));
         let b = analyze(&registry, &app.trace(7));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn certificates_survive_the_report_round_trip() {
-        let app = &BuggyApp::all()[0];
-        let registry = app.registry();
-        let trace = app.trace(1);
-        let analysis = analyze_detailed(&registry, &trace, DEFAULT_K);
-        assert_eq!(
-            analysis.stats.certificates,
-            analysis.report.certificates.len()
-        );
-        // The report-level differential check agrees with the
-        // certificate-level one.
-        assert!(verify_certificates(&trace, &analysis.certificates).is_empty());
-        assert!(analysis.report.verify(&trace).is_empty());
     }
 }

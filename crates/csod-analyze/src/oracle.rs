@@ -51,66 +51,6 @@ pub fn overflowed_sites(trace: &[Event]) -> BTreeSet<usize> {
     hit
 }
 
-/// Replays `trace` and returns the sequence numbers of every access
-/// event the interpreter saw fault: an `Access` whose as-written range
-/// exceeds the live object, an overflow event on a live slot, or a
-/// dangling access. The certificate differential harness intersects
-/// this set with the ranges the analyzer certified safe.
-pub fn faulting_access_seqs(trace: &[Event]) -> BTreeSet<usize> {
-    let mut live: HashMap<usize, u64> = HashMap::new(); // slot -> size
-    let mut faults = BTreeSet::new();
-    for (seq, event) in trace.iter().enumerate() {
-        match *event {
-            Event::Malloc { size, slot, .. } => {
-                live.insert(slot, size);
-            }
-            Event::Free { slot, .. } => {
-                live.remove(&slot);
-            }
-            Event::OverflowAccess { slot, .. } | Event::OverflowBurst { slot, .. }
-                if live.contains_key(&slot) =>
-            {
-                faults.insert(seq);
-            }
-            Event::Access {
-                slot, offset, len, ..
-            } => {
-                if let Some(&size) = live.get(&slot) {
-                    if offset.saturating_add(len) > size {
-                        faults.insert(seq);
-                    }
-                }
-            }
-            Event::DanglingAccess { .. } => {
-                faults.insert(seq);
-            }
-            _ => {}
-        }
-    }
-    faults
-}
-
-/// The executing thread of each event, indexed by sequence number
-/// (spawns and waits belong to the main thread).
-pub fn event_threads(trace: &[Event]) -> Vec<usize> {
-    trace
-        .iter()
-        .map(|event| match *event {
-            Event::Malloc { thread, .. }
-            | Event::Free { thread, .. }
-            | Event::Access { thread, .. }
-            | Event::AccessBurst { thread, .. }
-            | Event::OverflowAccess { thread, .. }
-            | Event::OverflowBurst { thread, .. }
-            | Event::DanglingAccess { thread, .. }
-            | Event::Call { thread, .. }
-            | Event::Return { thread }
-            | Event::Compute { thread, .. } => thread as usize,
-            Event::SpawnThread | Event::IoWait { .. } => 0,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,27 +80,5 @@ mod tests {
             Event::overflow(0, AccessKind::Write, t),
         ];
         assert!(overflowed_sites(&trace).is_empty());
-    }
-
-    #[test]
-    fn faulting_seqs_pinpoint_the_offending_events() {
-        let t = SiteToken(0);
-        let trace = vec![
-            Event::malloc(0, 16, 0),                       // 0
-            Event::access(0, 0, 8, AccessKind::Read, t),   // 1: fine
-            Event::access(0, 12, 8, AccessKind::Write, t), // 2: [12, 20)
-            Event::overflow(0, AccessKind::Write, t),      // 3
-            Event::free(0),                                // 4
-            Event::DanglingAccess {
-                thread: 0,
-                slot: 0,
-                offset: 0,
-                kind: AccessKind::Read,
-                site: t,
-            }, // 5
-        ];
-        let faults = faulting_access_seqs(&trace);
-        assert_eq!(faults.into_iter().collect::<Vec<_>>(), vec![2, 3, 5]);
-        assert_eq!(event_threads(&trace).len(), 6);
     }
 }

@@ -1,8 +1,8 @@
 //! The serializable risk report and its bridge to the runtime.
 //!
 //! [`RiskReport`] is the analyzer's output artifact: one verdict per
-//! **(allocation site, call string)** plus the safe-segment
-//! certificates, addressed by the same `|`-joined frame signature
+//! **(allocation site, call string)**, addressed by the same `|`-joined
+//! frame signature
 //! ([`CallingContext::signature`](csod_ctx::CallingContext::signature))
 //! the runtime's durability WAL keys records by, so
 //! reports survive process restarts and site-index reshuffles. The
@@ -18,8 +18,12 @@
 //! ```text
 //! CSODRPT2 app <name> k <k>
 //! V<TAB>class<TAB>signature<TAB>call-string<TAB>witness
-//! C<TAB>signature<TAB>call-string<TAB>thread<TAB>start<TAB>end<TAB>accesses<TAB>lo<TAB>hi<TAB>size
 //! ```
+//!
+//! Reports written by earlier revisions also carry `C` (safe-segment
+//! certificate) lines. The loader skips them like any line it does not
+//! know; the header stays `CSODRPT2` because the `V` rows did not
+//! change.
 //!
 //! [`RiskReport::load`] rejects any other header (including the
 //! unversioned pre-`CSODRPT2` files) with
@@ -29,7 +33,6 @@
 //! an empty report.
 
 use crate::callstring::CtxAssignment;
-use crate::certify::Certificate;
 use crate::classify::{rank, CtxOutcome};
 use csod_core::{AnalysisPriors, RiskClass};
 use std::fmt;
@@ -37,7 +40,6 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 use std::str::FromStr;
-use workloads::Event;
 use workloads::SiteRegistry;
 
 /// Magic first token of the current report format.
@@ -61,34 +63,6 @@ pub struct SiteVerdict {
     pub witness: Option<String>,
 }
 
-/// One safe-segment certificate, in serializable form (the trace
-/// coordinates let [`RiskReport::verify`] re-check the claim against a
-/// concrete replay).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertRecord {
-    /// Allocation site owning every access of the run.
-    pub site: usize,
-    /// Frame signature of the owning site.
-    pub signature: String,
-    /// Rendered call string of the certified accesses.
-    pub call_string: String,
-    /// Thread the run executes on.
-    pub thread: usize,
-    /// Trace sequence number of the first access.
-    pub start_seq: usize,
-    /// Trace sequence number of the last access.
-    pub end_seq: usize,
-    /// Number of accesses in the run.
-    pub accesses: usize,
-    /// Inclusive lower bound of the accessed byte range.
-    pub lo: u64,
-    /// Exclusive upper bound of the accessed byte range.
-    pub hi: u64,
-    /// Size of the owning allocation; the certificate claims
-    /// `hi <= size`.
-    pub size: u64,
-}
-
 /// Per-application output of [`analyze`](crate::analyze).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RiskReport {
@@ -99,53 +73,33 @@ pub struct RiskReport {
     /// One verdict per (site, call string), ordered by site then
     /// context.
     pub verdicts: Vec<SiteVerdict>,
-    /// The safe-segment certificates backing the proven-safe verdicts.
-    pub certificates: Vec<CertRecord>,
 }
 
 impl RiskReport {
-    /// Assembles a report from the classifier's outcomes and the
-    /// certifier's segments, rendering call strings against `ctxs` and
-    /// signatures against the registry that produced the trace.
+    /// Assembles a report from the classifier's outcomes, rendering
+    /// call strings against `ctxs` and signatures against the registry
+    /// that produced the trace.
     pub fn assemble(
         registry: &SiteRegistry,
         ctxs: &CtxAssignment,
         outcomes: Vec<CtxOutcome>,
-        certs: &[Certificate],
         k: usize,
     ) -> RiskReport {
         let frames = registry.frames();
-        let signature_of = |site: usize| registry.alloc_site(site).context.signature(frames);
         let verdicts = outcomes
             .into_iter()
             .map(|o| SiteVerdict {
                 site: o.site,
-                signature: signature_of(o.site),
+                signature: registry.alloc_site(o.site).context.signature(frames),
                 call_string: ctxs.table.render(o.ctx, registry),
                 class: o.class,
                 witness: o.witness,
-            })
-            .collect();
-        let certificates = certs
-            .iter()
-            .map(|c| CertRecord {
-                site: c.site,
-                signature: signature_of(c.site),
-                call_string: ctxs.table.render(c.ctx, registry),
-                thread: c.thread,
-                start_seq: c.start_seq,
-                end_seq: c.end_seq,
-                accesses: c.accesses,
-                lo: c.lo,
-                hi: c.hi,
-                size: c.size,
             })
             .collect();
         RiskReport {
             app: registry.app().to_owned(),
             k,
             verdicts,
-            certificates,
         }
     }
 
@@ -183,8 +137,9 @@ impl RiskReport {
 
     /// Builds the runtime prior table: each site is keyed by the cheap
     /// [`ContextKey`](csod_ctx::ContextKey) the sampler hashes, carries
-    /// its worst class across call strings, and a per-call-string
-    /// detail record the sampler uses to grade its initial probability.
+    /// its worst class across call strings, and counts its call strings
+    /// per class, which the sampler uses to grade its initial
+    /// probability.
     pub fn to_priors(&self, registry: &SiteRegistry) -> AnalysisPriors {
         let mut priors = AnalysisPriors::from_classes([]);
         for v in &self.verdicts {
@@ -192,25 +147,7 @@ impl RiskReport {
                 priors.observe_context(registry.alloc_site(v.site).key, v.class);
             }
         }
-        for c in &self.certificates {
-            if c.site < registry.alloc_site_count() {
-                priors.observe_certificate(registry.alloc_site(c.site).key, c.accesses as u64);
-            }
-        }
         priors
-    }
-
-    /// Differentially checks every certificate of the report against a
-    /// concrete replay of `trace`; returns one message per certificate
-    /// covering an access the interpreter saw fault. An empty result is
-    /// the soundness pass.
-    pub fn verify(&self, trace: &[Event]) -> Vec<String> {
-        crate::certify::verify_spans(
-            trace,
-            self.certificates
-                .iter()
-                .map(|c| (c.site, c.thread, c.start_seq, c.end_seq, c.accesses)),
-        )
     }
 
     /// Saves the report in the [`CSODRPT2`](REPORT_MAGIC) format.
@@ -230,20 +167,6 @@ impl RiskReport {
                 v.witness.as_deref().unwrap_or("-")
             ));
         }
-        for c in &self.certificates {
-            out.push_str(&format!(
-                "C\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                c.signature,
-                c.call_string,
-                c.thread,
-                c.start_seq,
-                c.end_seq,
-                c.accesses,
-                c.lo,
-                c.hi,
-                c.size
-            ));
-        }
         let mut file = fs::File::create(path)?;
         file.write_all(out.as_bytes())
     }
@@ -251,7 +174,8 @@ impl RiskReport {
     /// Loads a report saved by [`save`](RiskReport::save), resolving
     /// signatures against `registry`. Lines whose signature matches no
     /// current allocation site are dropped (the report outlived the
-    /// application version it was computed for).
+    /// application version it was computed for), and so is every line
+    /// that is not a `V` row.
     ///
     /// # Errors
     ///
@@ -269,7 +193,6 @@ impl RiskReport {
                     app: registry.app().to_owned(),
                     k: 0,
                     verdicts: Vec::new(),
-                    certificates: Vec::new(),
                 })
             }
             Err(e) => return Err(e),
@@ -295,56 +218,26 @@ impl RiskReport {
                 .map(|site| site.index)
         };
         let mut verdicts = Vec::new();
-        let mut certificates = Vec::new();
         for line in text.lines().skip(1) {
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
+            let fields: Vec<&str> = line.trim_end().split('\t').collect();
+            let ["V", class, signature, call_string, witness] = fields.as_slice() else {
                 continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields.as_slice() {
-                ["V", class, signature, call_string, witness] => {
-                    let Ok(class) = RiskClass::from_str(class) else {
-                        continue;
-                    };
-                    if let Some(site) = resolve(signature) {
-                        verdicts.push(SiteVerdict {
-                            site,
-                            signature: (*signature).to_owned(),
-                            call_string: (*call_string).to_owned(),
-                            class,
-                            witness: (*witness != "-").then(|| (*witness).to_owned()),
-                        });
-                    }
-                }
-                ["C", signature, call_string, rest @ ..] if rest.len() == 7 => {
-                    let nums: Vec<u64> = rest.iter().filter_map(|f| f.parse().ok()).collect();
-                    let (Some(site), [thread, start, end, accesses, lo, hi, size]) =
-                        (resolve(signature), nums.as_slice())
-                    else {
-                        continue;
-                    };
-                    certificates.push(CertRecord {
-                        site,
-                        signature: (*signature).to_owned(),
-                        call_string: (*call_string).to_owned(),
-                        thread: usize::try_from(*thread).unwrap_or(usize::MAX),
-                        start_seq: usize::try_from(*start).unwrap_or(usize::MAX),
-                        end_seq: usize::try_from(*end).unwrap_or(usize::MAX),
-                        accesses: usize::try_from(*accesses).unwrap_or(usize::MAX),
-                        lo: *lo,
-                        hi: *hi,
-                        size: *size,
-                    });
-                }
-                _ => {}
-            }
+            };
+            let (Ok(class), Some(site)) = (RiskClass::from_str(class), resolve(signature)) else {
+                continue;
+            };
+            verdicts.push(SiteVerdict {
+                site,
+                signature: (*signature).to_owned(),
+                call_string: (*call_string).to_owned(),
+                class,
+                witness: (*witness != "-").then(|| (*witness).to_owned()),
+            });
         }
         Ok(RiskReport {
             app: registry.app().to_owned(),
             k,
             verdicts,
-            certificates,
         })
     }
 }
@@ -355,11 +248,10 @@ impl fmt::Display for RiskReport {
         writeln!(
             f,
             "==== risk report: {} (k = {}; {} verdict(s): {safe} proven-safe, {sus} suspicious, \
-             {unknown} unknown; {} certificate(s)) ====",
+             {unknown} unknown) ====",
             self.app,
             self.k,
-            self.verdicts.len(),
-            self.certificates.len()
+            self.verdicts.len()
         )?;
         for v in &self.verdicts {
             let innermost = v.signature.split('|').next().unwrap_or("?");
@@ -414,19 +306,8 @@ mod tests {
                 witness: Some("widened".to_owned()),
             },
         ];
-        let certs = vec![Certificate {
-            site: 0,
-            ctx: CtxId::ROOT,
-            thread: 0,
-            start_seq: 1,
-            end_seq: 3,
-            accesses: 3,
-            lo: 0,
-            hi: 64,
-            size: 64,
-        }];
         let ctxs = crate::callstring::assign(&crate::ir::lower(reg, &[]), 2);
-        RiskReport::assemble(reg, &ctxs, outcomes, &certs, 2)
+        RiskReport::assemble(reg, &ctxs, outcomes, 2)
     }
 
     #[test]
@@ -526,12 +407,19 @@ mod tests {
             "V\tproven-safe\t{}\t-\t-\n",
             r.verdicts[0].signature
         ));
+        // Certificate lines, as earlier revisions wrote them: one for a
+        // stale site and one for a live one. Both are skipped.
         text.push_str("C\tno/such/frame.c:1|main.c:1\t-\t0\t1\t3\t3\t0\t64\t64\n");
+        text.push_str(&format!(
+            "C\t{}\t-\t0\t1\t3\t3\t0\t64\t64\n",
+            r.verdicts[0].signature
+        ));
         fs::write(&path, text).unwrap();
         let loaded = RiskReport::load(&path, &reg).unwrap();
         assert_eq!(loaded.verdicts.len(), 1);
         assert_eq!(loaded.verdicts[0].site, 0);
-        assert!(loaded.certificates.is_empty());
+        // The live V row loads exactly as it was saved.
+        assert_eq!(loaded.verdicts[..], r.verdicts[..1]);
         fs::remove_file(&path).ok();
     }
 
@@ -540,7 +428,6 @@ mod tests {
         let reg = registry();
         let text = report(&reg).to_string();
         assert!(text.contains("1 proven-safe, 1 suspicious, 1 unknown"));
-        assert!(text.contains("1 certificate(s)"));
         assert!(text.contains("exceeds the 16-byte object"));
     }
 }

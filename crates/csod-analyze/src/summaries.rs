@@ -1,5 +1,5 @@
 //! Access summaries: per-context interval hulls with widening and
-//! narrowing, plus reusable function-level summaries.
+//! narrowing.
 //!
 //! Ambiguously-bound accesses cannot be compared exactly; the
 //! classifier folds every end offset such a statement produces into an
@@ -9,18 +9,8 @@
 //! summary also carries the *exact observed hull* (running min/max —
 //! still constant space), which one narrowing iteration
 //! ([`Interval::narrow`]) can substitute for a bound widening pushed to
-//! infinity.
-//!
-//! Summaries are kept at two granularities:
-//!
-//! * per `(access site, slot, call string)` — the context-sensitive
-//!   facts verdicts are drawn from;
-//! * per `(innermost function, access site, slot)` — the reusable
-//!   *function summary*: when a function's merged hull is already
-//!   conclusive, every calling context that reaches the access through
-//!   it shares that one conclusion and the per-context summaries need
-//!   not be consulted. [`SummaryTable::reuses`] counts how often this
-//!   shortcut fires.
+//! infinity. Summaries are kept per `(access site, slot, call string)`,
+//! the granularity verdicts are drawn from.
 
 use crate::callstring::CtxId;
 use crate::classify::WIDEN_AFTER;
@@ -28,7 +18,7 @@ use crate::domain::Interval;
 use std::collections::HashMap;
 
 /// Interval summary of every end offset one access statement produces
-/// through one slot (under one call string, or merged per function).
+/// through one slot under one call string.
 #[derive(Debug, Clone)]
 pub struct AccessSummary {
     /// Hull of exclusive end offsets, possibly widened.
@@ -68,10 +58,6 @@ impl AccessSummary {
     }
 }
 
-/// Key of a function-level summary: innermost function (if any), access
-/// site, slot.
-pub type FnKey = (Option<usize>, u64, usize);
-
 /// Key of a context-level summary: access site, slot, call string.
 pub type CtxKey = (u64, usize, CtxId);
 
@@ -80,12 +66,6 @@ pub type CtxKey = (u64, usize, CtxId);
 pub struct SummaryTable {
     /// Context-sensitive summaries, the verdict source.
     pub per_ctx: HashMap<CtxKey, AccessSummary>,
-    /// Function-level summaries, merged across that function's calling
-    /// contexts — the reuse candidates.
-    pub per_fn: HashMap<FnKey, AccessSummary>,
-    /// Times a conclusive function summary answered for a context
-    /// without consulting the per-context summary.
-    pub reuses: u64,
 }
 
 impl SummaryTable {
@@ -94,29 +74,12 @@ impl SummaryTable {
         SummaryTable::default()
     }
 
-    /// Folds one ambiguous access end into both granularities.
-    /// `track_fn` is false at `k = 0`, where no function frames exist
-    /// and the per-context summary (under [`CtxId::ROOT`]) already *is*
-    /// the merged view.
-    pub fn fold(
-        &mut self,
-        token: u64,
-        slot: usize,
-        ctx: CtxId,
-        innermost: Option<usize>,
-        end: i128,
-        track_fn: bool,
-    ) {
+    /// Folds one ambiguous access end into its context's summary.
+    pub fn fold(&mut self, token: u64, slot: usize, ctx: CtxId, end: i128) {
         self.per_ctx
             .entry((token, slot, ctx))
             .and_modify(|s| s.fold(end))
             .or_insert_with(|| AccessSummary::of(end));
-        if track_fn {
-            self.per_fn
-                .entry((innermost, token, slot))
-                .and_modify(|s| s.fold(end))
-                .or_insert_with(|| AccessSummary::of(end));
-        }
     }
 
     /// The context-level summary for a key.
@@ -127,35 +90,6 @@ impl SummaryTable {
     /// looks up summaries for accesses it folded in its first pass.
     pub fn ctx_summary(&self, token: u64, slot: usize, ctx: CtxId) -> &AccessSummary {
         &self.per_ctx[&(token, slot, ctx)]
-    }
-
-    /// Function-summary fast path: if the merged hull of `innermost`'s
-    /// accesses through `(token, slot)` is stable (never widened) and
-    /// bounded at or below `limit`, every context reaching the access
-    /// through that function is proven safe at once. Increments
-    /// [`reuses`](SummaryTable::reuses) and returns `true` when it
-    /// fires.
-    pub fn reuse_proves_safe(
-        &mut self,
-        innermost: Option<usize>,
-        token: u64,
-        slot: usize,
-        limit: i128,
-    ) -> bool {
-        let Some(summary) = self.per_fn.get(&(innermost, token, slot)) else {
-            return false;
-        };
-        let conclusive =
-            !summary.end.widened && summary.end.hi_finite().is_some_and(|hi| hi <= limit);
-        if conclusive {
-            self.reuses += 1;
-        }
-        conclusive
-    }
-
-    /// Number of context-level summaries whose hull widened.
-    pub fn widened_count(&self) -> usize {
-        self.per_ctx.values().filter(|s| s.end.widened).count()
     }
 }
 
@@ -185,19 +119,5 @@ mod tests {
         }
         assert!(!s.end.widened);
         assert_eq!(s.end.hi_finite(), Some(16));
-    }
-
-    #[test]
-    fn function_summary_reuse_fires_only_when_conclusive() {
-        let mut t = SummaryTable::new();
-        t.fold(0, 0, CtxId(1), Some(3), 32, true);
-        t.fold(0, 0, CtxId(2), Some(3), 40, true);
-        assert!(t.reuse_proves_safe(Some(3), 0, 0, 64));
-        assert!(!t.reuse_proves_safe(Some(3), 0, 0, 16));
-        assert!(!t.reuse_proves_safe(Some(9), 0, 0, 64)); // no summary
-        assert_eq!(t.reuses, 1);
-        // Both granularities were tracked.
-        assert_eq!(t.per_ctx.len(), 2);
-        assert_eq!(t.per_fn.len(), 1);
     }
 }

@@ -1,8 +1,6 @@
 //! Property tests for the analyzer's one hard obligation, at every
 //! call-string limit: no access that dynamically overflows may come
-//! from a context the analysis proved safe, and no safe-segment
-//! certificate may cover an access the reference interpreter saw
-//! fault.
+//! from a context the analysis proved safe.
 //!
 //! Two workload generators drive it: the repo's [`FuzzWorkload`]
 //! (realistic single-owner slots) and a nastier local generator that
@@ -11,7 +9,7 @@
 //! traffic — the shapes that force the escape analysis, the call-string
 //! assignment and the interval summaries to earn their keep.
 
-use csod_analyze::{analyze, analyze_detailed, oracle, verify_certificates, DEFAULT_K};
+use csod_analyze::{analyze, analyze_with_k, oracle, DEFAULT_K};
 use csod_core::RiskClass;
 use csod_ctx::FrameTable;
 use proptest::prelude::*;
@@ -99,25 +97,18 @@ fn hostile_workload(seed: u64) -> (SiteRegistry, Vec<Event>) {
     (registry, trace)
 }
 
-/// Runs the whole differential harness at `k = 0`, `1` and
-/// [`DEFAULT_K`]: verdict soundness against the oracle's overflowed
-/// sites, and every emitted certificate checked access-by-access
-/// against the reference interpreter.
+/// Runs the differential harness at `k = 0`, `1` and [`DEFAULT_K`]:
+/// verdict soundness against the oracle's overflowed sites.
 fn assert_sound(registry: &SiteRegistry, trace: &[Event]) {
     for k in [0, 1, DEFAULT_K] {
-        let analysis = analyze_detailed(registry, trace, k);
+        let report = analyze_with_k(registry, trace, k);
         for site in oracle::overflowed_sites(trace) {
             assert_ne!(
-                analysis.report.class_of(site),
+                report.class_of(site),
                 RiskClass::ProvenSafe,
                 "site {site} dynamically overflows but was proven safe at k = {k}"
             );
         }
-        let violations = verify_certificates(trace, &analysis.certificates);
-        assert!(
-            violations.is_empty(),
-            "unsound certificates at k = {k}: {violations:?}"
-        );
     }
 }
 

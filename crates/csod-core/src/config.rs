@@ -221,9 +221,8 @@ impl RiskClass {
 
 /// Per-call-string detail behind one allocation context's merged
 /// verdict: how many k-limited call strings the analyzer saw the
-/// context allocate under, how they classified, and how many accesses
-/// its safe-segment certificates cover. The sampler grades a context's
-/// *initial* probability with these counts
+/// context allocate under, and how they classified. The sampler grades
+/// a context's *initial* probability with these counts
 /// ([`AnalysisPriors::initial_ppm_for`]): a site suspicious under every
 /// call string starts hotter than one suspicious under one of many, and
 /// an unknown site with mostly proven-safe call strings starts closer
@@ -236,9 +235,6 @@ pub struct CallStringPrior {
     pub proven_safe: u32,
     /// Rows classified suspicious.
     pub suspicious: u32,
-    /// Total accesses covered by the context's safe-segment
-    /// certificates.
-    pub certified_accesses: u64,
 }
 
 /// Per-context risk priors fed into the Sampling Management Unit from a
@@ -295,11 +291,6 @@ impl AnalysisPriors {
             RiskClass::Suspicious => d.suspicious += 1,
             RiskClass::Unknown => {}
         }
-    }
-
-    /// Credits `accesses` certificate-covered accesses to `key`.
-    pub fn observe_certificate(&mut self, key: ContextKey, accesses: u64) {
-        self.detail.entry(key).or_default().certified_accesses += accesses;
     }
 
     /// The initial watch probability this prior table assigns `key`
@@ -773,9 +764,6 @@ mod tests {
         assert_eq!(priors.class_of(k), Some(RiskClass::Suspicious));
         let d = &priors.detail[&k];
         assert_eq!((d.contexts, d.proven_safe, d.suspicious), (3, 1, 1));
-        priors.observe_certificate(k, 40);
-        priors.observe_certificate(k, 2);
-        assert_eq!(priors.detail[&k].certified_accesses, 42);
     }
 
     #[test]

@@ -30,6 +30,10 @@
 #![warn(clippy::cast_possible_truncation)]
 #![warn(clippy::missing_panics_doc)]
 #![warn(clippy::perf)]
+// The `Backend`/`HeapBackend` impls delegate to same-named inherent
+// methods (`Machine::now`, `SimHeap::memalign`, ...). Should one of those
+// stop being visible here, the call resolves to the trait method itself.
+#![deny(unconditional_recursion)]
 
 mod backend;
 #[cfg(all(

@@ -57,11 +57,6 @@ impl VirtDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: VirtDuration) -> VirtDuration {
-        VirtDuration(self.0.saturating_sub(rhs.0))
-    }
 }
 
 impl fmt::Display for VirtDuration {
@@ -243,13 +238,5 @@ mod tests {
         assert_eq!(VirtDuration::from_micros(3).to_string(), "3.000us");
         assert_eq!(VirtDuration::from_millis(4).to_string(), "4.000ms");
         assert_eq!(VirtDuration::from_secs(5).to_string(), "5.000s");
-    }
-
-    #[test]
-    fn saturating_sub() {
-        let a = VirtDuration::from_nanos(5);
-        let b = VirtDuration::from_nanos(9);
-        assert_eq!(a.saturating_sub(b), VirtDuration::ZERO);
-        assert_eq!(b.saturating_sub(a), VirtDuration::from_nanos(4));
     }
 }

@@ -214,8 +214,8 @@ impl CallSensitiveApp {
                     kind: AccessKind::Write,
                     site: helper,
                 });
-                // Two straight-line in-bounds arena accesses: the
-                // certificate generator's bread and butter.
+                // Two straight-line in-bounds arena accesses through a
+                // definitely bound, thread-confined slot.
                 for a in 0..2u64 {
                     events.push(Event::Access {
                         thread: 0,
